@@ -38,7 +38,6 @@ def _add_common(p):
                    help="score with raw instead of normalized preference")
     p.add_argument("--algorithm", choices=["heuristic", "random", "min_propagation",
                                            "max_preference"])
-    p.add_argument("--delta-mode", choices=["exact", "local"], dest="delta_mode")
     p.add_argument("--min-gain", type=float, dest="min_gain")
     p.add_argument("--touched-budget", type=float, dest="touched_budget")
     p.add_argument("--termination-mode", choices=["gain_threshold", "budget", "both"],
@@ -94,7 +93,7 @@ def config_from_args(args):
         config = ExperimentConfig()
     overrides = {}
     for key in ("output_dir", "rng_seed", "alpha", "cost_weight", "algorithm",
-                "delta_mode", "min_gain", "touched_budget", "termination_mode",
+                "min_gain", "touched_budget", "termination_mode",
                 "edges_path", "regions_path", "pricing_path", "affinity_path",
                 "profiles_path", "synth_users", "synth_mean_degree",
                 "synth_clouds", "synth_regions"):

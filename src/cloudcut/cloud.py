@@ -80,6 +80,9 @@ class PricingMatrix:
         n = len(header)
         if len(set(header)) != n:
             raise ParseError("duplicate cloud label in pricing header", 1)
+        if len(rows) - 1 != n:
+            raise ParseError(f"expected {n} price rows, one per header cloud, "
+                             f"got {len(rows) - 1}", len(rows))
         m = np.zeros((n, n))
         row_labels = []
         for lineno, row in enumerate(rows[1:], start=2):
@@ -288,7 +291,10 @@ def default_profiles(graph, blend=1.0):
     edge weight (a proxy for how much of u's content propagates per follower),
     blend weight is constant."""
     n = graph.n_users
-    vol = np.array([graph.mean_out_weight(u) for u in range(n)])
+    src, _, w = graph.edge_arrays()
+    total = np.bincount(src, weights=w, minlength=n)
+    count = np.bincount(src, minlength=n)
+    vol = np.divide(total, count, out=np.zeros(n), where=count > 0)
     return vol, np.full(n, float(blend))
 
 

@@ -35,6 +35,14 @@ SWEEP_HEADER = ("alpha", "n_clouds", "algorithm", "objective",
 ORACLE_HEADER = ("n_edges", "instance", "heuristic_objective",
                  "optimal_objective", "ratio")
 ALGORITHMS = ("heuristic", "random", "min_propagation", "max_preference")
+_NUMBER_GRIDS = ("alpha_grid", "cloud_grid", "oracle_edge_grid")
+
+
+def _is_number(value, kind):
+    """True for an int (kind "int") or an int or float (kind "float"); bools
+    are neither."""
+    allowed = (int,) if kind == "int" else (int, float)
+    return isinstance(value, allowed) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,6 @@ class ExperimentConfig:
     min_gain: float = 0.0
     touched_budget: float = 0.2
     termination_mode: str = "both"
-    delta_mode: str = "exact"
     # sweep grids
     alpha_grid: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
     cloud_grid: tuple | None = None
@@ -96,6 +103,19 @@ class ExperimentConfig:
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+        for f in fields(cls):
+            if f.name not in doc:
+                continue
+            value = doc[f.name]
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional == "None":
+                continue
+            if kind in ("int", "float") and not _is_number(value, kind):
+                what = "an integer" if kind == "int" else "a number"
+                raise ValidationError(f"{f.name} must be {what}, got {value!r}")
+            if f.name in _NUMBER_GRIDS and not (
+                    isinstance(value, tuple) and all(_is_number(x, "float") for x in value)):
+                raise ValidationError(f"{f.name} must be a list of numbers, got {value!r}")
         cfg = cls(**doc)
         if cfg.algorithm not in ALGORITHMS:
             raise ValidationError(f"algorithm must be one of {ALGORITHMS}")
@@ -129,7 +149,6 @@ class ExperimentConfig:
             min_gain=self.min_gain,
             touched_budget=self.touched_budget,
             termination_mode=self.termination_mode,
-            delta_mode=self.delta_mode,
         )
 
 
@@ -398,7 +417,6 @@ def oracle_heuristic_params(config, alpha=None):
         min_gain=config.min_gain,
         touched_budget=1.0,
         termination_mode="gain_threshold",
-        delta_mode=config.delta_mode,
     )
 
 

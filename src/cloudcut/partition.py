@@ -10,22 +10,25 @@ first, and for each pair (u, v) hosted on clouds (c, d) scores four options:
   move_both  re-host both onto the best third cloud f
 
 The gain of a move is the preference change it buys minus the weighted change
-in replication cost it causes, i.e. exactly the change in the placement score
-when the cost delta runs in "exact" mode.  The option with the largest gain
-is applied (ties keep users put, biased toward not moving), and the walk
-stops when either a touched-connection budget is spent or the best gain falls
-below a threshold, depending on the termination mode.
+in priced traffic it causes over every edge incident to the moved user(s),
+neighbors on third clouds included, so an applied gain equals the change in
+the placement score.  The option with the largest gain is applied (ties keep
+users put), and the walk stops when either a touched-connection budget is
+spent or the best gain falls below a threshold, depending on the termination
+mode.
 
-Cost deltas come in two flavors:
-
-  exact  the true change in total priced traffic over every edge incident to
-         the moved user(s), neighbors on third clouds included; applied gains
-         then equal the score delta to rounding error.
-  local  a cheaper score that only looks at neighbors on the clouds directly
-         involved in the move and charges each connection half to each
-         endpoint; it matches exact rankings only under uniform pricing and
-         is kept for comparison runs against solvers that score moves this
-         way.
+The walk is windowed.  It takes the next _WINDOW pairs of the sorted order,
+scores every pair of the window that is still cross-cloud in one batched
+kernel call, then visits the pairs one by one exactly as an unwindowed walk
+would.  A pair's gains depend only on the clouds of its two users and of
+their friends, so they go stale only when one of these users moves (the
+gain-locality argument of Fiduccia and Mattheyses, DAC 1982).  When a user
+moves, it and its friends are marked dirty; a pair with a dirty endpoint is
+scored again on its own before its move is chosen, and the marks are cleared
+when the next window is scored.  The kernel gives every element the same
+operations in the same order whatever the batch, so the windowed walk makes
+the same choices, with bit-identical gains, as one that scores each pair
+just before it decides.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .objective import Assignment, ObjectiveParams
 
 _CASES = ("keep", "move_u", "move_v", "move_both")
 _TERMINATION_MODES = ("gain_threshold", "budget", "both")
-_DELTA_MODES = ("exact", "local")
+_WINDOW = 256  # sorted pairs scored per batched kernel call
 
 
 @dataclass(frozen=True)
@@ -60,13 +63,10 @@ class HeuristicParams:
     min_gain: float = 0.0
     touched_budget: float = 0.2
     termination_mode: str = "both"
-    delta_mode: str = "exact"
 
     def __post_init__(self):
         if self.termination_mode not in _TERMINATION_MODES:
             raise ValidationError(f"termination_mode must be one of {_TERMINATION_MODES}")
-        if self.delta_mode not in _DELTA_MODES:
-            raise ValidationError(f"delta_mode must be one of {_DELTA_MODES}")
         if not 0.0 <= self.touched_budget <= 1.0:
             raise ValidationError("touched_budget must lie in [0, 1]")
         if not math.isfinite(self.min_gain):
@@ -117,148 +117,125 @@ class RehostGains:
         return best_case, best_gain
 
 
-def _cloud_flows(u, host, graph, n_clouds):
-    """Per-cloud traffic aggregates of u: (out[g], in[g]) over neighbor clouds."""
-    nbrs, wout, win = graph.friend_arrays(u)
-    cn = host[nbrs]
-    a_out = np.bincount(cn, weights=wout, minlength=n_clouds)
-    a_in = np.bincount(cn, weights=win, minlength=n_clouds)
-    return a_out, a_in
+def _batch_gains(us, vs, e_uv, e_vu, host, psi, friends, P, alpha, cost_scale):
+    """Gains of B candidate pairs (us[i], vs[i]) under the hosting host.
+
+    Returns (move_u, move_v, move_both): two length-B vectors and a B x C
+    matrix whose entry f is the gain of moving both users onto cloud f (-inf
+    where f is either user's current cloud).  e_uv / e_vu are the weights of
+    the directed edges u->v and v->u.  friends is the graph's friend CSR.
+    cost_scale folds (1 - alpha) * cost_weight into one factor.
+
+    Every element is computed with the same operations in the same order as
+    when the pair is scored on its own, so a gain does not depend on which
+    batch it was scored in.
+    """
+    off, nbr, wout, win = friends
+    B, C = us.size, P.shape[0]
+    # both endpoints side by side: row i is us[i], row B + i is vs[i]
+    users = np.concatenate([us, vs])
+    r = np.arange(2 * B)
+    own = host[users]
+    other = np.concatenate([own[B:], own[:B]])
+    e_out = np.concatenate([e_uv, e_vu])[:, None]  # user -> partner
+    e_in = np.concatenate([e_vu, e_uv])[:, None]   # partner -> user
+
+    # gather all 2B friend lists in order; bincount sums each user's flows in
+    # neighbor order, like one bincount per user
+    starts = off[users]
+    lens = off[users + 1] - starts
+    slot = np.repeat(r, lens)
+    pos = np.arange(slot.size) + (starts - (np.cumsum(lens) - lens))[slot]
+    key = slot * C + host[nbr[pos]]
+    a_out = np.bincount(key, weights=wout[pos], minlength=2 * B * C).reshape(2 * B, C, 1)
+    a_in = np.bincount(key, weights=win[pos], minlength=2 * B * C).reshape(2 * B, C, 1)
+    # seat[i, x]: priced traffic on the user's edges if it sat on x; the
+    # stacked products run one gemv per user, as for a single pair
+    seat = (np.matmul(P, a_out) + np.matmul(P.T, a_in))[:, :, 0]
+    delta = seat[r, other] - seat[r, own]
+    # score both single moves with the mutual edge removed, then re-add it
+    solo = seat - (P.T[other] * e_out + P[other] * e_in)
+    rel = solo - solo[r, own][:, None]
+    c, d = own[:B], other[:B]
+    pair_delta = (P.diagonal() * (e_uv + e_vu)[:, None]
+                  - (P[c, d] * e_uv + P[d, c] * e_vu)[:, None])
+    delta_joint = rel[:B] + rel[B:] + pair_delta
+
+    pref = psi[users]
+    pref_own = pref[r, own]
+    gain = alpha * (pref[r, other] - pref_own) - cost_scale * delta
+    joint = (alpha * (pref[:B] + pref[B:] - pref_own[:B, None] - pref_own[B:, None])
+             - cost_scale * delta_joint)
+    joint[r % B, own] = -np.inf
+    return gain[:B], gain[B:], joint
 
 
-def _seat_costs(a_out, a_in, P):
-    """Vector over clouds x: priced traffic on u's edges if u sat on x."""
-    return P @ a_out + P.T @ a_in
+def _pair_arrays(u, v, assignment, graph):
+    """Kernel inputs (us, vs, e_uv, e_vu) for one pair, which must be cross-cloud."""
+    if int(assignment.host[u]) == int(assignment.host[v]):
+        raise ValidationError("pair is not cross-cloud; no re-hosting case applies")
+    return (np.array([u]), np.array([v]),
+            np.array([graph.edge_weight(u, v)]), np.array([graph.edge_weight(v, u)]))
 
 
-def propagation_delta(move, assignment, graph, model, cost_weight=1.0, mode="exact"):
+def propagation_delta(move, assignment, graph, model, cost_weight=1.0):
     """Weighted replication-cost change a move would cause (negative saves).
 
-    The pair must currently straddle two clouds.  See the module docstring
-    for the exact/local distinction.
+    This is the true change in total priced traffic over every edge incident
+    to the moved user(s), neighbors on third clouds included, times
+    cost_weight.  The pair must currently straddle two clouds.
     """
-    if mode not in _DELTA_MODES:
-        raise ValidationError(f"mode must be one of {_DELTA_MODES}")
-    u, v = move.u, move.v
-    host = assignment.host
-    c, d = int(host[u]), int(host[v])
-    if c == d:
-        raise ValidationError("pair is not cross-cloud; no re-hosting case applies")
-    P = model.pricing.matrix
     C = model.n_clouds
+    pair = _pair_arrays(move.u, move.v, assignment, graph)
     if move.case == "move_both":
         f = move.target
-        if f in (c, d):
+        if f in (int(assignment.host[move.u]), int(assignment.host[move.v])):
             raise ValidationError("move_both target must be a third cloud")
         if not 0 <= f < C:
             raise ValidationError("move_both target out of range")
-
-    if mode == "local":
-        a_out_u, a_in_u = _cloud_flows(u, host, graph, C)
-        if move.case == "move_u":
-            gain_side = P[c, d] * a_in_u[c] + P[d, c] * a_out_u[c]
-            save_side = P[c, d] * a_out_u[d] + P[d, c] * a_in_u[d]
-            return 0.5 * cost_weight * (gain_side - save_side)
-        a_out_v, a_in_v = _cloud_flows(v, host, graph, C)
-        if move.case == "move_v":
-            gain_side = P[d, c] * a_in_v[d] + P[c, d] * a_out_v[d]
-            save_side = P[d, c] * a_out_v[c] + P[c, d] * a_in_v[c]
-            return 0.5 * cost_weight * (gain_side - save_side)
-        f = move.target
-        return 0.5 * cost_weight * (
-            P[c, d] * a_in_u[c] + P[d, c] * a_out_u[c]
-            - (P[c, f] * a_out_u[f] + P[f, c] * a_in_u[f])
-            + P[d, c] * a_in_v[d] + P[c, d] * a_out_v[d]
-            - (P[d, f] * a_out_v[f] + P[f, d] * a_in_v[f])
-        )
-
-    # exact mode: true change in total priced traffic on incident edges
-    a_out_u, a_in_u = _cloud_flows(u, host, graph, C)
-    seat_u = _seat_costs(a_out_u, a_in_u, P)
+    # with alpha = 0 a gain is minus the weighted cost change
+    no_pref = np.broadcast_to(0.0, (graph.n_users, C))
+    gain_u, gain_v, joint = _batch_gains(*pair, assignment.host, no_pref, graph.friend_csr(),
+                                         model.pricing.matrix, 0.0, cost_weight)
     if move.case == "move_u":
-        return cost_weight * float(seat_u[d] - seat_u[c])
-    a_out_v, a_in_v = _cloud_flows(v, host, graph, C)
-    seat_v = _seat_costs(a_out_v, a_in_v, P)
+        return -float(gain_u[0])
     if move.case == "move_v":
-        return cost_weight * float(seat_v[c] - seat_v[d])
-    f = move.target
-    e_uv = graph.edge_weight(u, v)
-    e_vu = graph.edge_weight(v, u)
-    # score both single moves with the mutual edge removed, then re-add it
-    seat_u_solo = seat_u - (P[:, d] * e_uv + P[d, :] * e_vu)
-    seat_v_solo = seat_v - (P[:, c] * e_vu + P[c, :] * e_uv)
-    pair_delta = P[f, f] * (e_uv + e_vu) - (P[c, d] * e_uv + P[d, c] * e_vu)
-    return cost_weight * float(
-        seat_u_solo[f] - seat_u_solo[c] + seat_v_solo[f] - seat_v_solo[d] + pair_delta
-    )
-
-
-def _pair_gains(u, v, host, psi, graph, P, alpha, cost_scale, mode):
-    """RehostGains for a cross-cloud pair given a precomputed preference table.
-
-    cost_scale folds (1 - alpha) * cost_weight into one factor.
-    """
-    C = P.shape[0]
-    c, d = int(host[u]), int(host[v])
-    a_out_u, a_in_u = _cloud_flows(u, host, graph, C)
-    a_out_v, a_in_v = _cloud_flows(v, host, graph, C)
-
-    if mode == "exact":
-        seat_u = _seat_costs(a_out_u, a_in_u, P)
-        seat_v = _seat_costs(a_out_v, a_in_v, P)
-        delta_u = seat_u[d] - seat_u[c]
-        delta_v = seat_v[c] - seat_v[d]
-        e_uv = graph.edge_weight(u, v)
-        e_vu = graph.edge_weight(v, u)
-        seat_u_solo = seat_u - (P[:, d] * e_uv + P[d, :] * e_vu)
-        seat_v_solo = seat_v - (P[:, c] * e_vu + P[c, :] * e_uv)
-        pair_delta = np.diag(P) * (e_uv + e_vu) - (P[c, d] * e_uv + P[d, c] * e_vu)
-        delta_joint = (seat_u_solo - seat_u_solo[c]) + (seat_v_solo - seat_v_solo[d]) + pair_delta
-    else:
-        delta_u = 0.5 * (
-            P[c, d] * a_in_u[c] + P[d, c] * a_out_u[c]
-            - (P[c, d] * a_out_u[d] + P[d, c] * a_in_u[d])
-        )
-        delta_v = 0.5 * (
-            P[d, c] * a_in_v[d] + P[c, d] * a_out_v[d]
-            - (P[d, c] * a_out_v[c] + P[c, d] * a_in_v[c])
-        )
-        fixed = (P[c, d] * a_in_u[c] + P[d, c] * a_out_u[c]
-                 + P[d, c] * a_in_v[d] + P[c, d] * a_out_v[d])
-        per_f = (P[c, :] * a_out_u + P[:, c] * a_in_u
-                 + P[d, :] * a_out_v + P[:, d] * a_in_v)
-        delta_joint = 0.5 * (fixed - per_f)
-
-    gain_u = alpha * (psi[u, d] - psi[u, c]) - cost_scale * delta_u
-    gain_v = alpha * (psi[v, c] - psi[v, d]) - cost_scale * delta_v
-    if C > 2:
-        pref_joint = psi[u, :] + psi[v, :] - psi[u, c] - psi[v, d]
-        joint = alpha * pref_joint - cost_scale * delta_joint
-        joint[c] = -np.inf
-        joint[d] = -np.inf
-        f = int(np.argmax(joint))
-        gain_joint = float(joint[f])
-    else:
-        f = None
-        gain_joint = -np.inf
-    return RehostGains(0.0, float(gain_u), float(gain_v), gain_joint, f)
+        return -float(gain_v[0])
+    return -float(joint[0, move.target])
 
 
 def rehost_gains(u, v, assignment, graph, model, params):
     """Gains of the four re-hosting options for one cross-cloud pair."""
-    host = assignment.host
-    if int(host[u]) == int(host[v]):
-        raise ValidationError("pair is not cross-cloud; no re-hosting case applies")
+    pair = _pair_arrays(u, v, assignment, graph)
     psi = preference_matrix(graph, model, normalized=params.objective.use_normalized)
-    cost_scale = (1.0 - params.objective.alpha) * params.objective.cost_weight
-    return _pair_gains(u, v, host, psi, graph, model.pricing.matrix,
-                       params.objective.alpha, cost_scale, params.delta_mode)
+    alpha = params.objective.alpha
+    cost_scale = (1.0 - alpha) * params.objective.cost_weight
+    gain_u, gain_v, joint = _batch_gains(*pair, assignment.host, psi, graph.friend_csr(),
+                                         model.pricing.matrix, alpha, cost_scale)
+    if model.n_clouds <= 2:
+        return RehostGains(0.0, float(gain_u[0]), float(gain_v[0]), -np.inf, None)
+    f = int(np.argmax(joint[0]))
+    return RehostGains(0.0, float(gain_u[0]), float(gain_v[0]), float(joint[0, f]), f)
 
 
 def initial_hosting(graph, model):
     """Host every user on its most-preferred cloud (lowest id wins ties)."""
     psi = preference_matrix(graph, model, normalized=False)
     return Assignment(np.argmax(psi, axis=1))
+
+
+def _directional_weights(friends, ca, cb):
+    """(e_ab, e_ba) per connection (a, b): the friend CSR's row < col entries.
+
+    Both the connections and those entries are sorted by (a, b), so entry i
+    belongs to connection i.
+    """
+    off, nbr, wout, win = friends
+    row = np.repeat(np.arange(off.size - 1), np.diff(off))
+    upper = row < nbr
+    assert np.array_equal(row[upper], ca) and np.array_equal(nbr[upper], cb), \
+        "friend CSR and connection order disagree"
+    return wout[upper], win[upper]
 
 
 def run_heuristic(graph, model, params, telemetry=None):
@@ -278,6 +255,8 @@ def run_heuristic(graph, model, params, telemetry=None):
     cost_scale = (1.0 - alpha) * params.objective.cost_weight
 
     ca, cb, cw = graph.connection_arrays()
+    friends = graph.friend_csr()
+    e_ab, e_ba = _directional_weights(friends, ca, cb)
     total_connections = ca.size
     order = np.lexsort((cb, ca, -cw))
     cross = order[host[ca[order]] != host[cb[order]]]
@@ -285,41 +264,62 @@ def run_heuristic(graph, model, params, telemetry=None):
     budget_capped = params.termination_mode in ("budget", "both")
     threshold_capped = params.termination_mode in ("gain_threshold", "both")
     cap = math.ceil(params.touched_budget * total_connections) if budget_capped else None
+    # every pair the walk reaches is touched, so the budget caps the prefix
+    end = cross.size if cap is None else min(cross.size, cap)
 
+    def score(idx):
+        """[(move_u, move_v, move_both, third cloud)] per connection in idx."""
+        gain_u, gain_v, joint = _batch_gains(ca[idx], cb[idx], e_ab[idx], e_ba[idx], host,
+                                             psi, friends, P, alpha, cost_scale)
+        f = np.argmax(joint, axis=1)
+        both = joint[np.arange(idx.size), f]
+        return list(zip(gain_u.tolist(), gain_v.tolist(), both.tolist(), f.tolist()))
+
+    off, nbr = friends[0].tolist(), friends[1]
+    hosts = host.tolist()  # scalar reads; host stays the array the kernel reads
+    rows = []  # telemetry
     touched = examined = moves = 0
     stop_reason = "exhausted"
-    for idx in cross:
-        if cap is not None and touched >= cap:
-            stop_reason = "budget"
-            break
-        touched += 1
-        u, v = int(ca[idx]), int(cb[idx])
-        c, d = int(host[u]), int(host[v])
-        if c == d:
-            continue
-        examined += 1
-        gains = _pair_gains(u, v, host, psi, graph, P, alpha, cost_scale, params.delta_mode)
-        case, gain = gains.best()
-        target = None
-        if case == "move_u":
-            host[u] = target = d
-        elif case == "move_v":
-            host[v] = target = c
-        elif case == "move_both":
-            target = gains.best_third_cloud
-            host[u] = host[v] = target
-        if case != "keep":
-            moves += 1
-        if telemetry is not None:
-            telemetry.write(json.dumps({
-                "event": "examine", "u": u, "v": v, "weight": float(cw[idx]),
-                "case": case, "gain": gain,
-                "target": target,
-            }) + "\n")
-        if threshold_capped and gain < params.min_gain:
-            stop_reason = "gain_threshold"
-            break
+    while touched < end and stop_reason == "exhausted":
+        window = cross[touched:min(touched + _WINDOW, end)]
+        live = window[host[ca[window]] != host[cb[window]]]
+        gains = dict(zip(live.tolist(), score(live)))
+        dirty = set()  # movers and their friends since the window was scored
+        for idx, u, v in zip(window.tolist(), ca[window].tolist(), cb[window].tolist()):
+            touched += 1
+            c, d = hosts[u], hosts[v]
+            if c == d:
+                continue
+            examined += 1
+            if u in dirty or v in dirty:
+                gains[idx] = score(np.array([idx]))[0]
+            gain_u, gain_v, gain_both, f = gains[idx]
+            # strict > from keep = 0.0: ties keep users put
+            case, gain, target, movers = "keep", 0.0, None, ()
+            if gain_u > gain:
+                case, gain, target, movers = "move_u", gain_u, d, (u,)
+            if gain_v > gain:
+                case, gain, target, movers = "move_v", gain_v, c, (v,)
+            if gain_both > gain:
+                case, gain, target, movers = "move_both", gain_both, f, (u, v)
+            for w in movers:
+                host[w] = hosts[w] = target
+                dirty.add(w)
+                dirty.update(nbr[off[w]:off[w + 1]].tolist())
+            if movers:
+                moves += 1
+            if telemetry is not None:
+                rows.append((u, v, float(cw[idx]), case, gain, target))
+            if threshold_capped and gain < params.min_gain:
+                stop_reason = "gain_threshold"
+                break
+    if stop_reason == "exhausted" and touched < cross.size:
+        stop_reason = "budget"
     if telemetry is not None:
+        telemetry.write("".join(json.dumps({
+            "event": "examine", "u": u, "v": v, "weight": weight,
+            "case": case, "gain": gain, "target": target,
+        }) + "\n" for u, v, weight, case, gain, target in rows))
         telemetry.write(json.dumps({
             "event": "summary", "touched": touched, "examined": examined,
             "moves": moves, "stop_reason": stop_reason,

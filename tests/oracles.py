@@ -5,15 +5,20 @@ from their definitions, sharing no code paths with the library internals, so
 the vectorized implementations are checked against a second derivation.
 """
 
+import json
+import math
+
 import numpy as np
 
 from cloudcut import (
     AffinityTable,
+    Assignment,
     CloudModel,
     PricingMatrix,
     SocialGraph,
     default_profiles,
     load_graph,
+    preference_matrix,
 )
 
 
@@ -49,6 +54,16 @@ def naive_preference_row(u, graph, model, normalized):
     if total <= 0.0:
         return [1.0 / model.n_clouds] * model.n_clouds
     return [x / total for x in row]
+
+
+def naive_upload_volumes(graph):
+    """Mean outgoing edge weight per user (0.0 without out-edges), the
+    default upload volume, summed exactly with math.fsum."""
+    src, _, weight = graph.edge_arrays()
+    out = [[] for _ in range(graph.n_users)]
+    for s, w in zip(src, weight):
+        out[int(s)].append(float(w))
+    return [math.fsum(ws) / len(ws) if ws else 0.0 for ws in out]
 
 
 def naive_replication_cost(u, host, graph, model):
@@ -142,3 +157,106 @@ def make_instance(seed, n_users=10, n_clouds=3, n_edges=20, pricing="uniform",
         pm, affinity, vol, blend,
     )
     return graph, model
+
+
+# -- the per-pair re-hosting walk --------------------------------------------
+
+def naive_pair_gains(u, v, host, psi, graph, P, alpha, cost_scale):
+    """(move_u, move_v, move_both, third cloud) gains of one cross-cloud pair,
+    from per-user flow vectors built on the spot."""
+    C = P.shape[0]
+    c, d = int(host[u]), int(host[v])
+    seats = []
+    for x in (u, v):
+        nbrs, wout, win = graph.friend_arrays(x)
+        cn = host[nbrs]
+        a_out = np.bincount(cn, weights=wout, minlength=C)
+        a_in = np.bincount(cn, weights=win, minlength=C)
+        seats.append(P @ a_out + P.T @ a_in)
+    seat_u, seat_v = seats
+    delta_u = seat_u[d] - seat_u[c]
+    delta_v = seat_v[c] - seat_v[d]
+    e_uv = graph.edge_weight(u, v)
+    e_vu = graph.edge_weight(v, u)
+    seat_u_solo = seat_u - (P[:, d] * e_uv + P[d, :] * e_vu)
+    seat_v_solo = seat_v - (P[:, c] * e_vu + P[c, :] * e_uv)
+    pair_delta = np.diag(P) * (e_uv + e_vu) - (P[c, d] * e_uv + P[d, c] * e_vu)
+    delta_joint = (seat_u_solo - seat_u_solo[c]) + (seat_v_solo - seat_v_solo[d]) + pair_delta
+
+    gain_u = alpha * (psi[u, d] - psi[u, c]) - cost_scale * delta_u
+    gain_v = alpha * (psi[v, c] - psi[v, d]) - cost_scale * delta_v
+    if C > 2:
+        pref_joint = psi[u, :] + psi[v, :] - psi[u, c] - psi[v, d]
+        joint = alpha * pref_joint - cost_scale * delta_joint
+        joint[c] = -np.inf
+        joint[d] = -np.inf
+        f = int(np.argmax(joint))
+        gain_joint = float(joint[f])
+    else:
+        f = None
+        gain_joint = -np.inf
+    return float(gain_u), float(gain_v), gain_joint, f
+
+
+def naive_walk(graph, model, params, telemetry=None):
+    """The re-hosting walk one pair at a time: every examined pair is scored
+    from scratch, and each telemetry line is written as soon as it is known."""
+    psi = preference_matrix(graph, model, normalized=params.objective.use_normalized)
+    host = np.argmax(psi, axis=1)
+    P = model.pricing.matrix
+    alpha = params.objective.alpha
+    cost_scale = (1.0 - alpha) * params.objective.cost_weight
+
+    ca, cb, cw = graph.connection_arrays()
+    total_connections = ca.size
+    order = np.lexsort((cb, ca, -cw))
+    cross = order[host[ca[order]] != host[cb[order]]]
+
+    budget_capped = params.termination_mode in ("budget", "both")
+    threshold_capped = params.termination_mode in ("gain_threshold", "both")
+    cap = math.ceil(params.touched_budget * total_connections) if budget_capped else None
+
+    touched = examined = moves = 0
+    stop_reason = "exhausted"
+    for idx in cross:
+        if cap is not None and touched >= cap:
+            stop_reason = "budget"
+            break
+        touched += 1
+        u, v = int(ca[idx]), int(cb[idx])
+        c, d = int(host[u]), int(host[v])
+        if c == d:
+            continue
+        examined += 1
+        gain_u, gain_v, gain_both, f = naive_pair_gains(u, v, host, psi, graph, P,
+                                                        alpha, cost_scale)
+        case, gain = "keep", 0.0
+        for option, g in (("move_u", gain_u), ("move_v", gain_v), ("move_both", gain_both)):
+            if g > gain:
+                case, gain = option, g
+        target = None
+        if case == "move_u":
+            host[u] = target = d
+        elif case == "move_v":
+            host[v] = target = c
+        elif case == "move_both":
+            target = f
+            host[u] = host[v] = target
+        if case != "keep":
+            moves += 1
+        if telemetry is not None:
+            telemetry.write(json.dumps({
+                "event": "examine", "u": u, "v": v, "weight": float(cw[idx]),
+                "case": case, "gain": gain,
+                "target": target,
+            }) + "\n")
+        if threshold_capped and gain < params.min_gain:
+            stop_reason = "gain_threshold"
+            break
+    if telemetry is not None:
+        telemetry.write(json.dumps({
+            "event": "summary", "touched": touched, "examined": examined,
+            "moves": moves, "stop_reason": stop_reason,
+            "total_connections": int(total_connections),
+        }) + "\n")
+    return Assignment(host)

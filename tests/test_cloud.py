@@ -5,6 +5,7 @@ from cloudcut import (
     AffinityTable,
     CloudModel,
     PricingMatrix,
+    SocialGraph,
     ValidationError,
     default_profiles,
     geo_affinity,
@@ -17,8 +18,9 @@ from cloudcut import (
     normalized_preference,
     preference,
     preference_matrix,
+    synth_graph,
 )
-from oracles import make_instance, naive_preference_row
+from oracles import make_instance, naive_preference_row, naive_upload_volumes
 
 
 def frozen_model():
@@ -124,6 +126,24 @@ def test_default_profiles_use_mean_outgoing_weight():
     vol, blend = default_profiles(graph, blend=0.5)
     assert vol.tolist() == pytest.approx([3.0, 1.0, 0.0])
     assert blend.tolist() == [0.5, 0.5, 0.5]
+
+
+def test_default_profiles_match_the_loop_oracle():
+    # integer weights sum exactly in any order
+    graph = synth_graph(300, 3.0, 2.0, rng_seed=3)
+    vol, _ = default_profiles(graph)
+    assert vol.tolist() == naive_upload_volumes(graph)
+    assert np.count_nonzero(vol == 0.0) > 0  # users without out-edges
+    # float weights: users with many out-edges sum in another order
+    rng = np.random.default_rng(4)
+    src = rng.integers(0, 40, 2000)
+    dst = rng.integers(0, 40, 2000)
+    keep = src != dst
+    graph = SocialGraph([f"u{i}" for i in range(41)], src[keep], dst[keep],
+                        rng.uniform(0.0, 3.0, int(keep.sum())))
+    vol, _ = default_profiles(graph)
+    assert vol[40] == 0.0
+    np.testing.assert_allclose(vol, naive_upload_volumes(graph), rtol=1e-12, atol=0.0)
 
 
 def test_geo_affinity_decay():

@@ -63,13 +63,12 @@ def test_config_overrides_skip_none():
 
 def test_config_builds_solver_params():
     cfg = ExperimentConfig(alpha=0.3, cost_weight=2.0, min_gain=0.1,
-                           touched_budget=0.4, delta_mode="local")
+                           touched_budget=0.4)
     hp = cfg.heuristic_params()
     assert hp.objective.alpha == 0.3
     assert hp.objective.cost_weight == 2.0
     assert hp.min_gain == 0.1
     assert hp.touched_budget == 0.4
-    assert hp.delta_mode == "local"
     assert cfg.heuristic_params(alpha=0.9).objective.alpha == 0.9
 
 
@@ -281,6 +280,34 @@ def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     err = json.loads(stderr)
     assert err["error"] == "ValidationError"
     assert "bogus" in err["message"]
+
+
+@pytest.mark.parametrize("doc", [{"alpha": "x"}, {"touched_budget": None},
+                                 {"synth_users": 2.5}, {"alpha_grid": [0.5, "x"]}])
+def test_cli_mistyped_config_value_exits_2(tmp_path, capsys, doc):
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "o")}))
+    code, stdout, stderr = run_cli(["partition", "--config", str(cfgp)], capsys)
+    assert code == 2
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ValidationError"
+    assert next(iter(doc)) in err["message"]
+
+
+def test_cli_pricing_with_extra_row_exits_2(tmp_path, capsys):
+    regions = tmp_path / "regions.csv"
+    regions.write_text("r0,a,0.1,0.1\nr1,b,0.9,0.9\n")
+    pricing = tmp_path / "pricing.csv"
+    pricing.write_text("cloud,a,b\na,0.0,1.0\nb,1.0,0.0\nc,1.0,1.0\n")
+    code, stdout, stderr = run_cli(
+        ["partition", "--users", "20", "--regions", str(regions),
+         "--pricing", str(pricing), "--output-dir", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ParseError"
+    assert "line 4" in err["message"]
 
 
 def test_cli_missing_edge_file_exits_3(tmp_path, capsys):

@@ -43,8 +43,7 @@ def delta_instance():
     """Two edges w->u (5) and u->v (1); u, w on cloud 0, v on cloud 1.
 
     Moving u over to cloud 1 turns 5 units of intra traffic into cross and
-    localizes 1 unit, so the true priced-traffic change is +4.  The per-move
-    half-share score only looks at the two involved clouds and reports +2.
+    localizes 1 unit, so the true priced-traffic change is +4.
     """
     graph = SocialGraph(["u", "w", "v"], [1, 0], [0, 2], [5.0, 1.0])
     model = CloudModel(["c0", "c1"], ["r0", "r1"], [0, 1],
@@ -59,9 +58,8 @@ def delta_instance():
 def test_propagation_delta_frozen_example():
     graph, model, assign = delta_instance()
     move = RehostMove(u=0, v=2, case="move_u")
-    assert propagation_delta(move, assign, graph, model, mode="local") == pytest.approx(2.0)
-    assert propagation_delta(move, assign, graph, model, mode="exact") == pytest.approx(4.0)
-    assert propagation_delta(move, assign, graph, model, mode="exact") == pytest.approx(
+    assert propagation_delta(move, assign, graph, model) == pytest.approx(4.0)
+    assert propagation_delta(move, assign, graph, model) == pytest.approx(
         naive_move_cost_delta(move, assign.host, graph, model))
 
 
@@ -70,8 +68,7 @@ def test_propagation_delta_negative_when_move_saves_traffic():
     # all of u's traffic already sits on cloud 1
     assign = Assignment([0, 1, 1])
     move = RehostMove(u=0, v=2, case="move_u")
-    assert propagation_delta(move, assign, graph, model, mode="exact") == pytest.approx(-6.0)
-    assert propagation_delta(move, assign, graph, model, mode="local") == pytest.approx(-3.0)
+    assert propagation_delta(move, assign, graph, model) == pytest.approx(-6.0)
 
 
 def test_exact_delta_matches_full_recompute_for_every_case():
@@ -90,8 +87,7 @@ def test_exact_delta_matches_full_recompute_for_every_case():
             moves += [RehostMove(u, v, "move_both", target=f)
                       for f in range(4) if f not in (host[u], host[v])]
             for move in moves:
-                got = propagation_delta(move, assign, graph, model,
-                                        cost_weight=1.3, mode="exact")
+                got = propagation_delta(move, assign, graph, model, cost_weight=1.3)
                 want = 1.3 * naive_move_cost_delta(move, host, graph, model)
                 assert got == pytest.approx(want, abs=1e-9)
 
@@ -209,8 +205,6 @@ def test_heuristic_params_validation():
     with pytest.raises(ValidationError):
         HeuristicParams(obj, termination_mode="never")
     with pytest.raises(ValidationError):
-        HeuristicParams(obj, delta_mode="fast")
-    with pytest.raises(ValidationError):
         HeuristicParams(obj, touched_budget=1.5)
     with pytest.raises(ValidationError):
         HeuristicParams(obj, min_gain=float("nan"))
@@ -307,15 +301,6 @@ def test_heuristic_is_deterministic():
     b = run_heuristic(graph, model, params, telemetry=buf2)
     assert a == b
     assert buf1.getvalue() == buf2.getvalue()
-
-
-def test_heuristic_local_mode_runs_and_is_deterministic():
-    graph, model = make_instance(3, n_users=25, n_clouds=4, n_edges=90)
-    params = params_for(0.5, delta_mode="local", touched_budget=1.0)
-    a = run_heuristic(graph, model, params)
-    b = run_heuristic(graph, model, params)
-    assert a == b
-    a.validate(graph.n_users, model.n_clouds)
 
 
 # -- exhaustive search --------------------------------------------------------

@@ -1,0 +1,121 @@
+"""The windowed re-hosting walk against the one-pair-at-a-time walk.
+
+run_heuristic scores a window of sorted pairs in one batch and rescores a
+pair on its own only when one of its users, or a friend of one, moved since
+the batch.  These tests hold it to naive_walk, which scores every pair just
+before deciding it: the same assignment and the same telemetry bytes,
+whatever the window size, pricing, alpha and stop rule.
+"""
+
+import io
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cloudcut import (
+    AffinityTable,
+    CloudModel,
+    HeuristicParams,
+    ObjectiveParams,
+    PricingMatrix,
+    SocialGraph,
+    run_heuristic,
+)
+from cloudcut import partition
+from oracles import make_instance, naive_walk
+
+
+def both_walks(graph, model, params, window=partition._WINDOW):
+    """(windowed, naive) as (host list, telemetry text) pairs."""
+    runs = []
+    with mock.patch.object(partition, "_WINDOW", window):
+        for walk in (run_heuristic, naive_walk):
+            buf = io.StringIO()
+            host = walk(graph, model, params, telemetry=buf).host.tolist()
+            runs.append((host, buf.getvalue()))
+    return runs
+
+
+def summary(telemetry):
+    return json.loads(telemetry.splitlines()[-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       n_users=st.integers(2, 14),
+       n_clouds=st.sampled_from([1, 2, 3, 5]),
+       edge_share=st.floats(0.05, 1.0),
+       alpha=st.floats(0.0, 1.0),
+       mode=st.sampled_from(["budget", "gain_threshold", "both"]),
+       budget=st.floats(0.0, 1.0),
+       min_gain=st.floats(-0.5, 0.5),
+       window=st.sampled_from([1, 7, 256]))
+def test_windowed_walk_matches_the_naive_walk(seed, n_users, n_clouds, edge_share,
+                                              alpha, mode, budget, min_gain, window):
+    n_edges = max(1, int(edge_share * n_users * (n_users - 1)))
+    graph, model = make_instance(seed, n_users=n_users, n_clouds=n_clouds,
+                                 n_edges=n_edges, pricing="random", weight_scale=2.0)
+    params = HeuristicParams(ObjectiveParams(alpha=alpha), min_gain=min_gain,
+                             touched_budget=budget, termination_mode=mode)
+    windowed, naive = both_walks(graph, model, params, window)
+    assert windowed == naive
+
+
+def test_budget_stops_the_walk_inside_a_window():
+    graph, model = make_instance(3, n_users=200, n_clouds=5, n_edges=1500,
+                                 pricing="random")
+    params = HeuristicParams(ObjectiveParams(alpha=0.3), touched_budget=0.25,
+                             termination_mode="budget")
+    windowed, naive = both_walks(graph, model, params)
+    assert windowed == naive
+    s = summary(windowed[1])
+    assert s["stop_reason"] == "budget"
+    assert s["touched"] > partition._WINDOW
+    assert s["touched"] % partition._WINDOW != 0
+
+
+def test_gain_threshold_stops_the_walk_inside_a_window():
+    # the first pair that keeps its users stops the walk, in the sixth window
+    graph, model = make_instance(0, n_users=60, n_clouds=4, n_edges=300,
+                                 pricing="random")
+    params = HeuristicParams(ObjectiveParams(alpha=0.3), min_gain=1e-9,
+                             touched_budget=1.0, termination_mode="gain_threshold")
+    windowed, naive = both_walks(graph, model, params, window=7)
+    assert windowed == naive
+    s = summary(windowed[1])
+    assert s["stop_reason"] == "gain_threshold"
+    assert s["touched"] > 7
+    assert s["touched"] % 7 != 0
+
+
+def test_pair_turns_same_cloud_after_a_friend_moves():
+    # users 0 and 2 prefer cloud 0, user 1 prefers cloud 1; the heavy pair
+    # (1, 2) comes first in the window and moves 1 next to 2, which puts the
+    # pair (0, 1), scored cross-cloud with the window, on one cloud
+    graph = SocialGraph(["a", "b", "c"], [0, 1, 2], [1, 2, 1], [1.0, 5.0, 5.0])
+    upload = np.array([[0.9, 0.1], [0.1, 0.9], [0.9, 0.1]])
+    model = CloudModel(["c0", "c1"], ["r0", "r1"], [0, 1], PricingMatrix.uniform(2),
+                       AffinityTable(np.zeros((3, 2)), upload), np.ones(3), np.ones(3))
+    params = HeuristicParams(ObjectiveParams(alpha=0.2), touched_budget=1.0)
+    windowed, naive = both_walks(graph, model, params)
+    assert windowed == naive
+    host, telemetry = windowed
+    lines = [json.loads(line) for line in telemetry.splitlines()]
+    assert [(e["u"], e["v"], e["case"]) for e in lines[:-1]] == [(1, 2, "move_u")]
+    assert lines[-1]["touched"] == 2 and lines[-1]["examined"] == 1
+    assert host == [0, 0, 0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_windowed_walk_matches_over_several_full_windows(seed):
+    graph, model = make_instance(seed, n_users=2000, n_clouds=6, n_edges=16000,
+                                 pricing="random", weight_scale=3.0)
+    params = HeuristicParams(ObjectiveParams(alpha=0.5), touched_budget=1.0,
+                             termination_mode="budget")
+    windowed, naive = both_walks(graph, model, params)
+    assert windowed == naive
+    assert summary(windowed[1])["examined"] > 2 * partition._WINDOW
