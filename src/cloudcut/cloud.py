@@ -30,6 +30,7 @@ import math
 import numpy as np
 from scipy import sparse
 
+from ._table import first, floats, ids_of, last_of_each, read_table, stripped
 from .errors import ParseError, ValidationError
 
 
@@ -72,8 +73,7 @@ class PricingMatrix:
         Returns (cloud_labels, PricingMatrix); row label order defines cloud
         id order.
         """
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(read_table(path).rows())
         if not rows or len(rows[0]) < 2:
             raise ParseError("pricing matrix needs a header row of cloud labels", 1)
         header = [c.strip() for c in rows[0][1:]]
@@ -342,10 +342,14 @@ def preference_matrix(graph, model, normalized=False):
     download = adj @ model.best_download
     upload = model.best_upload * model.upload_volume[:, None]
     psi = download + model.blend_weight[:, None] * upload
-    if not normalized:
-        return psi
+    return normalize_rows(psi) if normalized else psi
+
+
+def normalize_rows(psi):
+    """Preference table rescaled so each row sums to 1; rows of all-zero
+    preference become uniform."""
     totals = psi.sum(axis=1)
-    out = np.full_like(psi, 1.0 / model.n_clouds)
+    out = np.full_like(psi, 1.0 / psi.shape[1])
     pos = totals > 0
     out[pos] = psi[pos] / totals[pos, None]
     return out
@@ -361,25 +365,24 @@ def load_regions(path):
     """
     cloud_labels, region_labels, region_cloud, coords = [], [], [], []
     cloud_ids = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if len(row) not in (2, 4):
-                raise ParseError(f"expected 2 or 4 fields, got {len(row)}", lineno)
-            region, cloud = row[0].strip(), row[1].strip()
-            if not region or not cloud:
-                raise ParseError("empty label", lineno)
-            if region in region_labels:
-                raise ParseError(f"duplicate region {region!r}", lineno)
-            if cloud not in cloud_ids:
-                cloud_ids[cloud] = len(cloud_labels)
-                cloud_labels.append(cloud)
-            region_labels.append(region)
-            region_cloud.append(cloud_ids[cloud])
-            if len(row) == 4:
-                try:
-                    coords.append((float(row[2]), float(row[3])))
-                except ValueError:
-                    raise ParseError("bad coordinate", lineno) from None
+    for lineno, row in enumerate(read_table(path).rows(), start=1):
+        if len(row) not in (2, 4):
+            raise ParseError(f"expected 2 or 4 fields, got {len(row)}", lineno)
+        region, cloud = row[0].strip(), row[1].strip()
+        if not region or not cloud:
+            raise ParseError("empty label", lineno)
+        if region in region_labels:
+            raise ParseError(f"duplicate region {region!r}", lineno)
+        if cloud not in cloud_ids:
+            cloud_ids[cloud] = len(cloud_labels)
+            cloud_labels.append(cloud)
+        region_labels.append(region)
+        region_cloud.append(cloud_ids[cloud])
+        if len(row) == 4:
+            try:
+                coords.append((float(row[2]), float(row[3])))
+            except ValueError:
+                raise ParseError("bad coordinate", lineno) from None
     if coords and len(coords) != len(region_labels):
         raise ParseError("coordinates must be given for all regions or none")
     xy = np.array(coords) if coords else None
@@ -389,64 +392,101 @@ def load_regions(path):
 def load_affinities(path, graph, region_labels, ignore_unknown_users=False):
     """Headerless CSV user_label,region_label,download,upload -> AffinityTable.
 
-    Unlisted pairs default to 0.  Unknown labels raise ParseError, unless
-    ignore_unknown_users is set (rows for users outside the graph are
-    dropped, which a sampled graph needs when the file covers its parent).
+    Unlisted pairs default to 0; of duplicate rows for one pair, the last
+    wins.  Unknown labels raise ParseError, unless ignore_unknown_users is
+    set (rows for users outside the graph are dropped, which a sampled graph
+    needs when the file covers its parent).
     """
     region_ids = {lab: i for i, lab in enumerate(region_labels)}
-    entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", lineno)
-            ulab, rlab = row[0].strip(), row[1].strip()
-            try:
-                u = graph.user_id(ulab)
-            except ValidationError:
-                if ignore_unknown_users:
-                    continue
-                raise ParseError(f"unknown user {ulab!r}", lineno) from None
-            if rlab not in region_ids:
-                raise ParseError(f"unknown region {rlab!r}", lineno)
-            try:
-                dl, ul = float(row[2]), float(row[3])
-            except ValueError:
-                raise ParseError("bad affinity value", lineno) from None
-            entries.append((u, region_ids[rlab], dl, ul))
-    return AffinityTable.from_entries(graph.n_users, len(region_labels), entries)
+    table = read_table(path)
+    n = table.prefix(4)
+    user = graph.user_ids(stripped(table.column(0, n)))
+    region = ids_of(region_ids, stripped(table.column(1, n)))
+    download, bad_download = floats(table.column(2, n))
+    upload, bad_upload = floats(table.column(3, n))
+    bad = (region < 0) | bad_download | bad_upload
+    known = user >= 0
+    if ignore_unknown_users:
+        bad &= known
+    else:
+        bad |= ~known
+    i = first(bad)
+    if i < table.n_rows:
+        _check_affinity_row(table.row(i), i + 1, graph, region_ids)
+    R = len(region_labels)
+    cell = (user * R + region)[known]
+    last = last_of_each(cell)
+    d = np.zeros((graph.n_users, R))
+    u = np.zeros((graph.n_users, R))
+    d.ravel()[cell[last]] = download[known][last]
+    u.ravel()[cell[last]] = upload[known][last]
+    return AffinityTable(d, u)
+
+
+def _check_affinity_row(row, line, graph, region_ids):
+    """Raise the ParseError of an affinity row that fails a check."""
+    if len(row) != 4:
+        raise ParseError(f"expected 4 fields, got {len(row)}", line)
+    ulab, rlab = row[0].strip(), row[1].strip()
+    if graph.user_ids([ulab])[0] < 0:
+        raise ParseError(f"unknown user {ulab!r}", line)
+    if rlab not in region_ids:
+        raise ParseError(f"unknown region {rlab!r}", line)
+    raise ParseError("bad affinity value", line)
 
 
 def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
     """Headerless CSV user_label,upload_volume,blend_weight[,region_label].
 
-    Unlisted users fall back to defaults (mean outgoing weight, blend 1).
-    Returns (upload_volume, blend_weight, home_region) arrays.
+    Unlisted users fall back to defaults (mean outgoing weight, blend 1); of
+    duplicate rows for one user, the last wins (the last one with a region,
+    for the home region).  Returns (upload_volume, blend_weight, home_region)
+    arrays.
     """
     vol, blend = default_profiles(graph)
     vol = vol.copy()
     blend = blend.copy()
     home = np.full(graph.n_users, -1, dtype=np.int64)
     region_ids = {lab: i for i, lab in enumerate(region_labels or ())}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if len(row) not in (3, 4):
-                raise ParseError(f"expected 3 or 4 fields, got {len(row)}", lineno)
-            try:
-                u = graph.user_id(row[0].strip())
-            except ValidationError:
-                if ignore_unknown_users:
-                    continue
-                raise ParseError(f"unknown user {row[0]!r}", lineno) from None
-            try:
-                vol[u] = float(row[1])
-                blend[u] = float(row[2])
-            except ValueError:
-                raise ParseError("bad profile value", lineno) from None
-            if vol[u] < 0 or blend[u] < 0 or not (math.isfinite(vol[u]) and math.isfinite(blend[u])):
-                raise ParseError("profile values must be finite and non-negative", lineno)
-            if len(row) == 4:
-                rlab = row[3].strip()
-                if rlab not in region_ids:
-                    raise ParseError(f"unknown region {rlab!r}", lineno)
-                home[u] = region_ids[rlab]
+    table = read_table(path)
+    n = table.prefix(3, 4)
+    user = graph.user_ids(stripped(table.column(0, n)))
+    volume, bad_volume = floats(table.column(1, n))
+    weight, bad_weight = floats(table.column(2, n))
+    with_region = np.flatnonzero(table.widths[:n] == 4)
+    region = np.zeros(n, dtype=np.int64)
+    region[with_region] = ids_of(region_ids, stripped(table.column(3, with_region)))
+    bad = (bad_volume | bad_weight
+           | ~(np.isfinite(volume) & np.isfinite(weight) & (volume >= 0) & (weight >= 0))
+           | (region < 0))
+    known = user >= 0
+    if ignore_unknown_users:
+        bad &= known
+    else:
+        bad |= ~known
+    i = first(bad)
+    if i < table.n_rows:
+        _check_profile_row(table.row(i), i + 1, graph)
+    rows = np.flatnonzero(known)
+    rows = rows[last_of_each(user[rows])]
+    vol[user[rows]] = volume[rows]
+    blend[user[rows]] = weight[rows]
+    rows = with_region[known[with_region]]
+    rows = rows[last_of_each(user[rows])]
+    home[user[rows]] = region[rows]
     return vol, blend, home
+
+
+def _check_profile_row(row, line, graph):
+    """Raise the ParseError of a profile row that fails a check."""
+    if len(row) not in (3, 4):
+        raise ParseError(f"expected 3 or 4 fields, got {len(row)}", line)
+    if graph.user_ids([row[0].strip()])[0] < 0:
+        raise ParseError(f"unknown user {row[0]!r}", line)
+    try:
+        volume, weight = float(row[1]), float(row[2])
+    except ValueError:
+        raise ParseError("bad profile value", line) from None
+    if volume < 0 or weight < 0 or not (math.isfinite(volume) and math.isfinite(weight)):
+        raise ParseError("profile values must be finite and non-negative", line)
+    raise ParseError(f"unknown region {row[3].strip()!r}", line)

@@ -98,6 +98,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValidationError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -113,6 +115,13 @@ class ExperimentConfig:
             if kind in ("int", "float") and not _is_number(value, kind):
                 what = "an integer" if kind == "int" else "a number"
                 raise ValidationError(f"{f.name} must be {what}, got {value!r}")
+            if kind == "str" and not isinstance(value, str):
+                raise ValidationError(f"{f.name} must be a string, got {value!r}")
+            if kind == "bool" and not isinstance(value, bool):
+                raise ValidationError(f"{f.name} must be true or false, got {value!r}")
+            if f.name == "algorithms" and not (
+                    isinstance(value, tuple) and all(isinstance(x, str) for x in value)):
+                raise ValidationError(f"{f.name} must be a list of strings, got {value!r}")
             if f.name in _NUMBER_GRIDS and not (
                     isinstance(value, tuple) and all(_is_number(x, "float") for x in value)):
                 raise ValidationError(f"{f.name} must be a list of numbers, got {value!r}")
@@ -127,7 +136,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # malformed JSON or text that is not UTF-8
+                raise ValidationError(f"config {path} is not a JSON document: {exc}") from None
+        return cls.from_dict(doc)
 
     def with_overrides(self, **kw):
         kw = {k: v for k, v in kw.items() if v is not None}

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._table import Table, first, floats, ids_of, read_table, stripped
 from .errors import ParseError, ValidationError
 
 
@@ -50,8 +51,8 @@ class SocialGraph:
     """Directed weighted social graph with dense user ids.
 
     Internally stores edges as parallel numpy arrays sorted by (src, dst),
-    plus CSR-style adjacency for out-edges, in-edges and the merged "friend"
-    view (union of both directions, with per-direction weights aligned).
+    with CSR offsets over them for out-edges, plus the merged "friend" CSR
+    (union of both directions, with per-direction weights aligned).
     """
 
     def __init__(self, labels, src, dst, weight):
@@ -74,27 +75,35 @@ class SocialGraph:
             if not np.all(np.isfinite(weight)) or np.any(weight < 0):
                 raise ValidationError("edge weights must be finite and non-negative")
 
-        # merge duplicate ordered pairs by summing, canonical (src, dst) order
-        if src.size:
-            key = src * n + dst
-            uniq, inv = np.unique(key, return_inverse=True)
-            w = np.zeros(uniq.size, dtype=np.float64)
-            np.add.at(w, inv, weight)
-            src = (uniq // n).astype(np.int64)
-            dst = (uniq % n).astype(np.int64)
-            weight = w
+        # one sort: every record is keyed in both directions, and the
+        # distinct keys, in (row, col) order, are the friend CSR's slots.
+        # Duplicate records sum into their slot in input order; the slots
+        # some record fills in its own direction are the edges, in canonical
+        # (src, dst) order.
+        m = src.size
+        key = np.concatenate([src * n + dst, dst * n + src])
+        uniq, inv = np.unique(key, return_inverse=True)
+
+        def slot_sums(records):
+            # bincount of no records returns integers
+            sums = np.bincount(records, weights=weight, minlength=uniq.size)
+            return sums.astype(np.float64, copy=False)
+
+        wout = slot_sums(inv[:m])
+        win = slot_sums(inv[m:])
+        row = uniq // n
+        col = uniq % n
+        edge = np.bincount(inv[:m], minlength=uniq.size) > 0
 
         self._labels = labels
         self._ids = {lab: i for i, lab in enumerate(labels)}
-        self._src = src
-        self._dst = dst
-        self._w = weight
-        for arr in (self._src, self._dst, self._w):
+        self._src = row[edge]
+        self._dst = col[edge]
+        self._w = wout[edge]
+        self._out = _offsets(n, self._src)
+        self._friends = (_offsets(n, row), col, wout, win)
+        for arr in (self._src, self._dst, self._w, self._out, *self._friends):
             arr.setflags(write=False)
-
-        self._out = _build_csr(n, src, dst, weight)
-        self._in = _build_csr(n, dst, src, weight)
-        self._friends = _build_friend_csr(n, src, dst, weight)
         self._conn_cache = None
 
     # -- construction ------------------------------------------------------
@@ -103,45 +112,33 @@ class SocialGraph:
     def from_records(cls, records, extra_users=()):
         """Build from (src_label, dst_label, weight) records.
 
-        Labels get dense ids in order of first appearance; extra_users (if
-        given) are appended as isolated nodes when they carry no edges.
+        Labels are stripped of surrounding whitespace and get dense ids in
+        order of first appearance; extra_users (if given) are appended as
+        isolated nodes when they carry no edges.
         """
-        labels = []
-        ids = {}
+        return cls._from_table(Table(records), extra_users)
 
-        def intern(lab, rownum):
-            if not isinstance(lab, str) or not lab:
-                raise ParseError("user label must be a non-empty string", rownum)
-            i = ids.get(lab)
-            if i is None:
-                i = len(labels)
-                ids[lab] = i
-                labels.append(lab)
-            return i
-
-        src, dst, wt = [], [], []
-        for rownum, rec in enumerate(records, start=1):
-            if len(rec) != 3:
-                raise ParseError(f"expected 3 fields, got {len(rec)}", rownum)
-            a, b, w = rec
-            ia = intern(a, rownum)
-            ib = intern(b, rownum)
-            if ia == ib:
-                raise ParseError(f"self-loop on user {a!r}", rownum)
-            try:
-                w = float(w)
-            except (TypeError, ValueError):
-                raise ParseError(f"bad weight {w!r}", rownum) from None
-            if not np.isfinite(w) or w < 0:
-                raise ParseError(f"weight must be finite and non-negative, got {w}", rownum)
-            src.append(ia)
-            dst.append(ib)
-            wt.append(w)
+    @classmethod
+    def _from_table(cls, table, extra_users=()):
+        n = table.prefix(3)
+        pairs = [None] * (2 * n)
+        pairs[0::2] = stripped(table.column(0, n))
+        pairs[1::2] = stripped(table.column(1, n))
+        ids = _Interner()
+        ends = np.fromiter(map(ids.__getitem__, pairs), dtype=np.int64, count=2 * n)
+        src, dst = ends[0::2], ends[1::2]
+        weight, bad = floats(table.column(2, n))
+        bad |= (src == dst) | ~np.isfinite(weight) | (weight < 0)
+        for lab in ("", None):
+            if lab in ids:
+                bad |= (src == ids[lab]) | (dst == ids[lab])
+        i = first(bad)
+        if i < table.n_rows:
+            _check_edge_row(table.row(i), i + 1)
         for lab in extra_users:
             if lab not in ids:
-                ids[lab] = len(labels)
-                labels.append(lab)
-        return cls(labels, src, dst, wt)
+                ids[lab] = len(ids)
+        return cls(ids, src, dst, weight)
 
     @classmethod
     def from_json(cls, text):
@@ -174,6 +171,11 @@ class SocialGraph:
         except KeyError:
             raise ValidationError(f"unknown user label {label!r}") from None
 
+    def user_ids(self, labels):
+        """int64 array of the ids of a sequence of labels, -1 for a label
+        not in the graph."""
+        return ids_of(self._ids, labels)
+
     def label_of(self, user):
         return self._labels[user]
 
@@ -191,12 +193,8 @@ class SocialGraph:
 
     def out_neighbors(self, u):
         """(neighbor ids, weights) of edges leaving u, ids ascending."""
-        off, nbr, w = self._out
-        return nbr[off[u]:off[u + 1]], w[off[u]:off[u + 1]]
-
-    def in_neighbors(self, u):
-        off, nbr, w = self._in
-        return nbr[off[u]:off[u + 1]], w[off[u]:off[u + 1]]
+        sl = slice(self._out[u], self._out[u + 1])
+        return self._dst[sl], self._w[sl]
 
     def friends(self, u):
         """Users sharing at least one edge with u in either direction."""
@@ -233,22 +231,13 @@ class SocialGraph:
     def connection_arrays(self):
         """(a, b, combined_weight) arrays over unordered pairs, a < b."""
         if self._conn_cache is None:
-            n = self.n_users
-            if self._src.size == 0:
-                empty = np.empty(0, dtype=np.int64)
-                self._conn_cache = (empty, empty.copy(), np.empty(0, dtype=np.float64))
-            else:
-                a = np.minimum(self._src, self._dst)
-                b = np.maximum(self._src, self._dst)
-                key = a * n + b
-                uniq, inv = np.unique(key, return_inverse=True)
-                w = np.zeros(uniq.size, dtype=np.float64)
-                np.add.at(w, inv, self._w)
-                ca = (uniq // n).astype(np.int64)
-                cb = (uniq % n).astype(np.int64)
-                for arr in (ca, cb, w):
-                    arr.setflags(write=False)
-                self._conn_cache = (ca, cb, w)
+            off, nbr, wout, win = self._friends
+            row = np.repeat(np.arange(self.n_users), np.diff(off))
+            upper = row < nbr
+            conns = (row[upper], nbr[upper], wout[upper] + win[upper])
+            for arr in conns:
+                arr.setflags(write=False)
+            self._conn_cache = conns
         return self._conn_cache
 
     @property
@@ -288,41 +277,37 @@ class SocialGraph:
         return SocialGraph(labels, remap[self._src[mask]], remap[self._dst[mask]], self._w[mask])
 
 
-def _build_csr(n, row, col, w):
-    order = np.lexsort((col, row))
-    row = row[order]
-    col = col[order]
-    w = w[order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, row + 1, 1)
-    np.cumsum(offsets, out=offsets)
-    for arr in (offsets, col, w):
-        arr.setflags(write=False)
-    return offsets, col, w
+class _Interner(dict):
+    """Label -> dense id; a label looked up for the first time gets the next id."""
+
+    def __missing__(self, label):
+        i = self[label] = len(self)
+        return i
 
 
-def _build_friend_csr(n, src, dst, w):
-    # stack both directions so each user sees the union of its neighbors
-    row = np.concatenate([src, dst])
-    col = np.concatenate([dst, src])
-    wout = np.concatenate([w, np.zeros_like(w)])
-    win = np.concatenate([np.zeros_like(w), w])
-    if row.size:
-        key = row * n + col
-        uniq, inv = np.unique(key, return_inverse=True)
-        mo = np.zeros(uniq.size, dtype=np.float64)
-        mi = np.zeros(uniq.size, dtype=np.float64)
-        np.add.at(mo, inv, wout)
-        np.add.at(mi, inv, win)
-        row = (uniq // n).astype(np.int64)
-        col = (uniq % n).astype(np.int64)
-        wout, win = mo, mi
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, row + 1, 1)
-    np.cumsum(offsets, out=offsets)
-    for arr in (offsets, col, wout, win):
-        arr.setflags(write=False)
-    return offsets, col, wout, win
+def _check_edge_row(row, line):
+    """Raise the ParseError of an edge row that fails a check."""
+    if len(row) != 3:
+        raise ParseError(f"expected 3 fields, got {len(row)}", line)
+    a, b, w = row
+    a, b = stripped((a, b))
+    for lab in (a, b):
+        if not lab:
+            raise ParseError("user label must be a non-empty string", line)
+    if a == b:
+        raise ParseError(f"self-loop on user {a!r}", line)
+    try:
+        w = float(w)
+    except (TypeError, ValueError):
+        raise ParseError(f"bad weight {w!r}", line) from None
+    raise ParseError(f"weight must be finite and non-negative, got {w}", line)
+
+
+def _offsets(n, row):
+    """CSR offsets of a row array sorted ascending."""
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=off[1:])
+    return off
 
 
 def load_graph(source):
@@ -330,13 +315,12 @@ def load_graph(source):
 
     source may be a path to a headerless CSV (src_label,dst_label,weight,
     UTF-8, LF), or an iterable of (src_label, dst_label, weight) records.
-    Duplicate ordered pairs are summed; self-loops and negative weights raise
-    ParseError with the offending line number.
+    Labels are stripped of surrounding whitespace.  Duplicate ordered pairs
+    are summed; self-loops and negative weights raise ParseError with the
+    offending line number.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh)]
-        return SocialGraph.from_records(rows)
+        return SocialGraph._from_table(read_table(source))
     return SocialGraph.from_records(source)
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import preference_matrix
+from ._table import first, ids_of, read_table, repeats, stripped
+from .cloud import normalize_rows, preference_matrix
 from .errors import ValidationError
 
 
@@ -87,15 +88,24 @@ class Assignment:
 
     @classmethod
     def from_csv(cls, path, graph, model):
+        """Inverse of to_csv: every user exactly once, labels stripped."""
+        table = read_table(path)
+        n = table.prefix(2)
+        user = graph.user_ids(stripped(table.column(0, n)))
+        cloud_ids = {lab: c for c, lab in enumerate(model.cloud_labels)}
+        cloud = ids_of(cloud_ids, stripped(table.column(1, n)))
+        seen = repeats(user)
+        i = first((user < 0) | seen | (cloud < 0))
+        if i < table.n_rows:
+            row, line = table.row(i), i + 1
+            if len(row) != 2:
+                raise ValidationError(f"line {line}: expected 2 fields")
+            graph.user_id(row[0].strip())
+            if seen[i]:
+                raise ValidationError(f"line {line}: duplicate user {row[0]!r}")
+            model.cloud_id(row[1].strip())
         host = np.full(graph.n_users, -1, dtype=np.int64)
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if len(row) != 2:
-                    raise ValidationError(f"line {lineno}: expected 2 fields")
-                u = graph.user_id(row[0].strip())
-                if host[u] >= 0:
-                    raise ValidationError(f"line {lineno}: duplicate user {row[0]!r}")
-                host[u] = model.cloud_id(row[1].strip())
+        host[user] = cloud
         if np.any(host < 0):
             missing = graph.label_of(int(np.nonzero(host < 0)[0][0]))
             raise ValidationError(f"assignment missing user {missing!r}")
@@ -127,6 +137,10 @@ def total_objective(assignment, graph, model, params):
     """Score of a full assignment under the given trade-off parameters."""
     assignment.validate(graph.n_users, model.n_clouds)
     psi = preference_matrix(graph, model, normalized=params.use_normalized)
+    return _score(psi, assignment, graph, model, params)
+
+
+def _score(psi, assignment, graph, model, params):
     pref = float(psi[np.arange(graph.n_users), assignment.host].sum())
     cost = transfer_cost_total(assignment, graph, model)
     return params.alpha * pref - (1.0 - params.alpha) * params.cost_weight * cost
@@ -189,11 +203,13 @@ def evaluate(assignment, graph, model, params):
         inter_cost = 0.0
     ca, cb, _ = graph.connection_arrays()
     edge_count = int(np.count_nonzero(h[ca] != h[cb]))
-    psi_norm = preference_matrix(graph, model, normalized=True)
+    psi = preference_matrix(graph, model)
+    psi_norm = normalize_rows(psi)
     pref_sat = float(psi_norm[np.arange(graph.n_users), h].sum())
     counts = np.bincount(h, minlength=model.n_clouds)
     return EvaluationReport(
-        objective_value=total_objective(assignment, graph, model, params),
+        objective_value=_score(psi_norm if params.use_normalized else psi,
+                               assignment, graph, model, params),
         preference_satisfaction=pref_sat,
         inter_cloud_cost=inter_cost,
         inter_cloud_edge_count=edge_count,

@@ -1,4 +1,9 @@
 import pytest
+from hypothesis import settings
+
+# CI runs `pytest --hypothesis-profile=ci`: the same examples on every run,
+# and a failure prints the blob that replays it with @reproduce_failure
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 _criterion_lines = []
 

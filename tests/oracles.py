@@ -5,8 +5,11 @@ from their definitions, sharing no code paths with the library internals, so
 the vectorized implementations are checked against a second derivation.
 """
 
+import csv
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -14,8 +17,10 @@ from cloudcut import (
     AffinityTable,
     Assignment,
     CloudModel,
+    ParseError,
     PricingMatrix,
     SocialGraph,
+    ValidationError,
     default_profiles,
     load_graph,
     preference_matrix,
@@ -260,3 +265,169 @@ def naive_walk(graph, model, params, telemetry=None):
             "total_connections": int(total_connections),
         }) + "\n")
     return Assignment(host)
+
+
+# -- the per-row loaders -------------------------------------------------------
+#
+# The CSV loaders as they were before they read whole columns, one row at a
+# time.  The only change is that naive_load_graph strips surrounding
+# whitespace from labels, as the other loaders always did.
+
+def naive_load_graph(source, extra_users=()):
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            records = [row for row in csv.reader(fh)]
+    else:
+        records = source
+    labels = []
+    ids = {}
+
+    def intern(lab, rownum):
+        if not isinstance(lab, str) or not lab:
+            raise ParseError("user label must be a non-empty string", rownum)
+        i = ids.get(lab)
+        if i is None:
+            i = len(labels)
+            ids[lab] = i
+            labels.append(lab)
+        return i
+
+    src, dst, wt = [], [], []
+    for rownum, rec in enumerate(records, start=1):
+        if len(rec) != 3:
+            raise ParseError(f"expected 3 fields, got {len(rec)}", rownum)
+        a, b, w = rec
+        a = a.strip() if isinstance(a, str) else a
+        b = b.strip() if isinstance(b, str) else b
+        ia = intern(a, rownum)
+        ib = intern(b, rownum)
+        if ia == ib:
+            raise ParseError(f"self-loop on user {a!r}", rownum)
+        try:
+            w = float(w)
+        except (TypeError, ValueError):
+            raise ParseError(f"bad weight {w!r}", rownum) from None
+        if not np.isfinite(w) or w < 0:
+            raise ParseError(f"weight must be finite and non-negative, got {w}", rownum)
+        src.append(ia)
+        dst.append(ib)
+        wt.append(w)
+    for lab in extra_users:
+        if lab not in ids:
+            ids[lab] = len(labels)
+            labels.append(lab)
+    return SocialGraph(labels, src, dst, wt)
+
+
+def naive_load_affinities(path, graph, region_labels, ignore_unknown_users=False):
+    region_ids = {lab: i for i, lab in enumerate(region_labels)}
+    entries = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if len(row) != 4:
+                raise ParseError(f"expected 4 fields, got {len(row)}", lineno)
+            ulab, rlab = row[0].strip(), row[1].strip()
+            try:
+                u = graph.user_id(ulab)
+            except ValidationError:
+                if ignore_unknown_users:
+                    continue
+                raise ParseError(f"unknown user {ulab!r}", lineno) from None
+            if rlab not in region_ids:
+                raise ParseError(f"unknown region {rlab!r}", lineno)
+            try:
+                dl, ul = float(row[2]), float(row[3])
+            except ValueError:
+                raise ParseError("bad affinity value", lineno) from None
+            entries.append((u, region_ids[rlab], dl, ul))
+    return AffinityTable.from_entries(graph.n_users, len(region_labels), entries)
+
+
+def naive_load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
+    vol, blend = default_profiles(graph)
+    vol = vol.copy()
+    blend = blend.copy()
+    home = np.full(graph.n_users, -1, dtype=np.int64)
+    region_ids = {lab: i for i, lab in enumerate(region_labels or ())}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if len(row) not in (3, 4):
+                raise ParseError(f"expected 3 or 4 fields, got {len(row)}", lineno)
+            try:
+                u = graph.user_id(row[0].strip())
+            except ValidationError:
+                if ignore_unknown_users:
+                    continue
+                raise ParseError(f"unknown user {row[0]!r}", lineno) from None
+            try:
+                vol[u] = float(row[1])
+                blend[u] = float(row[2])
+            except ValueError:
+                raise ParseError("bad profile value", lineno) from None
+            if vol[u] < 0 or blend[u] < 0 or not (math.isfinite(vol[u]) and math.isfinite(blend[u])):
+                raise ParseError("profile values must be finite and non-negative", lineno)
+            if len(row) == 4:
+                rlab = row[3].strip()
+                if rlab not in region_ids:
+                    raise ParseError(f"unknown region {rlab!r}", lineno)
+                home[u] = region_ids[rlab]
+    return vol, blend, home
+
+
+def naive_read_assignment(path, graph, model):
+    host = np.full(graph.n_users, -1, dtype=np.int64)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if len(row) != 2:
+                raise ValidationError(f"line {lineno}: expected 2 fields")
+            u = graph.user_id(row[0].strip())
+            if host[u] >= 0:
+                raise ValidationError(f"line {lineno}: duplicate user {row[0]!r}")
+            host[u] = model.cloud_id(row[1].strip())
+    if np.any(host < 0):
+        missing = graph.label_of(int(np.nonzero(host < 0)[0][0]))
+        raise ValidationError(f"assignment missing user {missing!r}")
+    return Assignment(host)
+
+
+def naive_graph_arrays(n_users, src, dst, weight):
+    """The arrays a SocialGraph derives from its edge records, by dict and
+    sort: (edges, out-edge offsets, friend CSR, connections).
+
+    Duplicate pairs are summed in record order starting from 0.0, friend
+    slots hold the weight of each direction (0.0 when absent), and a
+    connection's weight adds its pair's edges in (src, dst) order.
+    """
+    merged = {}
+    for s, d, w in zip(src, dst, weight):
+        merged[(s, d)] = merged.get((s, d), 0.0) + w
+    edges = sorted(merged)
+    out_off = [0] * (n_users + 1)
+    for s, _ in edges:
+        out_off[s + 1] += 1
+    slots = {}
+    for (s, d) in edges:
+        slots.setdefault((s, d), [0.0, 0.0])[0] = merged[(s, d)]
+        slots.setdefault((d, s), [0.0, 0.0])[1] = merged[(s, d)]
+    friend = sorted(slots)
+    friend_off = [0] * (n_users + 1)
+    for r, _ in friend:
+        friend_off[r + 1] += 1
+    conns = {}
+    for (s, d) in edges:
+        key = (min(s, d), max(s, d))
+        conns[key] = conns.get(key, 0.0) + merged[(s, d)]
+    pairs = sorted(conns)
+    return {
+        "src": [s for s, _ in edges],
+        "dst": [d for _, d in edges],
+        "weight": [merged[e] for e in edges],
+        "out_offsets": list(itertools.accumulate(out_off)),
+        "friend_offsets": list(itertools.accumulate(friend_off)),
+        "friend_col": [c for _, c in friend],
+        "friend_out": [slots[k][0] for k in friend],
+        "friend_in": [slots[k][1] for k in friend],
+        "conn_a": [a for a, _ in pairs],
+        "conn_b": [b for _, b in pairs],
+        "conn_weight": [conns[p] for p in pairs],
+    }

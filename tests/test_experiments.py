@@ -295,6 +295,57 @@ def test_cli_mistyped_config_value_exits_2(tmp_path, capsys, doc):
     assert next(iter(doc)) in err["message"]
 
 
+@pytest.mark.parametrize("doc", [{"output_dir": 5}, {"edges_path": 7},
+                                 {"use_normalized": "no"}, {"telemetry": 1},
+                                 {"algorithms": 5}])
+def test_cli_mistyped_string_or_bool_config_value_exits_2(tmp_path, capsys, doc):
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps({"output_dir": str(tmp_path / "o"), **doc}))
+    code, stdout, stderr = run_cli(["partition", "--config", str(cfgp)], capsys)
+    assert code == 2
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ValidationError"
+    assert next(iter(doc)) in err["message"]
+
+
+@pytest.mark.parametrize("text", ['{"alpha": 0.5,', "[1, 2]", '{"alpha": "\xff"}'])
+def test_cli_malformed_config_document_exits_2(tmp_path, capsys, text):
+    cfgp = tmp_path / "config.json"
+    cfgp.write_bytes(text.encode("latin-1"))
+    code, stdout, stderr = run_cli(["partition", "--config", str(cfgp)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert json.loads(stderr)["error"] == "ValidationError"
+
+
+def test_cli_edge_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_bytes(b"a,b,1.0\n\xff\xfe,c,2.0\n")
+    code, stdout, stderr = run_cli(
+        ["partition", "--edges", str(edges), "--output-dir", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert json.loads(stderr) == {"error": "ParseError",
+                                  "message": "line 2: text is not valid UTF-8"}
+
+
+def test_cli_edge_labels_are_stripped_like_profile_labels(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text(" a, b ,1.0\nb,a,2.0\n")
+    regions = tmp_path / "regions.csv"
+    regions.write_text("r0,c0,0.1,0.1\nr1,c1,0.9,0.9\n")
+    profiles = tmp_path / "profiles.csv"
+    profiles.write_text("a,1,1,r0\nb,2,1,r1\n")
+    out = tmp_path / "o"
+    code, _, stderr = run_cli(
+        ["partition", "--edges", str(edges), "--regions", str(regions),
+         "--profiles", str(profiles), "--output-dir", str(out)], capsys)
+    assert code == 0, stderr
+    labels = [line.split(",")[0] for line in (out / "assignment.csv").read_text().splitlines()]
+    assert labels == ["a", "b"]
+
+
 def test_cli_pricing_with_extra_row_exits_2(tmp_path, capsys):
     regions = tmp_path / "regions.csv"
     regions.write_text("r0,a,0.1,0.1\nr1,b,0.9,0.9\n")
