@@ -3,69 +3,37 @@
 Partitions a propagation-weighted social graph across clouds so that users
 sit near the providers they prefer while the content replicated between
 clouds stays cheap.  See README.md for the model and the algorithm.
+
+The package root holds the pipeline (build_dataset, run_heuristic,
+evaluate), the types a custom experiment builds its inputs from, the
+baselines and the exhaustive oracle.  Loaders and other helpers live in
+their submodules (cloudcut.graph, cloudcut.cloud, cloudcut.objective,
+cloudcut.partition, cloudcut.experiments).
 """
 
-from .cloud import (
-    AffinityTable,
-    CloudModel,
-    PricingMatrix,
-    default_profiles,
-    geo_affinity,
-    load_affinities,
-    load_profiles,
-    load_regions,
-    local_download_index,
-    local_upload_index,
-    normalized_preference,
-    preference,
-    preference_matrix,
-)
+from .cloud import AffinityTable, CloudModel, PricingMatrix, default_profiles
 from .errors import ParseError, SearchSpaceError, ValidationError
-from .experiments import ExperimentConfig, build_dataset, solve
-from .graph import (
-    PropagationEdge,
-    SocialConnection,
-    SocialGraph,
-    bfs_sample,
-    load_graph,
-    synth_graph,
-)
-from .objective import (
-    Assignment,
-    EvaluationReport,
-    ObjectiveParams,
-    evaluate,
-    replication_cost,
-    total_objective,
-    transfer_cost_total,
-)
+from .experiments import ExperimentConfig, build_dataset
+from .graph import SocialGraph
+from .objective import Assignment, ObjectiveParams, evaluate, total_objective
 from .partition import (
     HeuristicParams,
-    RehostGains,
     RehostMove,
     baseline_max_preference,
     baseline_min_propagation,
     baseline_random,
     brute_force_optimal,
     initial_hosting,
-    propagation_delta,
-    rehost_gains,
     run_heuristic,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityTable", "Assignment", "CloudModel", "EvaluationReport",
-    "ExperimentConfig", "HeuristicParams", "ObjectiveParams", "ParseError",
-    "PricingMatrix", "PropagationEdge", "RehostGains", "RehostMove",
-    "SearchSpaceError", "SocialConnection", "SocialGraph", "ValidationError",
+    "AffinityTable", "Assignment", "CloudModel", "ExperimentConfig",
+    "HeuristicParams", "ObjectiveParams", "ParseError", "PricingMatrix",
+    "RehostMove", "SearchSpaceError", "SocialGraph", "ValidationError",
     "baseline_max_preference", "baseline_min_propagation", "baseline_random",
-    "bfs_sample", "brute_force_optimal", "build_dataset", "default_profiles",
-    "evaluate", "geo_affinity", "initial_hosting", "load_affinities",
-    "load_graph", "load_profiles", "load_regions", "local_download_index",
-    "local_upload_index", "normalized_preference", "preference",
-    "preference_matrix", "propagation_delta", "rehost_gains",
-    "replication_cost", "run_heuristic", "solve", "synth_graph",
-    "total_objective", "transfer_cost_total",
+    "brute_force_optimal", "build_dataset", "default_profiles", "evaluate",
+    "initial_hosting", "run_heuristic", "total_objective",
 ]

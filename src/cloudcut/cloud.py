@@ -8,18 +8,18 @@ where unstated.
 
 From these the model derives the two hosting indices of a user u for cloud c:
 
-  local_download_index(u, c): sum over u's friends v of the best download
-      affinity v has to any region of c  (how well c serves u's audience)
-  local_upload_index(u, c):   best upload affinity of u to any region of c,
-      scaled by u's upload volume        (how well c ingests u's content)
+  download index: sum over u's friends v of the best download affinity v
+      has to any region of c             (how well c serves u's audience)
+  upload index:   best upload affinity of u to any region of c, scaled by
+      u's upload volume                  (how well c ingests u's content)
 
 and the hosting preference, their blend:
 
   preference(u, c) = download_index + blend_weight(u) * upload_index
 
-normalized_preference rescales each user's preferences to sum to 1 over the
-clouds (uniform when all are zero), so per-user satisfaction is comparable
-across users and model scales.
+preference_matrix computes it for every user and cloud at once; normalized,
+each user's row sums to 1 over the clouds (uniform when all are zero), so
+per-user satisfaction is comparable across users and model scales.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ class PricingMatrix:
     @property
     def n_clouds(self):
         return self._m.shape[0]
-
-    def rate(self, src_cloud, dst_cloud):
-        return float(self._m[src_cloud, dst_cloud])
 
     @classmethod
     def uniform(cls, n_clouds, inter_price=1.0, intra_price=0.0):
@@ -135,22 +132,6 @@ class AffinityTable:
     def n_regions(self):
         return self.download.shape[1]
 
-    def download_affinity(self, user, region):
-        return float(self.download[user, region])
-
-    def upload_affinity(self, user, region):
-        return float(self.upload[user, region])
-
-    @classmethod
-    def from_entries(cls, n_users, n_regions, entries):
-        """entries: iterable of (user_id, region_id, download, upload)."""
-        d = np.zeros((n_users, n_regions))
-        u = np.zeros((n_users, n_regions))
-        for user, region, dl, ul in entries:
-            d[user, region] = dl
-            u[user, region] = ul
-        return cls(d, u)
-
     @classmethod
     def from_coordinates(cls, user_xy, region_xy, scale):
         """Distance-decayed affinities: 1 / (1 + dist / scale).
@@ -166,15 +147,6 @@ class AffinityTable:
         dist = np.sqrt((diff * diff).sum(axis=2))
         aff = 1.0 / (1.0 + dist / scale)
         return cls(aff, aff.copy())
-
-
-def geo_affinity(distance, scale):
-    """Scalar helper: affinity of a user at the given distance from a region."""
-    if scale <= 0:
-        raise ValidationError("scale must be positive")
-    if distance < 0:
-        raise ValidationError("distance must be non-negative")
-    return 1.0 / (1.0 + distance / scale)
 
 
 class CloudModel:
@@ -220,6 +192,8 @@ class CloudModel:
         self.home_region = np.asarray(home_region, dtype=np.int64)
         if self.home_region.shape != (n_users,):
             raise ValidationError("home_region must cover every user")
+        if np.any((self.home_region < -1) | (self.home_region >= len(self.region_labels))):
+            raise ValidationError("home_region must hold region ids or -1")
 
         # per-cloud best affinity, the max over the cloud's regions (0 if none)
         C = len(self.cloud_labels)
@@ -252,15 +226,6 @@ class CloudModel:
         except ValueError:
             raise ValidationError(f"unknown cloud label {label!r}") from None
 
-    def region_id(self, label):
-        try:
-            return self.region_labels.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown region label {label!r}") from None
-
-    def regions_of_cloud(self, c):
-        return np.nonzero(self.region_cloud == c)[0]
-
     def restrict(self, n_active):
         """Model over the first n_active clouds only (deterministic order).
 
@@ -271,8 +236,11 @@ class CloudModel:
         if n_active == self.n_clouds:
             return self
         keep_regions = np.nonzero(self.region_cloud < n_active)[0]
-        region_map = {int(r): i for i, r in enumerate(keep_regions)}
-        home = np.array([region_map.get(int(r), -1) for r in self.home_region], dtype=np.int64)
+        # old region id -> new one, -1 for a dropped region; the extra last
+        # slot maps an unset home (-1) to -1
+        remap = np.full(self.n_regions + 1, -1, dtype=np.int64)
+        remap[keep_regions] = np.arange(keep_regions.size)
+        home = remap[self.home_region]
         return CloudModel(
             self.cloud_labels[:n_active],
             tuple(self.region_labels[r] for r in keep_regions),
@@ -298,34 +266,7 @@ def default_profiles(graph, blend=1.0):
     return vol, np.full(n, float(blend))
 
 
-# -- preference indices ----------------------------------------------------
-
-def local_download_index(u, c, graph, model):
-    """Sum over u's friends of their best download affinity to cloud c."""
-    fr = graph.friends(u)
-    if fr.size == 0:
-        return 0.0
-    return float(model.best_download[fr, c].sum())
-
-
-def local_upload_index(u, c, model):
-    """Best upload affinity of u to cloud c, scaled by u's upload volume."""
-    return float(model.best_upload[u, c] * model.upload_volume[u])
-
-
-def preference(u, c, graph, model):
-    """Hosting preference of user u for cloud c (download + blended upload)."""
-    return local_download_index(u, c, graph, model) + float(model.blend_weight[u]) * local_upload_index(u, c, model)
-
-
-def normalized_preference(u, c, graph, model):
-    """Preference rescaled so each user's values sum to 1 over the clouds."""
-    row = np.array([preference(u, d, graph, model) for d in range(model.n_clouds)])
-    total = row.sum()
-    if total <= 0.0:
-        return 1.0 / model.n_clouds
-    return float(row[c] / total)
-
+# -- preference table ------------------------------------------------------
 
 def preference_matrix(graph, model, normalized=False):
     """(n_users x n_clouds) preference table, optionally row-normalized.
@@ -404,7 +345,8 @@ def load_affinities(path, graph, region_labels, ignore_unknown_users=False):
     region = ids_of(region_ids, stripped(table.column(1, n)))
     download, bad_download = floats(table.column(2, n))
     upload, bad_upload = floats(table.column(3, n))
-    bad = (region < 0) | bad_download | bad_upload
+    bad = ((region < 0) | bad_download | bad_upload
+           | ~(np.isfinite(download) & np.isfinite(upload) & (download >= 0) & (upload >= 0)))
     known = user >= 0
     if ignore_unknown_users:
         bad &= known
@@ -432,7 +374,12 @@ def _check_affinity_row(row, line, graph, region_ids):
         raise ParseError(f"unknown user {ulab!r}", line)
     if rlab not in region_ids:
         raise ParseError(f"unknown region {rlab!r}", line)
-    raise ParseError("bad affinity value", line)
+    try:
+        download, upload = float(row[2]), float(row[3])
+    except ValueError:
+        raise ParseError("bad affinity value", line) from None
+    raise ParseError(f"affinities must be finite and non-negative, got {download}, {upload}",
+                     line)
 
 
 def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
@@ -481,8 +428,9 @@ def _check_profile_row(row, line, graph):
     """Raise the ParseError of a profile row that fails a check."""
     if len(row) not in (3, 4):
         raise ParseError(f"expected 3 or 4 fields, got {len(row)}", line)
-    if graph.user_ids([row[0].strip()])[0] < 0:
-        raise ParseError(f"unknown user {row[0]!r}", line)
+    ulab = row[0].strip()
+    if graph.user_ids([ulab])[0] < 0:
+        raise ParseError(f"unknown user {ulab!r}", line)
     try:
         volume, weight = float(row[1]), float(row[2])
     except ValueError:

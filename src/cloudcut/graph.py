@@ -14,9 +14,7 @@ as isolated nodes.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,34 +23,12 @@ from ._table import Table, first, floats, ids_of, read_table, stripped
 from .errors import ParseError, ValidationError
 
 
-@dataclass(frozen=True)
-class PropagationEdge:
-    """One directed edge: expected propagation volume from src to dst."""
-
-    src: int
-    dst: int
-    weight: float
-
-
-@dataclass(frozen=True)
-class SocialConnection:
-    """Unordered user pair sharing at least one directed edge.
-
-    combined_weight is the sum of both directions' propagation volume and is
-    the sort key for re-hosting priority.
-    """
-
-    a: int
-    b: int
-    combined_weight: float
-
-
 class SocialGraph:
     """Directed weighted social graph with dense user ids.
 
     Internally stores edges as parallel numpy arrays sorted by (src, dst),
-    with CSR offsets over them for out-edges, plus the merged "friend" CSR
-    (union of both directions, with per-direction weights aligned).
+    plus the merged "friend" CSR (union of both directions, with
+    per-direction weights aligned).
     """
 
     def __init__(self, labels, src, dst, weight):
@@ -100,9 +76,8 @@ class SocialGraph:
         self._src = row[edge]
         self._dst = col[edge]
         self._w = wout[edge]
-        self._out = _offsets(n, self._src)
         self._friends = (_offsets(n, row), col, wout, win)
-        for arr in (self._src, self._dst, self._w, self._out, *self._friends):
+        for arr in (self._src, self._dst, self._w, *self._friends):
             arr.setflags(write=False)
         self._conn_cache = None
 
@@ -140,17 +115,6 @@ class SocialGraph:
                 ids[lab] = len(ids)
         return cls(ids, src, dst, weight)
 
-    @classmethod
-    def from_json(cls, text):
-        """Inverse of to_json."""
-        doc = json.loads(text)
-        users = doc["users"]
-        edges = doc["edges"]
-        src = [e[0] for e in edges]
-        dst = [e[1] for e in edges]
-        wt = [e[2] for e in edges]
-        return cls(users, src, dst, wt)
-
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -183,19 +147,6 @@ class SocialGraph:
         """(src, dst, weight) arrays sorted by (src, dst); read-only views."""
         return self._src, self._dst, self._w
 
-    def edges(self):
-        for s, d, w in zip(self._src, self._dst, self._w):
-            yield PropagationEdge(int(s), int(d), float(w))
-
-    @property
-    def total_edge_weight(self):
-        return float(self._w.sum())
-
-    def out_neighbors(self, u):
-        """(neighbor ids, weights) of edges leaving u, ids ascending."""
-        sl = slice(self._out[u], self._out[u + 1])
-        return self._dst[sl], self._w[sl]
-
     def friends(self, u):
         """Users sharing at least one edge with u in either direction."""
         off, nbr, _, _ = self._friends
@@ -219,13 +170,6 @@ class SocialGraph:
             return float(wout[pos])
         return 0.0
 
-    def mean_out_weight(self, u):
-        """Mean weight of u's outgoing edges (0.0 when u has none)."""
-        _, w = self.out_neighbors(u)
-        if w.size == 0:
-            return 0.0
-        return float(w.mean())
-
     # -- connections -------------------------------------------------------
 
     def connection_arrays(self):
@@ -244,17 +188,7 @@ class SocialGraph:
     def n_connections(self):
         return int(self.connection_arrays()[0].size)
 
-    def connections(self):
-        ca, cb, w = self.connection_arrays()
-        for a, b, cw in zip(ca, cb, w):
-            yield SocialConnection(int(a), int(b), float(cw))
-
     # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        """Canonical JSON document: {"users": [...], "edges": [[s,d,w],...]}."""
-        edges = [[int(s), int(d), float(w)] for s, d, w in zip(self._src, self._dst, self._w)]
-        return json.dumps({"users": list(self._labels), "edges": edges})
 
     def to_csv(self, path):
         """Write headerless src_label,dst_label,weight rows (UTF-8, LF)."""

@@ -60,12 +60,6 @@ class Assignment:
     def n_users(self):
         return int(self.host.size)
 
-    def cloud_of(self, u):
-        return int(self.host[u])
-
-    def copy(self):
-        return Assignment(self.host)
-
     def validate(self, n_users, n_clouds):
         if self.host.size != n_users:
             raise ValidationError(f"assignment covers {self.host.size} users, expected {n_users}")
@@ -100,10 +94,11 @@ class Assignment:
             row, line = table.row(i), i + 1
             if len(row) != 2:
                 raise ValidationError(f"line {line}: expected 2 fields")
-            graph.user_id(row[0].strip())
+            if user[i] < 0:
+                raise ValidationError(f"line {line}: unknown user label {row[0].strip()!r}")
             if seen[i]:
                 raise ValidationError(f"line {line}: duplicate user {row[0]!r}")
-            model.cloud_id(row[1].strip())
+            raise ValidationError(f"line {line}: unknown cloud label {row[1].strip()!r}")
         host = np.full(graph.n_users, -1, dtype=np.int64)
         host[user] = cloud
         if np.any(host < 0):
@@ -172,17 +167,6 @@ class EvaluationReport:
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(
-            objective_value=d["objective_value"],
-            preference_satisfaction=d["preference_satisfaction"],
-            inter_cloud_cost=d["inter_cloud_cost"],
-            inter_cloud_edge_count=d["inter_cloud_edge_count"],
-            per_cloud_user_counts=d["per_cloud_user_counts"],
-        )
 
 
 def evaluate(assignment, graph, model, params):

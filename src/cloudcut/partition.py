@@ -93,30 +93,6 @@ class RehostMove:
             raise ValidationError("move_both requires a target cloud")
 
 
-@dataclass(frozen=True)
-class RehostGains:
-    """Gains of the four options for one cross-cloud pair.
-
-    move_both is -inf when no third cloud exists; best_third_cloud is the
-    argmax target for move_both (None in that case).
-    """
-
-    keep: float
-    move_u: float
-    move_v: float
-    move_both: float
-    best_third_cloud: int | None
-
-    def best(self):
-        """(case, gain); ties resolve in listed order, so staying put wins."""
-        best_case, best_gain = "keep", self.keep
-        for case, gain in (("move_u", self.move_u), ("move_v", self.move_v),
-                           ("move_both", self.move_both)):
-            if gain > best_gain:
-                best_case, best_gain = case, gain
-        return best_case, best_gain
-
-
 def _batch_gains(us, vs, e_uv, e_vu, host, psi, friends, P, alpha, cost_scale):
     """Gains of B candidate pairs (us[i], vs[i]) under the hosting host.
 
@@ -168,54 +144,6 @@ def _batch_gains(us, vs, e_uv, e_vu, host, psi, friends, P, alpha, cost_scale):
              - cost_scale * delta_joint)
     joint[r % B, own] = -np.inf
     return gain[:B], gain[B:], joint
-
-
-def _pair_arrays(u, v, assignment, graph):
-    """Kernel inputs (us, vs, e_uv, e_vu) for one pair, which must be cross-cloud."""
-    if int(assignment.host[u]) == int(assignment.host[v]):
-        raise ValidationError("pair is not cross-cloud; no re-hosting case applies")
-    return (np.array([u]), np.array([v]),
-            np.array([graph.edge_weight(u, v)]), np.array([graph.edge_weight(v, u)]))
-
-
-def propagation_delta(move, assignment, graph, model, cost_weight=1.0):
-    """Weighted replication-cost change a move would cause (negative saves).
-
-    This is the true change in total priced traffic over every edge incident
-    to the moved user(s), neighbors on third clouds included, times
-    cost_weight.  The pair must currently straddle two clouds.
-    """
-    C = model.n_clouds
-    pair = _pair_arrays(move.u, move.v, assignment, graph)
-    if move.case == "move_both":
-        f = move.target
-        if f in (int(assignment.host[move.u]), int(assignment.host[move.v])):
-            raise ValidationError("move_both target must be a third cloud")
-        if not 0 <= f < C:
-            raise ValidationError("move_both target out of range")
-    # with alpha = 0 a gain is minus the weighted cost change
-    no_pref = np.broadcast_to(0.0, (graph.n_users, C))
-    gain_u, gain_v, joint = _batch_gains(*pair, assignment.host, no_pref, graph.friend_csr(),
-                                         model.pricing.matrix, 0.0, cost_weight)
-    if move.case == "move_u":
-        return -float(gain_u[0])
-    if move.case == "move_v":
-        return -float(gain_v[0])
-    return -float(joint[0, move.target])
-
-
-def rehost_gains(u, v, assignment, graph, model, params):
-    """Gains of the four re-hosting options for one cross-cloud pair."""
-    pair = _pair_arrays(u, v, assignment, graph)
-    psi = preference_matrix(graph, model, normalized=params.objective.use_normalized)
-    alpha = params.objective.alpha
-    cost_scale = (1.0 - alpha) * params.objective.cost_weight
-    gain_u, gain_v, joint = _batch_gains(*pair, assignment.host, psi, graph.friend_csr(),
-                                         model.pricing.matrix, alpha, cost_scale)
-    if model.n_clouds <= 2:
-        return RehostGains(0.0, float(gain_u[0]), float(gain_v[0]), -np.inf, None)
-    f = int(np.argmax(joint[0]))
-    return RehostGains(0.0, float(gain_u[0]), float(gain_v[0]), float(joint[0, f]), f)
 
 
 def initial_hosting(graph, model):

@@ -22,9 +22,10 @@ from cloudcut import (
     SocialGraph,
     ValidationError,
     default_profiles,
-    load_graph,
-    preference_matrix,
 )
+from cloudcut import partition
+from cloudcut.cloud import preference_matrix
+from cloudcut.graph import load_graph
 
 
 def naive_download_index(u, c, graph, model):
@@ -71,24 +72,16 @@ def naive_upload_volumes(graph):
     return [math.fsum(ws) / len(ws) if ws else 0.0 for ws in out]
 
 
-def naive_replication_cost(u, host, graph, model):
-    cost = 0.0
-    for e in graph.edges():
-        if e.src == u:
-            cost += 0.5 * model.pricing.rate(host[e.src], host[e.dst]) * e.weight
-        if e.dst == u:
-            cost += 0.5 * model.pricing.rate(host[e.src], host[e.dst]) * e.weight
-    return cost
-
-
 def naive_transfer_cost(host, graph, model):
-    return sum(model.pricing.rate(host[e.src], host[e.dst]) * e.weight
-               for e in graph.edges())
+    P = model.pricing.matrix
+    return sum(float(P[host[s], host[d]]) * float(w)
+               for s, d, w in zip(*graph.edge_arrays()))
 
 
 def naive_inter_cloud_cost(host, graph, model):
-    return sum(model.pricing.rate(host[e.src], host[e.dst]) * e.weight
-               for e in graph.edges() if host[e.src] != host[e.dst])
+    P = model.pricing.matrix
+    return sum(float(P[host[s], host[d]]) * float(w)
+               for s, d, w in zip(*graph.edge_arrays()) if host[s] != host[d])
 
 
 def naive_total_objective(host, graph, model, alpha, cost_weight=1.0, normalized=True):
@@ -114,6 +107,18 @@ def naive_move_cost_delta(move, host, graph, model):
     """Change in total priced traffic caused by a move, by full recompute."""
     return (naive_transfer_cost(apply_move(host, move), graph, model)
             - naive_transfer_cost(host, graph, model))
+
+
+def kernel_pair_gains(u, v, host, graph, model, alpha, cost_weight=1.0, normalized=True):
+    """(move_u, move_v, move_both row over clouds) of one pair: not an oracle,
+    but the walk's own kernel, partition._batch_gains, with a batch of one."""
+    psi = preference_matrix(graph, model, normalized=normalized)
+    gain_u, gain_v, joint = partition._batch_gains(
+        np.array([u]), np.array([v]),
+        np.array([graph.edge_weight(u, v)]), np.array([graph.edge_weight(v, u)]),
+        np.asarray(host), psi, graph.friend_csr(), model.pricing.matrix,
+        alpha, (1.0 - alpha) * cost_weight)
+    return float(gain_u[0]), float(gain_v[0]), joint[0]
 
 
 # -- instance builders -------------------------------------------------------
@@ -321,7 +326,7 @@ def naive_load_graph(source, extra_users=()):
 
 def naive_load_affinities(path, graph, region_labels, ignore_unknown_users=False):
     region_ids = {lab: i for i, lab in enumerate(region_labels)}
-    entries = []
+    table = np.zeros((2, graph.n_users, len(region_labels)))  # download, upload
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if len(row) != 4:
@@ -339,8 +344,11 @@ def naive_load_affinities(path, graph, region_labels, ignore_unknown_users=False
                 dl, ul = float(row[2]), float(row[3])
             except ValueError:
                 raise ParseError("bad affinity value", lineno) from None
-            entries.append((u, region_ids[rlab], dl, ul))
-    return AffinityTable.from_entries(graph.n_users, len(region_labels), entries)
+            if not (math.isfinite(dl) and math.isfinite(ul) and dl >= 0 and ul >= 0):
+                raise ParseError(f"affinities must be finite and non-negative, got {dl}, {ul}",
+                                 lineno)
+            table[:, u, region_ids[rlab]] = dl, ul
+    return AffinityTable(*table)
 
 
 def naive_load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
@@ -353,12 +361,13 @@ def naive_load_profiles(path, graph, region_labels=None, ignore_unknown_users=Fa
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if len(row) not in (3, 4):
                 raise ParseError(f"expected 3 or 4 fields, got {len(row)}", lineno)
+            ulab = row[0].strip()
             try:
-                u = graph.user_id(row[0].strip())
+                u = graph.user_id(ulab)
             except ValidationError:
                 if ignore_unknown_users:
                     continue
-                raise ParseError(f"unknown user {row[0]!r}", lineno) from None
+                raise ParseError(f"unknown user {ulab!r}", lineno) from None
             try:
                 vol[u] = float(row[1])
                 blend[u] = float(row[2])
@@ -380,10 +389,15 @@ def naive_read_assignment(path, graph, model):
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if len(row) != 2:
                 raise ValidationError(f"line {lineno}: expected 2 fields")
-            u = graph.user_id(row[0].strip())
+            ulab, clab = row[0].strip(), row[1].strip()
+            if ulab not in graph.labels:
+                raise ValidationError(f"line {lineno}: unknown user label {ulab!r}")
+            u = graph.user_id(ulab)
             if host[u] >= 0:
                 raise ValidationError(f"line {lineno}: duplicate user {row[0]!r}")
-            host[u] = model.cloud_id(row[1].strip())
+            if clab not in model.cloud_labels:
+                raise ValidationError(f"line {lineno}: unknown cloud label {clab!r}")
+            host[u] = model.cloud_id(clab)
     if np.any(host < 0):
         missing = graph.label_of(int(np.nonzero(host < 0)[0][0]))
         raise ValidationError(f"assignment missing user {missing!r}")
@@ -392,7 +406,7 @@ def naive_read_assignment(path, graph, model):
 
 def naive_graph_arrays(n_users, src, dst, weight):
     """The arrays a SocialGraph derives from its edge records, by dict and
-    sort: (edges, out-edge offsets, friend CSR, connections).
+    sort: (edges, friend CSR, connections).
 
     Duplicate pairs are summed in record order starting from 0.0, friend
     slots hold the weight of each direction (0.0 when absent), and a
@@ -402,9 +416,6 @@ def naive_graph_arrays(n_users, src, dst, weight):
     for s, d, w in zip(src, dst, weight):
         merged[(s, d)] = merged.get((s, d), 0.0) + w
     edges = sorted(merged)
-    out_off = [0] * (n_users + 1)
-    for s, _ in edges:
-        out_off[s + 1] += 1
     slots = {}
     for (s, d) in edges:
         slots.setdefault((s, d), [0.0, 0.0])[0] = merged[(s, d)]
@@ -422,7 +433,6 @@ def naive_graph_arrays(n_users, src, dst, weight):
         "src": [s for s, _ in edges],
         "dst": [d for _, d in edges],
         "weight": [merged[e] for e in edges],
-        "out_offsets": list(itertools.accumulate(out_off)),
         "friend_offsets": list(itertools.accumulate(friend_off)),
         "friend_col": [c for _, c in friend],
         "friend_out": [slots[k][0] for k in friend],

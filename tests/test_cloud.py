@@ -8,22 +8,13 @@ from cloudcut import (
     SocialGraph,
     ValidationError,
     default_profiles,
-    geo_affinity,
-    load_affinities,
-    load_graph,
-    load_profiles,
-    load_regions,
-    local_download_index,
-    local_upload_index,
-    normalized_preference,
-    preference,
-    preference_matrix,
-    synth_graph,
 )
+from cloudcut.cloud import load_affinities, load_profiles, load_regions, preference_matrix
+from cloudcut.graph import load_graph, synth_graph
 from oracles import make_instance, naive_preference_row, naive_upload_volumes
 
 
-def frozen_model():
+def frozen_model(blend_weight=(2.0, 1.0, 1.0)):
     """3 users, cloud c0 = {r0, r1}, cloud c1 = {r2}; hand-checked below."""
     graph = load_graph([("u", "v1", 1.0), ("v2", "u", 2.0)])
     download = [[0.1, 0.1, 0.2],
@@ -37,29 +28,31 @@ def frozen_model():
         PricingMatrix.uniform(2),
         AffinityTable(download, upload),
         upload_volume=[5.0, 1.0, 1.0],
-        blend_weight=[2.0, 1.0, 1.0],
+        blend_weight=blend_weight,
     )
     return graph, model
 
 
 def test_download_index_takes_best_region_per_friend():
-    graph, model = frozen_model()
-    # v1 best in c0 is 0.9 (r0), v2 best is 0.7 (r1)
-    assert local_download_index(0, 0, graph, model) == pytest.approx(1.6)
-    assert local_download_index(0, 1, graph, model) == pytest.approx(0.8)
+    # v1 best in c0 is 0.9 (r0), v2 best is 0.7 (r1); with blend weight 0 the
+    # preference is the download index alone
+    graph, model = frozen_model(blend_weight=(0.0, 0.0, 0.0))
+    assert model.best_download[1:, 0].tolist() == [0.9, 0.7]
+    assert preference_matrix(graph, model)[0].tolist() == pytest.approx([1.6, 0.8])
 
 
 def test_upload_index_scales_by_volume():
-    graph, model = frozen_model()
-    assert local_upload_index(0, 0, model) == pytest.approx(4.0)   # 0.8 * 5
-    assert local_upload_index(0, 1, model) == pytest.approx(1.5)   # 0.3 * 5
+    _, model = frozen_model()
+    assert model.best_upload[0].tolist() == [0.8, 0.3]
+    assert (model.best_upload[0] * model.upload_volume[0]).tolist() == [4.0, 1.5]  # times 5
 
 
 def test_preference_blends_download_and_upload():
     graph, model = frozen_model()
-    assert preference(0, 0, graph, model) == pytest.approx(9.6)    # 1.6 + 2*4
-    assert preference(0, 1, graph, model) == pytest.approx(3.8)    # 0.8 + 2*1.5
-    assert normalized_preference(0, 0, graph, model) == pytest.approx(9.6 / 13.4)
+    # 1.6 + 2*4 and 0.8 + 2*1.5
+    assert preference_matrix(graph, model)[0].tolist() == pytest.approx([9.6, 3.8])
+    norm = preference_matrix(graph, model, normalized=True)
+    assert norm[0, 0] == pytest.approx(9.6 / 13.4)
 
 
 def test_normalized_rows_sum_to_one():
@@ -67,9 +60,7 @@ def test_normalized_rows_sum_to_one():
     model = CloudModel(
         ["c0", "c1", "c2"], ["r0", "r1", "r2"], [0, 1, 2],
         PricingMatrix.uniform(3),
-        AffinityTable.from_entries(2, 3, [(0, 0, 0.0, 2.0),
-                                          (0, 1, 0.0, 1.0),
-                                          (0, 2, 0.0, 1.0)]),
+        AffinityTable(np.zeros((2, 3)), [[2.0, 1.0, 1.0], [0.0, 0.0, 0.0]]),
         upload_volume=[1.0, 1.0],
         blend_weight=[1.0, 1.0],
     )
@@ -95,7 +86,7 @@ def test_preference_matrix_matches_scalar_definitions():
 
 def test_adding_a_region_never_lowers_preference():
     graph, model = frozen_model()
-    base = preference(0, 0, graph, model)
+    base = preference_matrix(graph, model)[0, 0]
     grown = CloudModel(
         ["c0", "c1"], ["r0", "r1", "r2", "r3"], [0, 0, 1, 0],
         model.pricing,
@@ -103,9 +94,9 @@ def test_adding_a_region_never_lowers_preference():
                       np.hstack([model.affinity.upload, [[0.9], [0.0], [0.0]]])),
         model.upload_volume, model.blend_weight,
     )
-    assert preference(0, 0, graph, grown) >= base
+    assert preference_matrix(graph, grown)[0, 0] >= base
     # r3 improves both v1's download (0.95) and u's upload (0.9)
-    assert preference(0, 0, graph, grown) == pytest.approx(0.95 + 0.7 + 2 * 0.9 * 5)
+    assert preference_matrix(graph, grown)[0, 0] == pytest.approx(0.95 + 0.7 + 2 * 0.9 * 5)
 
 
 def test_normalized_preference_is_scale_invariant():
@@ -116,9 +107,8 @@ def test_normalized_preference_is_scale_invariant():
         AffinityTable(2 * model.affinity.download, 2 * model.affinity.upload),
         model.upload_volume, model.blend_weight,
     )
-    for c in range(2):
-        assert normalized_preference(0, c, graph, doubled) == pytest.approx(
-            normalized_preference(0, c, graph, model))
+    assert preference_matrix(graph, doubled, normalized=True)[0].tolist() == pytest.approx(
+        preference_matrix(graph, model, normalized=True)[0].tolist())
 
 
 def test_default_profiles_use_mean_outgoing_weight():
@@ -146,22 +136,15 @@ def test_default_profiles_match_the_loop_oracle():
     np.testing.assert_allclose(vol, naive_upload_volumes(graph), rtol=1e-12, atol=0.0)
 
 
-def test_geo_affinity_decay():
-    assert geo_affinity(0.0, 0.3) == 1.0
-    assert geo_affinity(0.3, 0.3) == pytest.approx(0.5)
-    assert geo_affinity(0.9, 0.3) == pytest.approx(0.25)
-    with pytest.raises(ValidationError):
-        geo_affinity(-1.0, 0.3)
-    with pytest.raises(ValidationError):
-        geo_affinity(1.0, 0.0)
-
-
 def test_affinity_from_coordinates():
-    table = AffinityTable.from_coordinates([[0.0, 0.0], [1.0, 0.0]],
+    # users at distance 0, twice, once and three times the scale
+    table = AffinityTable.from_coordinates([[0.0, 0.0], [1.0, 0.0], [0.0, 0.5], [1.5, 0.0]],
                                            [[0.0, 0.0]], scale=0.5)
-    assert table.download_affinity(0, 0) == 1.0
-    assert table.download_affinity(1, 0) == pytest.approx(1.0 / 3.0)
+    assert table.download[0, 0] == 1.0
+    assert table.download[1:, 0].tolist() == pytest.approx([1.0 / 3.0, 0.5, 0.25])
     assert np.array_equal(table.download, table.upload)
+    with pytest.raises(ValidationError):
+        AffinityTable.from_coordinates([[0.0, 0.0]], [[0.0, 0.0]], scale=0.0)
 
 
 # -- pricing -----------------------------------------------------------------
@@ -175,8 +158,8 @@ def test_pricing_validation():
 
 def test_uniform_pricing():
     pm = PricingMatrix.uniform(3, inter_price=2.0, intra_price=0.5)
-    assert pm.rate(0, 0) == 0.5
-    assert pm.rate(0, 2) == 2.0
+    assert pm.matrix[0, 0] == 0.5
+    assert pm.matrix[0, 2] == 2.0
     assert pm.n_clouds == 3
 
 
@@ -202,6 +185,9 @@ def test_model_rejects_shape_mismatches():
     with pytest.raises(ValidationError):
         CloudModel(["c0", "c1"], ["r0", "r1"], [0, 1],
                    PricingMatrix.uniform(2), aff, [1.0], [1.0, 1.0])
+    with pytest.raises(ValidationError):  # home region r2 does not exist
+        CloudModel(["c0", "c1"], ["r0", "r1"], [0, 1],
+                   PricingMatrix.uniform(2), aff, [1.0, 1.0], [1.0, 1.0], [0, 2])
 
 
 def test_restrict_drops_trailing_clouds():
@@ -215,6 +201,12 @@ def test_restrict_drops_trailing_clouds():
     assert np.array_equal(small.affinity.download,
                           model.affinity.download[:, keep])
     assert np.array_equal(small.pricing.matrix, model.pricing.matrix[:2, :2])
+    # regions 0..7 on clouds 3, 2, 1, 0, 3, 2, 1, 0: regions 2, 3, 6 and 7 stay
+    # as 0..3, and users homed on clouds 2 and 3 lose their home
+    homed = CloudModel(model.cloud_labels, model.region_labels, model.region_cloud[::-1],
+                       model.pricing, model.affinity, model.upload_volume,
+                       model.blend_weight, [-1, 0, 1, 2, 3, 4, 5, 7])
+    assert homed.restrict(2).home_region.tolist() == [-1, -1, -1, 0, 1, -1, -1, 3]
     with pytest.raises(ValidationError):
         model.restrict(0)
     with pytest.raises(ValidationError):
@@ -246,9 +238,9 @@ def test_affinity_loader(tmp_path):
     p = tmp_path / "aff.csv"
     p.write_text("a,r0,0.9,0.8\nb,r1,0.5,0.4\n")
     table = load_affinities(p, graph, ("r0", "r1"))
-    assert table.download_affinity(0, 0) == 0.9
-    assert table.upload_affinity(1, 1) == 0.4
-    assert table.download_affinity(0, 1) == 0.0
+    assert table.download[0, 0] == 0.9
+    assert table.upload[1, 1] == 0.4
+    assert table.download[0, 1] == 0.0
 
     bad = tmp_path / "bad.csv"
     bad.write_text("nobody,r0,0.9,0.8\n")

@@ -99,8 +99,8 @@ def test_synth_dataset_round_trips_through_files(tmp_path):
     graph1, model1 = build_dataset(cfg_files)
 
     def by_label(g):
-        return {(g.label_of(e.src), g.label_of(e.dst)): e.weight
-                for e in g.edges()}
+        return {(g.label_of(s), g.label_of(d)): w
+                for s, d, w in zip(*g.edge_arrays())}
 
     assert graph1.n_users == graph0.n_users
     assert by_label(graph1) == by_label(graph0)
@@ -359,6 +359,28 @@ def test_cli_pricing_with_extra_row_exits_2(tmp_path, capsys):
     err = json.loads(stderr)
     assert err["error"] == "ParseError"
     assert "line 4" in err["message"]
+
+
+@pytest.mark.parametrize("argv, text, error, message", [
+    # the bad value is reported even though the next row overwrites it
+    (["partition", "--affinities"], "a,r0,0.5,0.5\nb,r1,-1,0.2\nb,r1,0.3,0.2\n", "ParseError",
+     "line 2: affinities must be finite and non-negative, got -1.0, 0.2"),
+    (["partition", "--profiles"], "a,1,1,r0\nzz ,2,1,r1\n", "ParseError",
+     "line 2: unknown user 'zz'"),
+    (["evaluate"], "a,c0\nzz,c1\n", "ValidationError", "line 2: unknown user label 'zz'"),
+    (["evaluate"], "a,c0\nb,cX\n", "ValidationError", "line 2: unknown cloud label 'cX'"),
+], ids=["affinities", "profiles", "assignment-user", "assignment-cloud"])
+def test_cli_bad_row_in_a_side_table_exits_2_naming_its_line(tmp_path, capsys, argv, text,
+                                                              error, message):
+    for name, body in (("edges", "a,b,1.0\nb,a,2.0\n"), ("table", text),
+                       ("regions", "r0,c0,0.1,0.1\nr1,c1,0.9,0.9\n")):
+        (tmp_path / f"{name}.csv").write_text(body)
+    code, stdout, stderr = run_cli(
+        [*argv, str(tmp_path / "table.csv"), "--edges", str(tmp_path / "edges.csv"),
+         "--regions", str(tmp_path / "regions.csv"), "--output-dir", str(tmp_path / "o")],
+        capsys)
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {"error": error, "message": message}
 
 
 def test_cli_missing_edge_file_exits_3(tmp_path, capsys):

@@ -21,14 +21,13 @@ from cloudcut import (
     brute_force_optimal,
     evaluate,
     initial_hosting,
-    preference_matrix,
-    propagation_delta,
-    rehost_gains,
     run_heuristic,
     total_objective,
 )
+from cloudcut.cloud import preference_matrix
 from oracles import (
     apply_move,
+    kernel_pair_gains,
     make_instance,
     naive_move_cost_delta,
     two_user_instance,
@@ -53,22 +52,30 @@ def delta_instance():
     return graph, model, Assignment([0, 0, 1])
 
 
+def move_delta(move, host, graph, model, cost_weight=1.0):
+    """Weighted priced-traffic change of a move: minus its kernel gain at alpha = 0."""
+    gain_u, gain_v, joint = kernel_pair_gains(move.u, move.v, host, graph, model, 0.0, cost_weight)
+    if move.case == "move_both":
+        return -float(joint[move.target])
+    return -(gain_u if move.case == "move_u" else gain_v)
+
+
 # -- move deltas --------------------------------------------------------------
 
 def test_propagation_delta_frozen_example():
     graph, model, assign = delta_instance()
     move = RehostMove(u=0, v=2, case="move_u")
-    assert propagation_delta(move, assign, graph, model) == pytest.approx(4.0)
-    assert propagation_delta(move, assign, graph, model) == pytest.approx(
+    assert move_delta(move, assign.host, graph, model) == pytest.approx(4.0)
+    assert move_delta(move, assign.host, graph, model) == pytest.approx(
         naive_move_cost_delta(move, assign.host, graph, model))
 
 
 def test_propagation_delta_negative_when_move_saves_traffic():
     graph, model, _ = delta_instance()
     # all of u's traffic already sits on cloud 1
-    assign = Assignment([0, 1, 1])
+    host = np.array([0, 1, 1])
     move = RehostMove(u=0, v=2, case="move_u")
-    assert propagation_delta(move, assign, graph, model) == pytest.approx(-6.0)
+    assert move_delta(move, host, graph, model) == pytest.approx(-6.0)
 
 
 def test_exact_delta_matches_full_recompute_for_every_case():
@@ -77,7 +84,6 @@ def test_exact_delta_matches_full_recompute_for_every_case():
                                      pricing="random")
         rng = np.random.default_rng(seed + 50)
         host = rng.integers(0, 4, size=graph.n_users)
-        assign = Assignment(host)
         ca, cb, _ = graph.connection_arrays()
         for u, v in zip(ca, cb):
             u, v = int(u), int(v)
@@ -87,22 +93,16 @@ def test_exact_delta_matches_full_recompute_for_every_case():
             moves += [RehostMove(u, v, "move_both", target=f)
                       for f in range(4) if f not in (host[u], host[v])]
             for move in moves:
-                got = propagation_delta(move, assign, graph, model, cost_weight=1.3)
+                got = move_delta(move, host, graph, model, cost_weight=1.3)
                 want = 1.3 * naive_move_cost_delta(move, host, graph, model)
                 assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_propagation_delta_rejects_bad_moves():
-    graph, model, assign = delta_instance()
-    same_cloud = RehostMove(u=0, v=1, case="move_u")
-    with pytest.raises(ValidationError, match="cross-cloud"):
-        propagation_delta(same_cloud, assign, graph, model)
+def test_rehost_move_rejects_bad_cases():
     with pytest.raises(ValidationError):
         RehostMove(u=0, v=2, case="sideways")
     with pytest.raises(ValidationError):
         RehostMove(u=0, v=2, case="move_both")  # no target
-    with pytest.raises(ValidationError):
-        propagation_delta(RehostMove(0, 2, "move_both", target=1), assign, graph, model)
 
 
 # -- pair gains ---------------------------------------------------------------
@@ -122,23 +122,21 @@ def test_gains_equal_score_deltas_in_exact_mode():
                 u, v = int(u), int(v)
                 if host[u] == host[v]:
                     continue
-                gains = rehost_gains(u, v, assign, graph, model, params)
-                for case, gain in (("move_u", gains.move_u),
-                                   ("move_v", gains.move_v)):
+                gain_u, gain_v, joint = kernel_pair_gains(u, v, host, graph, model, alpha)
+                for case, gain in (("move_u", gain_u), ("move_v", gain_v)):
                     moved = Assignment(apply_move(host, RehostMove(u, v, case)))
                     after = total_objective(moved, graph, model, params.objective)
                     assert gain == pytest.approx(after - base, abs=1e-9)
-                f = gains.best_third_cloud
+                f = int(np.argmax(joint))
                 moved = Assignment(apply_move(host, RehostMove(u, v, "move_both", target=f)))
                 after = total_objective(moved, graph, model, params.objective)
-                assert gains.move_both == pytest.approx(after - base, abs=1e-9)
+                assert joint[f] == pytest.approx(after - base, abs=1e-9)
                 checked += 1
             assert checked > 0
 
 
 def test_gains_at_alpha_one_are_pure_preference_deltas():
     graph, model = make_instance(2, n_users=10, n_clouds=3, n_edges=30)
-    params = params_for(1.0)
     assign = initial_hosting(graph, model)
     psi = preference_matrix(graph, model, normalized=True)
     host = assign.host
@@ -146,21 +144,17 @@ def test_gains_at_alpha_one_are_pure_preference_deltas():
     pair = next((int(u), int(v)) for u, v in zip(ca, cb) if host[u] != host[v])
     u, v = pair
     c, d = host[u], host[v]
-    gains = rehost_gains(u, v, assign, graph, model, params)
-    assert gains.move_u == pytest.approx(psi[u, d] - psi[u, c])
-    assert gains.move_v == pytest.approx(psi[v, c] - psi[v, d])
+    gain_u, gain_v, _ = kernel_pair_gains(u, v, host, graph, model, 1.0)
+    assert gain_u == pytest.approx(psi[u, d] - psi[u, c])
+    assert gain_v == pytest.approx(psi[v, c] - psi[v, d])
 
 
 def test_two_clouds_disable_joint_moves():
     graph, model = two_user_instance()
-    assign = Assignment([0, 1])
-    gains = rehost_gains(0, 1, assign, graph, model, params_for(0.5))
-    assert gains.move_both == -np.inf
-    assert gains.best_third_cloud is None
+    gain_u, gain_v, joint = kernel_pair_gains(0, 1, np.array([0, 1]), graph, model, 0.5)
+    assert np.all(joint == -np.inf)  # no third cloud
     # co-hosting on cloud 0 is the known optimum, so moving v there wins
-    case, gain = gains.best()
-    assert case == "move_v"
-    assert gain > 0
+    assert gain_v > max(gain_u, 0.0)
 
 
 def test_ties_keep_users_in_place():
@@ -170,15 +164,9 @@ def test_ties_keep_users_in_place():
                        PricingMatrix([[0.0, 0.0], [0.0, 0.0]]),
                        AffinityTable(np.zeros((2, 2)), np.zeros((2, 2))),
                        np.ones(2), np.ones(2))
-    gains = rehost_gains(0, 1, Assignment([0, 1]), graph, model, params_for(0.5))
-    assert gains.move_u == pytest.approx(0.0)
-    assert gains.best() == ("keep", 0.0)
-
-
-def test_rehost_gains_requires_cross_cloud_pair():
-    graph, model = two_user_instance()
-    with pytest.raises(ValidationError, match="cross-cloud"):
-        rehost_gains(0, 1, Assignment([0, 0]), graph, model, params_for(0.5))
+    gain_u, gain_v, joint = kernel_pair_gains(0, 1, np.array([0, 1]), graph, model, 0.5)
+    assert gain_u == pytest.approx(0.0)
+    assert max(gain_u, gain_v, joint.max()) <= 0.0  # keep's 0.0: the walk stays put
 
 
 # -- initial hosting ----------------------------------------------------------

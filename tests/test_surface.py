@@ -1,0 +1,52 @@
+"""The documented public surface, and the names the benchmark reaches into."""
+
+import importlib
+import io
+import json
+import re
+import runpy
+from pathlib import Path
+
+import cloudcut
+from cloudcut.cli import build_parser, config_from_args
+from cloudcut.experiments import build_dataset
+from cloudcut.partition import run_heuristic
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY_USE = (ROOT / "README.md").read_text(encoding="utf-8").split(
+    "## Library use", 1)[1].split("\n## ", 1)[0]
+
+
+def test_package_root_exports_exactly_the_names_the_readme_lists():
+    documented = set(re.findall(r"`(\w+)`", LIBRARY_USE))
+    documented |= set(re.search(r"^from cloudcut import (.+)$", LIBRARY_USE, re.M)[1].split(", "))
+    assert sorted(cloudcut.__all__) == sorted(documented)
+    assert all(getattr(cloudcut, name) is not None for name in cloudcut.__all__)
+
+
+def test_readme_library_example_runs(capsys):
+    exec(LIBRARY_USE.split("```python\n", 1)[1].split("```", 1)[0], {})
+    assert "objective_value" in json.loads(capsys.readouterr().out)
+
+
+def test_benchmark_trace_targets_and_attributes_resolve():
+    targets = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))["TARGETS"]
+    for module_name, path, _ in targets:  # looked up as Tracer.install does
+        owner = importlib.import_module(module_name)
+        *parents, attr = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        assert vars(owner).get(attr) is not None, f"{module_name}.{path}"
+    # what perfbench/worker.py and perfbench/workloads.py read off a job
+    config = config_from_args(build_parser().parse_args(
+        ["partition", "--users", "60", "--clouds", "3", "--regions-count", "6"]))
+    graph, model = build_dataset(config)
+    read = (graph.n_users, graph.n_edges, graph.n_connections, graph.labels, model.n_clouds,
+            *graph.edge_arrays(), *graph.friend_csr(), model.cloud_labels, model.region_cloud,
+            model.upload_volume, model.blend_weight, model.best_download, model.best_upload,
+            model.affinity.download, model.affinity.upload, model.pricing.matrix)
+    assert all(x is not None for x in read)
+    sink = io.StringIO()
+    run_heuristic(graph, model.restrict(2), config.heuristic_params(), telemetry=sink)
+    summary = json.loads(sink.getvalue().splitlines()[-1])
+    assert {"touched", "examined", "moves", "stop_reason"} <= set(summary)
