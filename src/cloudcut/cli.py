@@ -13,9 +13,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .errors import ValidationError
-from .experiments import (
+from .experiments import (  # main finds the cmd_* functions by name
     ExperimentConfig,
     cmd_evaluate,
     cmd_oracle_compare,
@@ -26,6 +27,7 @@ from .experiments import (
 )
 
 OUTPUT_DIR_ENV = "CLOUDCUT_OUTPUT_DIR"
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _add_common(p):
@@ -34,14 +36,12 @@ def _add_common(p):
     p.add_argument("--seed", type=int, dest="rng_seed", help="root RNG seed")
     p.add_argument("--alpha", type=float, help="preference/cost trade-off in [0,1]")
     p.add_argument("--cost-weight", type=float, dest="cost_weight")
-    p.add_argument("--raw-preference", action="store_true",
-                   help="score with raw instead of normalized preference")
+    p.add_argument("--raw-preference", dest="use_normalized", action="store_false",
+                   default=None, help="score with raw instead of normalized preference")
     p.add_argument("--algorithm", choices=["heuristic", "random", "min_propagation",
                                            "max_preference"])
     p.add_argument("--min-gain", type=float, dest="min_gain")
     p.add_argument("--touched-budget", type=float, dest="touched_budget")
-    p.add_argument("--termination-mode", choices=["gain_threshold", "budget", "both"],
-                   dest="termination_mode")
     p.add_argument("--edges", dest="edges_path", help="edge CSV (src,dst,weight)")
     p.add_argument("--regions", dest="regions_path")
     p.add_argument("--pricing", dest="pricing_path")
@@ -51,7 +51,7 @@ def _add_common(p):
     p.add_argument("--mean-degree", type=float, dest="synth_mean_degree")
     p.add_argument("--clouds", type=int, dest="synth_clouds")
     p.add_argument("--regions-count", type=int, dest="synth_regions")
-    p.add_argument("--telemetry", action="store_true",
+    p.add_argument("--telemetry", action="store_true", default=None,
                    help="write telemetry.jsonl next to the assignment")
 
 
@@ -91,19 +91,8 @@ def config_from_args(args):
         config = ExperimentConfig.from_json(args.config)
     else:
         config = ExperimentConfig()
-    overrides = {}
-    for key in ("output_dir", "rng_seed", "alpha", "cost_weight", "algorithm",
-                "min_gain", "touched_budget", "termination_mode",
-                "edges_path", "regions_path", "pricing_path", "affinity_path",
-                "profiles_path", "synth_users", "synth_mean_degree",
-                "synth_clouds", "synth_regions"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    if getattr(args, "raw_preference", False):
-        overrides["use_normalized"] = False
-    if getattr(args, "telemetry", False):
-        overrides["telemetry"] = True
+    # every flag whose dest names a config field overrides it when given
+    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
     env_out = os.environ.get(OUTPUT_DIR_ENV)
     if env_out:
         overrides["output_dir"] = env_out
@@ -115,20 +104,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        if args.command == "partition":
-            summary = cmd_partition(config)
-        elif args.command == "evaluate":
-            summary = cmd_evaluate(config, args.assignment)
-        elif args.command == "synth":
-            summary = cmd_synth(config)
-        elif args.command == "sweep-alpha":
-            summary = cmd_sweep_alpha(config)
-        elif args.command == "sweep-providers":
-            summary = cmd_sweep_providers(config)
-        elif args.command == "oracle-compare":
-            summary = cmd_oracle_compare(config)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValidationError(f"unknown command {args.command!r}")
+        # looked up by name on each call, so a wrapped cmd_* attribute is used
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        extra = (args.assignment,) if args.command == "evaluate" else ()
+        summary = command(config, *extra)
     except ValidationError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -220,12 +220,6 @@ class CloudModel:
     def n_users(self):
         return self.affinity.n_users
 
-    def cloud_id(self, label):
-        try:
-            return self.cloud_labels.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown cloud label {label!r}") from None
-
     def restrict(self, n_active):
         """Model over the first n_active clouds only (deterministic order).
 
@@ -305,7 +299,7 @@ def load_regions(path):
     Cloud ids follow first appearance; coordinates must be all-or-none.
     """
     cloud_labels, region_labels, region_cloud, coords = [], [], [], []
-    cloud_ids = {}
+    cloud_index = {}
     for lineno, row in enumerate(read_table(path).rows(), start=1):
         if len(row) not in (2, 4):
             raise ParseError(f"expected 2 or 4 fields, got {len(row)}", lineno)
@@ -314,16 +308,18 @@ def load_regions(path):
             raise ParseError("empty label", lineno)
         if region in region_labels:
             raise ParseError(f"duplicate region {region!r}", lineno)
-        if cloud not in cloud_ids:
-            cloud_ids[cloud] = len(cloud_labels)
+        if cloud not in cloud_index:
+            cloud_index[cloud] = len(cloud_labels)
             cloud_labels.append(cloud)
         region_labels.append(region)
-        region_cloud.append(cloud_ids[cloud])
+        region_cloud.append(cloud_index[cloud])
         if len(row) == 4:
             try:
                 coords.append((float(row[2]), float(row[3])))
             except ValueError:
                 raise ParseError("bad coordinate", lineno) from None
+    if not region_labels:
+        raise ParseError("region file has no rows")
     if coords and len(coords) != len(region_labels):
         raise ParseError("coordinates must be given for all regions or none")
     xy = np.array(coords) if coords else None

@@ -35,7 +35,11 @@ SWEEP_HEADER = ("alpha", "n_clouds", "algorithm", "objective",
 ORACLE_HEADER = ("n_edges", "instance", "heuristic_objective",
                  "optimal_objective", "ratio")
 ALGORITHMS = ("heuristic", "random", "min_propagation", "max_preference")
-_NUMBER_GRIDS = ("alpha_grid", "cloud_grid", "oracle_edge_grid")
+_GRID_KINDS = {"alpha_grid": "float", "cloud_grid": "int", "oracle_edge_grid": "int"}
+# the least value each field (each entry, for a grid) may take; inf and NaN
+# are refused too
+_LOWER_BOUNDS = {"synth_clouds": 1, "oracle_clouds": 1, "oracle_weight_scale": 0.0,
+                 "cloud_grid": 1, "oracle_edge_grid": 0}
 
 
 def _is_number(value, kind):
@@ -80,7 +84,6 @@ class ExperimentConfig:
     use_normalized: bool = True
     min_gain: float = 0.0
     touched_budget: float = 0.2
-    termination_mode: str = "both"
     # sweep grids
     alpha_grid: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
     cloud_grid: tuple | None = None
@@ -95,6 +98,13 @@ class ExperimentConfig:
     rng_seed: int = 0
     output_dir: str = "out"
     telemetry: bool = False
+
+    def __post_init__(self):
+        for name, low in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            for x in (value or ()) if name in _GRID_KINDS else (value,):
+                if not low <= x < math.inf:
+                    raise ValidationError(f"{name} must be finite and >= {low}, got {x!r}")
 
     @classmethod
     def from_dict(cls, doc):
@@ -122,9 +132,10 @@ class ExperimentConfig:
             if f.name == "algorithms" and not (
                     isinstance(value, tuple) and all(isinstance(x, str) for x in value)):
                 raise ValidationError(f"{f.name} must be a list of strings, got {value!r}")
-            if f.name in _NUMBER_GRIDS and not (
-                    isinstance(value, tuple) and all(_is_number(x, "float") for x in value)):
-                raise ValidationError(f"{f.name} must be a list of numbers, got {value!r}")
+            grid = _GRID_KINDS.get(f.name)
+            if grid and not (isinstance(value, tuple) and all(_is_number(x, grid) for x in value)):
+                what = "integers" if grid == "int" else "numbers"
+                raise ValidationError(f"{f.name} must be a list of {what}, got {value!r}")
         cfg = cls(**doc)
         if cfg.algorithm not in ALGORITHMS:
             raise ValidationError(f"algorithm must be one of {ALGORITHMS}")
@@ -161,7 +172,6 @@ class ExperimentConfig:
             objective=self.objective_params(alpha),
             min_gain=self.min_gain,
             touched_budget=self.touched_budget,
-            termination_mode=self.termination_mode,
         )
 
 
@@ -338,19 +348,20 @@ def cmd_synth(config):
             "n_users": graph.n_users, "n_edges": graph.n_edges}
 
 
-def _sweep_cloud_grid(config, model):
-    if config.cloud_grid is not None:
-        grid = [int(k) for k in config.cloud_grid]
-        for k in grid:
-            if not 1 <= k <= model.n_clouds:
-                raise ValidationError(f"cloud_grid entry {k} outside 1..{model.n_clouds}")
-        return grid
-    return [model.n_clouds]
+def _sweep(config, name, alphas, default_grid):
+    """Algorithm set x cloud-count grid x alphas; writes <name>.csv.
 
-
-def _sweep_rows(graph, model, config, alphas, cloud_counts):
+    Without a cloud_grid in the config, default_grid(n_clouds) gives the
+    cloud counts.
+    """
+    out = _outdir(config)
+    graph, model = build_dataset(config)
+    grid = default_grid(model.n_clouds) if config.cloud_grid is None else config.cloud_grid
+    for k in grid:
+        if not 1 <= k <= model.n_clouds:
+            raise ValidationError(f"cloud_grid entry {k} outside 1..{model.n_clouds}")
     rows = []
-    for k in cloud_counts:
+    for k in map(int, grid):
         sub = model.restrict(k)
         for algorithm in config.algorithms:
             for alpha in alphas:
@@ -361,32 +372,22 @@ def _sweep_rows(graph, model, config, alphas, cloud_counts):
                              report.preference_satisfaction,
                              report.inter_cloud_cost,
                              report.inter_cloud_edge_count))
-    return rows
+    path = out / f"{name}.csv"
+    _write_csv(path, SWEEP_HEADER, rows)
+    return {"sweep": str(path), "rows": len(rows)}
 
 
 def cmd_sweep_alpha(config):
-    """Alpha grid x algorithm set x cloud-count grid; writes sweep_alpha.csv."""
-    out = _outdir(config)
-    graph, model = build_dataset(config)
-    rows = _sweep_rows(graph, model, config,
-                       [float(a) for a in config.alpha_grid],
-                       _sweep_cloud_grid(config, model))
-    path = out / "sweep_alpha.csv"
-    _write_csv(path, SWEEP_HEADER, rows)
-    return {"sweep": str(path), "rows": len(rows)}
+    """Alpha grid x algorithm set x cloud-count grid (default: all clouds);
+    writes sweep_alpha.csv."""
+    return _sweep(config, "sweep_alpha", [float(a) for a in config.alpha_grid],
+                  lambda n: [n])
 
 
 def cmd_sweep_providers(config):
-    """Cloud-count grid at fixed alpha; writes sweep_providers.csv."""
-    out = _outdir(config)
-    graph, model = build_dataset(config)
-    grid = (config.cloud_grid if config.cloud_grid is not None
-            else range(1, model.n_clouds + 1))
-    rows = _sweep_rows(graph, model, config, [config.alpha],
-                       [int(k) for k in grid])
-    path = out / "sweep_providers.csv"
-    _write_csv(path, SWEEP_HEADER, rows)
-    return {"sweep": str(path), "rows": len(rows)}
+    """Cloud-count grid (default: 1..all clouds) at fixed alpha; writes
+    sweep_providers.csv."""
+    return _sweep(config, "sweep_providers", [config.alpha], lambda n: range(1, n + 1))
 
 
 def make_oracle_instance(config, n_edges, instance):
@@ -423,13 +424,12 @@ def make_oracle_instance(config, n_edges, instance):
 
 def oracle_heuristic_params(config, alpha=None):
     """Full re-hosting pass for oracle-scale instances: on a handful of
-    connections a touched budget would examine almost nothing, so the stop is
-    the gain threshold alone."""
+    connections a touched budget would examine almost nothing, so the budget
+    is lifted and the stop is the gain threshold alone."""
     return HeuristicParams(
         objective=config.objective_params(alpha),
         min_gain=config.min_gain,
         touched_budget=1.0,
-        termination_mode="gain_threshold",
     )
 
 

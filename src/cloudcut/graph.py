@@ -84,17 +84,16 @@ class SocialGraph:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_records(cls, records, extra_users=()):
+    def from_records(cls, records):
         """Build from (src_label, dst_label, weight) records.
 
         Labels are stripped of surrounding whitespace and get dense ids in
-        order of first appearance; extra_users (if given) are appended as
-        isolated nodes when they carry no edges.
+        order of first appearance.
         """
-        return cls._from_table(Table(records), extra_users)
+        return cls._from_table(Table(records))
 
     @classmethod
-    def _from_table(cls, table, extra_users=()):
+    def _from_table(cls, table):
         n = table.prefix(3)
         pairs = [None] * (2 * n)
         pairs[0::2] = stripped(table.column(0, n))
@@ -110,9 +109,6 @@ class SocialGraph:
         i = first(bad)
         if i < table.n_rows:
             _check_edge_row(table.row(i), i + 1)
-        for lab in extra_users:
-            if lab not in ids:
-                ids[lab] = len(ids)
         return cls(ids, src, dst, weight)
 
     # -- basic accessors ---------------------------------------------------
@@ -128,12 +124,6 @@ class SocialGraph:
     @property
     def labels(self):
         return self._labels
-
-    def user_id(self, label):
-        try:
-            return self._ids[label]
-        except KeyError:
-            raise ValidationError(f"unknown user label {label!r}") from None
 
     def user_ids(self, labels):
         """int64 array of the ids of a sequence of labels, -1 for a label
@@ -152,33 +142,21 @@ class SocialGraph:
         off, nbr, _, _ = self._friends
         return nbr[off[u]:off[u + 1]]
 
-    def friend_arrays(self, u):
-        """(neighbors, weight u->nbr, weight nbr->u), neighbors ascending."""
-        off, nbr, wout, win = self._friends
-        sl = slice(off[u], off[u + 1])
-        return nbr[sl], wout[sl], win[sl]
-
     def friend_csr(self):
         """Raw merged-adjacency arrays (offsets, neighbors, w_out, w_in)."""
         return self._friends
 
-    def edge_weight(self, u, v):
-        """Weight of directed edge u->v, 0.0 if absent."""
-        nbr, wout, _ = self.friend_arrays(u)
-        pos = np.searchsorted(nbr, v)
-        if pos < nbr.size and nbr[pos] == v:
-            return float(wout[pos])
-        return 0.0
-
     # -- connections -------------------------------------------------------
 
     def connection_arrays(self):
-        """(a, b, combined_weight) arrays over unordered pairs, a < b."""
+        """(a, b, w_ab, w_ba) arrays over unordered pairs a < b, sorted by
+        (a, b): the friend CSR's row < col entries, with the weight of each
+        direction (0.0 where that edge is absent)."""
         if self._conn_cache is None:
             off, nbr, wout, win = self._friends
             row = np.repeat(np.arange(self.n_users), np.diff(off))
             upper = row < nbr
-            conns = (row[upper], nbr[upper], wout[upper] + win[upper])
+            conns = (row[upper], nbr[upper], wout[upper], win[upper])
             for arr in conns:
                 arr.setflags(write=False)
             self._conn_cache = conns
@@ -314,8 +292,8 @@ def synth_graph(n_users, mean_degree, weight_tail_exponent, rng_seed):
     """
     if n_users < 2:
         raise ValidationError("n_users must be >= 2")
-    if mean_degree <= 0:
-        raise ValidationError("mean_degree must be positive")
+    if not 0 < mean_degree < np.inf:
+        raise ValidationError("mean_degree must be positive and finite")
     if weight_tail_exponent <= 1:
         raise ValidationError("weight_tail_exponent must be > 1")
 

@@ -3,15 +3,15 @@
 An assignment maps every user to exactly one cloud.  Each social connection
 whose endpoints land on different clouds forces cross-cloud replication of
 the propagated content, priced per direction by the pricing matrix.  The
-per-user replication cost splits every connection's cost evenly between its
-two endpoints, so the per-user costs sum to the plain directed total
+transfer cost of an assignment is the plain directed total
 
-    sum over directed edges (u, v) of price[cloud(u), cloud(v)] * weight(u, v)
+    cost = sum over directed edges (u, v) of price[cloud(u), cloud(v)] * weight(u, v)
 
-with nothing counted twice.  The score an assignment maximizes is
+which counts nothing twice (splitting every connection's cost evenly
+between its two endpoints gives per-user costs with the same sum).  The
+score an assignment maximizes is
 
-    sum over users u of  alpha * pref(u, cloud(u))
-                       - (1 - alpha) * cost_weight * replication_cost(u)
+    alpha * (sum over users u of pref(u, cloud(u)))  -  (1 - alpha) * cost_weight * cost
 
 where pref is the normalized preference by default (raw preference on
 request) and cost_weight calibrates propagation volume units against
@@ -86,8 +86,8 @@ class Assignment:
         table = read_table(path)
         n = table.prefix(2)
         user = graph.user_ids(stripped(table.column(0, n)))
-        cloud_ids = {lab: c for c, lab in enumerate(model.cloud_labels)}
-        cloud = ids_of(cloud_ids, stripped(table.column(1, n)))
+        cloud_index = {lab: c for c, lab in enumerate(model.cloud_labels)}
+        cloud = ids_of(cloud_index, stripped(table.column(1, n)))
         seen = repeats(user)
         i = first((user < 0) | seen | (cloud < 0))
         if i < table.n_rows:
@@ -107,19 +107,8 @@ class Assignment:
         return cls(host)
 
 
-def replication_cost(u, assignment, graph, model):
-    """User u's half-share of the priced traffic on its connections."""
-    nbrs, wout, win = graph.friend_arrays(u)
-    if nbrs.size == 0:
-        return 0.0
-    P = model.pricing.matrix
-    cu = assignment.host[u]
-    cn = assignment.host[nbrs]
-    return float(0.5 * (P[cu, cn] @ wout + P[cn, cu] @ win))
-
-
 def transfer_cost_total(assignment, graph, model):
-    """Directed priced traffic total; equals the sum of per-user costs."""
+    """Directed priced traffic total over every edge."""
     src, dst, w = graph.edge_arrays()
     if src.size == 0:
         return 0.0
@@ -185,7 +174,7 @@ def evaluate(assignment, graph, model, params):
         inter_cost = float(np.dot(P[h[src], h[dst]] * cross, w))
     else:
         inter_cost = 0.0
-    ca, cb, _ = graph.connection_arrays()
+    ca, cb, _, _ = graph.connection_arrays()
     edge_count = int(np.count_nonzero(h[ca] != h[cb]))
     psi = preference_matrix(graph, model)
     psi_norm = normalize_rows(psi)

@@ -13,9 +13,8 @@ The gain of a move is the preference change it buys minus the weighted change
 in priced traffic it causes over every edge incident to the moved user(s),
 neighbors on third clouds included, so an applied gain equals the change in
 the placement score.  The option with the largest gain is applied (ties keep
-users put), and the walk stops when either a touched-connection budget is
-spent or the best gain falls below a threshold, depending on the termination
-mode.
+users put), and the walk stops when a touched-connection budget is spent or
+the best gain falls below a threshold, whichever comes first.
 
 The walk is windowed.  It takes the next _WINDOW pairs of the sorted order,
 scores every pair of the window that is still cross-cloud in one batched
@@ -46,27 +45,24 @@ from .errors import SearchSpaceError, ValidationError
 from .objective import Assignment, ObjectiveParams
 
 _CASES = ("keep", "move_u", "move_v", "move_both")
-_TERMINATION_MODES = ("gain_threshold", "budget", "both")
 _WINDOW = 256  # sorted pairs scored per batched kernel call
 
 
 @dataclass(frozen=True)
 class HeuristicParams:
-    """Knobs of the re-hosting walk.
+    """Knobs of the re-hosting walk, which stops at whichever stop comes first.
 
     min_gain is the stop threshold on the per-connection best gain (score
-    units); touched_budget is the fraction of all connections the walk may
-    pop before stopping; termination_mode picks which of the two stops apply.
+    units); the best gain is never below keep's 0.0, so min_gain <= 0 never
+    stops the walk.  touched_budget is the fraction of all connections the
+    walk may pop before stopping; 1.0 lets it reach every cross pair.
     """
 
     objective: ObjectiveParams
     min_gain: float = 0.0
     touched_budget: float = 0.2
-    termination_mode: str = "both"
 
     def __post_init__(self):
-        if self.termination_mode not in _TERMINATION_MODES:
-            raise ValidationError(f"termination_mode must be one of {_TERMINATION_MODES}")
         if not 0.0 <= self.touched_budget <= 1.0:
             raise ValidationError("touched_budget must lie in [0, 1]")
         if not math.isfinite(self.min_gain):
@@ -152,20 +148,6 @@ def initial_hosting(graph, model):
     return Assignment(np.argmax(psi, axis=1))
 
 
-def _directional_weights(friends, ca, cb):
-    """(e_ab, e_ba) per connection (a, b): the friend CSR's row < col entries.
-
-    Both the connections and those entries are sorted by (a, b), so entry i
-    belongs to connection i.
-    """
-    off, nbr, wout, win = friends
-    row = np.repeat(np.arange(off.size - 1), np.diff(off))
-    upper = row < nbr
-    assert np.array_equal(row[upper], ca) and np.array_equal(nbr[upper], cb), \
-        "friend CSR and connection order disagree"
-    return wout[upper], win[upper]
-
-
 def run_heuristic(graph, model, params, telemetry=None):
     """Preference-first hosting followed by one cost-aware re-hosting walk.
 
@@ -182,18 +164,14 @@ def run_heuristic(graph, model, params, telemetry=None):
     alpha = params.objective.alpha
     cost_scale = (1.0 - alpha) * params.objective.cost_weight
 
-    ca, cb, cw = graph.connection_arrays()
+    ca, cb, e_ab, e_ba = graph.connection_arrays()
+    cw = e_ab + e_ba
     friends = graph.friend_csr()
-    e_ab, e_ba = _directional_weights(friends, ca, cb)
     total_connections = ca.size
     order = np.lexsort((cb, ca, -cw))
     cross = order[host[ca[order]] != host[cb[order]]]
-
-    budget_capped = params.termination_mode in ("budget", "both")
-    threshold_capped = params.termination_mode in ("gain_threshold", "both")
-    cap = math.ceil(params.touched_budget * total_connections) if budget_capped else None
     # every pair the walk reaches is touched, so the budget caps the prefix
-    end = cross.size if cap is None else min(cross.size, cap)
+    end = min(cross.size, math.ceil(params.touched_budget * total_connections))
 
     def score(idx):
         """[(move_u, move_v, move_both, third cloud)] per connection in idx."""
@@ -238,7 +216,7 @@ def run_heuristic(graph, model, params, telemetry=None):
                 moves += 1
             if telemetry is not None:
                 rows.append((u, v, float(cw[idx]), case, gain, target))
-            if threshold_capped and gain < params.min_gain:
+            if gain < params.min_gain:
                 stop_reason = "gain_threshold"
                 break
     if stop_reason == "exhausted" and touched < cross.size:

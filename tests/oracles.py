@@ -28,6 +28,21 @@ from cloudcut.cloud import preference_matrix
 from cloudcut.graph import load_graph
 
 
+def edge_weight(graph, u, v):
+    """Weight of the directed edge u->v, 0.0 if absent."""
+    src, dst, w = graph.edge_arrays()
+    hit = (src == u) & (dst == v)
+    return float(w[hit][0]) if hit.any() else 0.0
+
+
+def friend_arrays(graph, u):
+    """(neighbors, weight u->nbr, weight nbr->u) of u, neighbors ascending:
+    u's row of the friend CSR."""
+    off, nbr, wout, win = graph.friend_csr()
+    sl = slice(off[u], off[u + 1])
+    return nbr[sl], wout[sl], win[sl]
+
+
 def naive_download_index(u, c, graph, model):
     total = 0.0
     for v in graph.friends(u):
@@ -78,6 +93,17 @@ def naive_transfer_cost(host, graph, model):
                for s, d, w in zip(*graph.edge_arrays()))
 
 
+def replication_cost(u, assignment, graph, model):
+    """User u's half-share of the priced traffic on its connections."""
+    P = model.pricing.matrix
+    h = assignment.host
+    total = 0.0
+    for s, d, w in zip(*graph.edge_arrays()):
+        if u in (s, d):
+            total += 0.5 * float(P[h[s], h[d]]) * float(w)
+    return total
+
+
 def naive_inter_cloud_cost(host, graph, model):
     P = model.pricing.matrix
     return sum(float(P[host[s], host[d]]) * float(w)
@@ -115,7 +141,7 @@ def kernel_pair_gains(u, v, host, graph, model, alpha, cost_weight=1.0, normaliz
     psi = preference_matrix(graph, model, normalized=normalized)
     gain_u, gain_v, joint = partition._batch_gains(
         np.array([u]), np.array([v]),
-        np.array([graph.edge_weight(u, v)]), np.array([graph.edge_weight(v, u)]),
+        np.array([edge_weight(graph, u, v)]), np.array([edge_weight(graph, v, u)]),
         np.asarray(host), psi, graph.friend_csr(), model.pricing.matrix,
         alpha, (1.0 - alpha) * cost_weight)
     return float(gain_u[0]), float(gain_v[0]), joint[0]
@@ -178,7 +204,7 @@ def naive_pair_gains(u, v, host, psi, graph, P, alpha, cost_scale):
     c, d = int(host[u]), int(host[v])
     seats = []
     for x in (u, v):
-        nbrs, wout, win = graph.friend_arrays(x)
+        nbrs, wout, win = friend_arrays(graph, x)
         cn = host[nbrs]
         a_out = np.bincount(cn, weights=wout, minlength=C)
         a_in = np.bincount(cn, weights=win, minlength=C)
@@ -186,8 +212,8 @@ def naive_pair_gains(u, v, host, psi, graph, P, alpha, cost_scale):
     seat_u, seat_v = seats
     delta_u = seat_u[d] - seat_u[c]
     delta_v = seat_v[c] - seat_v[d]
-    e_uv = graph.edge_weight(u, v)
-    e_vu = graph.edge_weight(v, u)
+    e_uv = edge_weight(graph, u, v)
+    e_vu = edge_weight(graph, v, u)
     seat_u_solo = seat_u - (P[:, d] * e_uv + P[d, :] * e_vu)
     seat_v_solo = seat_v - (P[:, c] * e_vu + P[c, :] * e_uv)
     pair_delta = np.diag(P) * (e_uv + e_vu) - (P[c, d] * e_uv + P[d, c] * e_vu)
@@ -217,19 +243,17 @@ def naive_walk(graph, model, params, telemetry=None):
     alpha = params.objective.alpha
     cost_scale = (1.0 - alpha) * params.objective.cost_weight
 
-    ca, cb, cw = graph.connection_arrays()
+    ca, cb, e_ab, e_ba = graph.connection_arrays()
+    cw = e_ab + e_ba
     total_connections = ca.size
     order = np.lexsort((cb, ca, -cw))
     cross = order[host[ca[order]] != host[cb[order]]]
-
-    budget_capped = params.termination_mode in ("budget", "both")
-    threshold_capped = params.termination_mode in ("gain_threshold", "both")
-    cap = math.ceil(params.touched_budget * total_connections) if budget_capped else None
+    cap = math.ceil(params.touched_budget * total_connections)
 
     touched = examined = moves = 0
     stop_reason = "exhausted"
     for idx in cross:
-        if cap is not None and touched >= cap:
+        if touched >= cap:
             stop_reason = "budget"
             break
         touched += 1
@@ -260,7 +284,7 @@ def naive_walk(graph, model, params, telemetry=None):
                 "case": case, "gain": gain,
                 "target": target,
             }) + "\n")
-        if threshold_capped and gain < params.min_gain:
+        if gain < params.min_gain:
             stop_reason = "gain_threshold"
             break
     if telemetry is not None:
@@ -278,7 +302,7 @@ def naive_walk(graph, model, params, telemetry=None):
 # time.  The only change is that naive_load_graph strips surrounding
 # whitespace from labels, as the other loaders always did.
 
-def naive_load_graph(source, extra_users=()):
+def naive_load_graph(source):
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             records = [row for row in csv.reader(fh)]
@@ -317,14 +341,11 @@ def naive_load_graph(source, extra_users=()):
         src.append(ia)
         dst.append(ib)
         wt.append(w)
-    for lab in extra_users:
-        if lab not in ids:
-            ids[lab] = len(labels)
-            labels.append(lab)
     return SocialGraph(labels, src, dst, wt)
 
 
 def naive_load_affinities(path, graph, region_labels, ignore_unknown_users=False):
+    user_ids = {lab: i for i, lab in enumerate(graph.labels)}
     region_ids = {lab: i for i, lab in enumerate(region_labels)}
     table = np.zeros((2, graph.n_users, len(region_labels)))  # download, upload
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -332,12 +353,11 @@ def naive_load_affinities(path, graph, region_labels, ignore_unknown_users=False
             if len(row) != 4:
                 raise ParseError(f"expected 4 fields, got {len(row)}", lineno)
             ulab, rlab = row[0].strip(), row[1].strip()
-            try:
-                u = graph.user_id(ulab)
-            except ValidationError:
+            u = user_ids.get(ulab)
+            if u is None:
                 if ignore_unknown_users:
                     continue
-                raise ParseError(f"unknown user {ulab!r}", lineno) from None
+                raise ParseError(f"unknown user {ulab!r}", lineno)
             if rlab not in region_ids:
                 raise ParseError(f"unknown region {rlab!r}", lineno)
             try:
@@ -356,18 +376,18 @@ def naive_load_profiles(path, graph, region_labels=None, ignore_unknown_users=Fa
     vol = vol.copy()
     blend = blend.copy()
     home = np.full(graph.n_users, -1, dtype=np.int64)
+    user_ids = {lab: i for i, lab in enumerate(graph.labels)}
     region_ids = {lab: i for i, lab in enumerate(region_labels or ())}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if len(row) not in (3, 4):
                 raise ParseError(f"expected 3 or 4 fields, got {len(row)}", lineno)
             ulab = row[0].strip()
-            try:
-                u = graph.user_id(ulab)
-            except ValidationError:
+            u = user_ids.get(ulab)
+            if u is None:
                 if ignore_unknown_users:
                     continue
-                raise ParseError(f"unknown user {ulab!r}", lineno) from None
+                raise ParseError(f"unknown user {ulab!r}", lineno)
             try:
                 vol[u] = float(row[1])
                 blend[u] = float(row[2])
@@ -385,19 +405,21 @@ def naive_load_profiles(path, graph, region_labels=None, ignore_unknown_users=Fa
 
 def naive_read_assignment(path, graph, model):
     host = np.full(graph.n_users, -1, dtype=np.int64)
+    user_ids = {lab: i for i, lab in enumerate(graph.labels)}
+    cloud_ids = {lab: c for c, lab in enumerate(model.cloud_labels)}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if len(row) != 2:
                 raise ValidationError(f"line {lineno}: expected 2 fields")
             ulab, clab = row[0].strip(), row[1].strip()
-            if ulab not in graph.labels:
+            if ulab not in user_ids:
                 raise ValidationError(f"line {lineno}: unknown user label {ulab!r}")
-            u = graph.user_id(ulab)
+            u = user_ids[ulab]
             if host[u] >= 0:
                 raise ValidationError(f"line {lineno}: duplicate user {row[0]!r}")
-            if clab not in model.cloud_labels:
+            if clab not in cloud_ids:
                 raise ValidationError(f"line {lineno}: unknown cloud label {clab!r}")
-            host[u] = model.cloud_id(clab)
+            host[u] = cloud_ids[clab]
     if np.any(host < 0):
         missing = graph.label_of(int(np.nonzero(host < 0)[0][0]))
         raise ValidationError(f"assignment missing user {missing!r}")
@@ -408,9 +430,9 @@ def naive_graph_arrays(n_users, src, dst, weight):
     """The arrays a SocialGraph derives from its edge records, by dict and
     sort: (edges, friend CSR, connections).
 
-    Duplicate pairs are summed in record order starting from 0.0, friend
-    slots hold the weight of each direction (0.0 when absent), and a
-    connection's weight adds its pair's edges in (src, dst) order.
+    Duplicate pairs are summed in record order starting from 0.0; friend
+    slots and connections hold the weight of each direction (0.0 when
+    absent).
     """
     merged = {}
     for s, d, w in zip(src, dst, weight):
@@ -424,11 +446,7 @@ def naive_graph_arrays(n_users, src, dst, weight):
     friend_off = [0] * (n_users + 1)
     for r, _ in friend:
         friend_off[r + 1] += 1
-    conns = {}
-    for (s, d) in edges:
-        key = (min(s, d), max(s, d))
-        conns[key] = conns.get(key, 0.0) + merged[(s, d)]
-    pairs = sorted(conns)
+    pairs = sorted({(min(s, d), max(s, d)) for s, d in edges})
     return {
         "src": [s for s, _ in edges],
         "dst": [d for _, d in edges],
@@ -439,5 +457,6 @@ def naive_graph_arrays(n_users, src, dst, weight):
         "friend_in": [slots[k][1] for k in friend],
         "conn_a": [a for a, _ in pairs],
         "conn_b": [b for _, b in pairs],
-        "conn_weight": [conns[p] for p in pairs],
+        "conn_ab": [merged.get((a, b), 0.0) for a, b in pairs],
+        "conn_ba": [merged.get((b, a), 0.0) for a, b in pairs],
     }

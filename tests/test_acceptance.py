@@ -87,8 +87,7 @@ def test_criterion_2_gain_soundness(criterion):
     while applied < 1000 and seed < 80:
         graph, model = make_instance(seed, n_users=60, n_clouds=4,
                                      n_edges=250, pricing="random")
-        params = HeuristicParams(obj, touched_budget=1.0,
-                                 termination_mode="budget")
+        params = HeuristicParams(obj, touched_budget=1.0)
         buf = io.StringIO()
         run_heuristic(graph, model, params, telemetry=buf)
         host = initial_hosting(graph, model).host

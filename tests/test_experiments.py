@@ -106,8 +106,9 @@ def test_synth_dataset_round_trips_through_files(tmp_path):
     assert by_label(graph1) == by_label(graph0)
     assert model1.cloud_labels == model0.cloud_labels
     assert np.array_equal(model1.pricing.matrix, model0.pricing.matrix)
-    for lab in graph0.labels:
-        u0, u1 = graph0.user_id(lab), graph1.user_id(lab)
+    ids1 = graph1.user_ids(graph0.labels)
+    assert ids1.min(initial=0) >= 0
+    for u0, u1 in enumerate(ids1):
         assert model1.home_region[u1] == model0.home_region[u0]
         assert model1.upload_volume[u1] == model0.upload_volume[u0]
         assert np.array_equal(model1.affinity.download[u1],
@@ -273,17 +274,20 @@ def test_cli_env_var_overrides_output_dir(tmp_path, capsys, monkeypatch):
 
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     cfgp = tmp_path / "config.json"
-    cfgp.write_text(json.dumps({"bogus": 1}))
-    code, stdout, stderr = run_cli(["partition", "--config", str(cfgp)], capsys)
-    assert code == 2
-    assert stdout == ""
-    err = json.loads(stderr)
-    assert err["error"] == "ValidationError"
-    assert "bogus" in err["message"]
+    # termination_mode was a key once; its two stops are min_gain and touched_budget
+    for doc in ({"bogus": 1}, {"termination_mode": "budget"}):
+        cfgp.write_text(json.dumps(doc))
+        code, stdout, stderr = run_cli(["partition", "--config", str(cfgp)], capsys)
+        assert code == 2
+        assert stdout == ""
+        err = json.loads(stderr)
+        assert err["error"] == "ValidationError"
+        assert next(iter(doc)) in err["message"]
 
 
 @pytest.mark.parametrize("doc", [{"alpha": "x"}, {"touched_budget": None},
-                                 {"synth_users": 2.5}, {"alpha_grid": [0.5, "x"]}])
+                                 {"synth_users": 2.5}, {"alpha_grid": [0.5, "x"]},
+                                 {"cloud_grid": [1.5]}, {"oracle_edge_grid": [2.5]}])
 def test_cli_mistyped_config_value_exits_2(tmp_path, capsys, doc):
     cfgp = tmp_path / "config.json"
     cfgp.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "o")}))
@@ -293,6 +297,37 @@ def test_cli_mistyped_config_value_exits_2(tmp_path, capsys, doc):
     err = json.loads(stderr)
     assert err["error"] == "ValidationError"
     assert next(iter(doc)) in err["message"]
+
+
+@pytest.mark.parametrize("doc", [{"oracle_clouds": 0}, {"oracle_weight_scale": -1},
+                                 {"oracle_edge_grid": [-1]}])
+def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys, doc):
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "o")}))
+    code, stdout, stderr = run_cli(["oracle-compare", "--config", str(cfgp)], capsys)
+    assert (code, stdout) == (2, "")
+    err = json.loads(stderr)
+    assert err["error"] == "ValidationError"
+    assert next(iter(doc)) in err["message"]
+
+
+def test_cli_zero_clouds_flag_exits_2(tmp_path, capsys):
+    code, stdout, stderr = run_cli(
+        ["partition", "--clouds", "0", "--users", "20", "--output-dir", str(tmp_path / "o")],
+        capsys)
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {"error": "ValidationError",
+                                  "message": "synth_clouds must be finite and >= 1, got 0"}
+
+
+def test_cli_empty_regions_file_exits_2(tmp_path, capsys):
+    regions = tmp_path / "regions.csv"
+    regions.write_text("")
+    code, stdout, stderr = run_cli(
+        ["partition", "--regions", str(regions), "--users", "20",
+         "--output-dir", str(tmp_path / "o")], capsys)
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {"error": "ParseError", "message": "region file has no rows"}
 
 
 @pytest.mark.parametrize("doc", [{"output_dir": 5}, {"edges_path": 7},

@@ -216,10 +216,10 @@ def test_graph_arrays_match_the_loop_oracle_on_repeated_float_pairs():
     want = naive_graph_arrays(n, src.tolist(), dst.tolist(), weight.tolist())
     s, d, w = g.edge_arrays()
     off, col, wout, win = g.friend_csr()
-    ca, cb, cw = g.connection_arrays()
+    ca, cb, w_ab, w_ba = g.connection_arrays()
     got = {"src": s, "dst": d, "weight": w, "friend_offsets": off, "friend_col": col,
            "friend_out": wout, "friend_in": win, "conn_a": ca, "conn_b": cb,
-           "conn_weight": cw}
+           "conn_ab": w_ab, "conn_ba": w_ba}
     for key, arr in got.items():
         assert same_arrays(arr, np.array(want[key], dtype=arr.dtype)), key
         assert arr.dtype == (np.float64 if isinstance(want[key][0], float) else np.int64)

@@ -15,12 +15,13 @@ from cloudcut import (
     total_objective,
 )
 from cloudcut.graph import load_graph
-from cloudcut.objective import EvaluationReport, replication_cost, transfer_cost_total
+from cloudcut.objective import EvaluationReport, transfer_cost_total
 from oracles import (
     make_instance,
     naive_inter_cloud_cost,
     naive_total_objective,
     naive_transfer_cost,
+    replication_cost,
     two_user_instance,
 )
 
@@ -163,7 +164,7 @@ def test_evaluate_counts_only_cross_cloud_traffic():
         rep = evaluate(a, graph, model, ObjectiveParams(alpha=0.4))
         assert rep.inter_cloud_cost == pytest.approx(
             naive_inter_cloud_cost(a.host, graph, model))
-        ca, cb, _ = graph.connection_arrays()
+        ca, cb, _, _ = graph.connection_arrays()
         crossing = sum(1 for x, y in zip(ca, cb) if a.host[x] != a.host[y])
         assert rep.inter_cloud_edge_count == crossing
         assert sum(rep.per_cloud_user_counts.values()) == graph.n_users

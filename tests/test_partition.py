@@ -84,7 +84,7 @@ def test_exact_delta_matches_full_recompute_for_every_case():
                                      pricing="random")
         rng = np.random.default_rng(seed + 50)
         host = rng.integers(0, 4, size=graph.n_users)
-        ca, cb, _ = graph.connection_arrays()
+        ca, cb, _, _ = graph.connection_arrays()
         for u, v in zip(ca, cb):
             u, v = int(u), int(v)
             if host[u] == host[v]:
@@ -115,7 +115,7 @@ def test_gains_equal_score_deltas_in_exact_mode():
             params = params_for(alpha)
             assign = initial_hosting(graph, model)
             base = total_objective(assign, graph, model, params.objective)
-            ca, cb, _ = graph.connection_arrays()
+            ca, cb, _, _ = graph.connection_arrays()
             host = assign.host
             checked = 0
             for u, v in zip(ca, cb):
@@ -140,7 +140,7 @@ def test_gains_at_alpha_one_are_pure_preference_deltas():
     assign = initial_hosting(graph, model)
     psi = preference_matrix(graph, model, normalized=True)
     host = assign.host
-    ca, cb, _ = graph.connection_arrays()
+    ca, cb, _, _ = graph.connection_arrays()
     pair = next((int(u), int(v)) for u, v in zip(ca, cb) if host[u] != host[v])
     u, v = pair
     c, d = host[u], host[v]
@@ -178,7 +178,7 @@ def test_initial_hosting_picks_argmax_preference():
 
 
 def test_initial_hosting_breaks_ties_toward_lowest_cloud():
-    graph = SocialGraph.from_records([], extra_users=("lone",))
+    graph = SocialGraph(["lone"], [], [], [])
     model = CloudModel(["c0", "c1", "c2"], ["r0", "r1", "r2"], [0, 1, 2],
                        PricingMatrix.uniform(3),
                        AffinityTable(np.zeros((1, 3)), np.ones((1, 3))),
@@ -190,8 +190,6 @@ def test_initial_hosting_breaks_ties_toward_lowest_cloud():
 
 def test_heuristic_params_validation():
     obj = ObjectiveParams(alpha=0.5)
-    with pytest.raises(ValidationError):
-        HeuristicParams(obj, termination_mode="never")
     with pytest.raises(ValidationError):
         HeuristicParams(obj, touched_budget=1.5)
     with pytest.raises(ValidationError):
@@ -223,7 +221,7 @@ def test_heuristic_telemetry_gains_replay_exactly():
     for seed in range(4):
         graph, model = make_instance(seed, n_users=20, n_clouds=4, n_edges=70,
                                      pricing="random")
-        params = params_for(0.4, touched_budget=1.0, termination_mode="budget")
+        params = params_for(0.4, touched_budget=1.0)
         buf = io.StringIO()
         result = run_heuristic(graph, model, params, telemetry=buf)
         lines = [json.loads(l) for l in buf.getvalue().splitlines()]
@@ -259,7 +257,7 @@ def test_heuristic_telemetry_gains_replay_exactly():
 def test_heuristic_respects_touched_budget():
     graph, model = make_instance(1, n_users=30, n_clouds=4, n_edges=120,
                                  pricing="random")
-    params = params_for(0.2, touched_budget=0.1, termination_mode="budget")
+    params = params_for(0.2, touched_budget=0.1)
     buf = io.StringIO()
     run_heuristic(graph, model, params, telemetry=buf)
     summary = json.loads(buf.getvalue().splitlines()[-1])
@@ -271,8 +269,7 @@ def test_heuristic_respects_touched_budget():
 def test_heuristic_gain_threshold_stops_the_walk():
     graph, model = make_instance(1, n_users=30, n_clouds=4, n_edges=120,
                                  pricing="random")
-    params = params_for(0.2, min_gain=1e9, touched_budget=1.0,
-                        termination_mode="gain_threshold")
+    params = params_for(0.2, min_gain=1e9, touched_budget=1.0)
     buf = io.StringIO()
     run_heuristic(graph, model, params, telemetry=buf)
     summary = json.loads(buf.getvalue().splitlines()[-1])
@@ -300,7 +297,7 @@ def test_brute_force_finds_the_known_optimum():
 
 
 def test_brute_force_breaks_ties_lexicographically():
-    graph = SocialGraph.from_records([], extra_users=("a", "b"))
+    graph = SocialGraph(["a", "b"], [], [], [])
     model = CloudModel(["c0", "c1"], ["r0", "r1"], [0, 1],
                        PricingMatrix.uniform(2),
                        AffinityTable(np.zeros((2, 2)), np.zeros((2, 2))),
@@ -328,8 +325,7 @@ def test_brute_force_dominates_the_heuristic():
                                      pricing="random")
         for alpha in (0.25, 0.75):
             obj = ObjectiveParams(alpha=alpha)
-            hp = HeuristicParams(obj, touched_budget=1.0,
-                                 termination_mode="gain_threshold")
+            hp = HeuristicParams(obj, touched_budget=1.0)
             best = total_objective(brute_force_optimal(graph, model, obj),
                                    graph, model, obj)
             ours = total_objective(run_heuristic(graph, model, hp),

@@ -4,7 +4,7 @@ run_heuristic scores a window of sorted pairs in one batch and rescores a
 pair on its own only when one of its users, or a friend of one, moved since
 the batch.  These tests hold it to naive_walk, which scores every pair just
 before deciding it: the same assignment and the same telemetry bytes,
-whatever the window size, pricing, alpha and stop rule.
+whatever the window size, pricing, alpha, budget and gain threshold.
 """
 
 import io
@@ -50,17 +50,16 @@ def summary(telemetry):
        n_clouds=st.sampled_from([1, 2, 3, 5]),
        edge_share=st.floats(0.05, 1.0),
        alpha=st.floats(0.0, 1.0),
-       mode=st.sampled_from(["budget", "gain_threshold", "both"]),
-       budget=st.floats(0.0, 1.0),
+       budget=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
        min_gain=st.floats(-0.5, 0.5),
        window=st.sampled_from([1, 7, 256]))
 def test_windowed_walk_matches_the_naive_walk(seed, n_users, n_clouds, edge_share,
-                                              alpha, mode, budget, min_gain, window):
+                                              alpha, budget, min_gain, window):
     n_edges = max(1, int(edge_share * n_users * (n_users - 1)))
     graph, model = make_instance(seed, n_users=n_users, n_clouds=n_clouds,
                                  n_edges=n_edges, pricing="random", weight_scale=2.0)
     params = HeuristicParams(ObjectiveParams(alpha=alpha), min_gain=min_gain,
-                             touched_budget=budget, termination_mode=mode)
+                             touched_budget=budget)
     windowed, naive = both_walks(graph, model, params, window)
     assert windowed == naive
 
@@ -68,8 +67,7 @@ def test_windowed_walk_matches_the_naive_walk(seed, n_users, n_clouds, edge_shar
 def test_budget_stops_the_walk_inside_a_window():
     graph, model = make_instance(3, n_users=200, n_clouds=5, n_edges=1500,
                                  pricing="random")
-    params = HeuristicParams(ObjectiveParams(alpha=0.3), touched_budget=0.25,
-                             termination_mode="budget")
+    params = HeuristicParams(ObjectiveParams(alpha=0.3), touched_budget=0.25)
     windowed, naive = both_walks(graph, model, params)
     assert windowed == naive
     s = summary(windowed[1])
@@ -83,7 +81,7 @@ def test_gain_threshold_stops_the_walk_inside_a_window():
     graph, model = make_instance(0, n_users=60, n_clouds=4, n_edges=300,
                                  pricing="random")
     params = HeuristicParams(ObjectiveParams(alpha=0.3), min_gain=1e-9,
-                             touched_budget=1.0, termination_mode="gain_threshold")
+                             touched_budget=1.0)
     windowed, naive = both_walks(graph, model, params, window=7)
     assert windowed == naive
     s = summary(windowed[1])
@@ -114,8 +112,7 @@ def test_pair_turns_same_cloud_after_a_friend_moves():
 def test_windowed_walk_matches_over_several_full_windows(seed):
     graph, model = make_instance(seed, n_users=2000, n_clouds=6, n_edges=16000,
                                  pricing="random", weight_scale=3.0)
-    params = HeuristicParams(ObjectiveParams(alpha=0.5), touched_budget=1.0,
-                             termination_mode="budget")
+    params = HeuristicParams(ObjectiveParams(alpha=0.5), touched_budget=1.0)
     windowed, naive = both_walks(graph, model, params)
     assert windowed == naive
     assert summary(windowed[1])["examined"] > 2 * partition._WINDOW
