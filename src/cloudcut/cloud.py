@@ -20,6 +20,12 @@ and the hosting preference, their blend:
 preference_matrix computes it for every user and cloud at once; normalized,
 each user's row sums to 1 over the clouds (uniform when all are zero), so
 per-user satisfaction is comparable across users and model scales.
+
+An AffinityTable holds each distinct affinity row once, plus the row index of
+each user: affinities derived from coordinates have one row per distinct user
+position.  The model's best-per-cloud tables are reduced on those rows, and
+AffinityTable.download / .upload, the (users x regions) arrays, are built
+only on first read.
 """
 
 from __future__ import annotations
@@ -104,49 +110,113 @@ class PricingMatrix:
 
 
 class AffinityTable:
-    """Dense per-(user, region) download/upload affinities.
+    """Per-(user, region) download/upload affinities, stored by distinct row.
 
-    Rows are users, columns regions; entries default to 0.  Built once and
-    treated as immutable.
+    Rows are users, columns regions; entries default to 0.  The table keeps
+    K distinct rows per direction (K x regions) and user_row, the row index
+    of each user, or None when every user has a row of its own (a table built
+    from dense arrays, which copies nothing).  The (users x regions) arrays
+    download and upload are built from the rows on first read and cached;
+    the model reduces the rows themselves.  Built once and treated as
+    immutable.
     """
 
     def __init__(self, download, upload):
-        d = np.asarray(download, dtype=np.float64)
-        u = np.asarray(upload, dtype=np.float64)
+        self._set_rows(download, upload, None)
+
+    @classmethod
+    def _from_rows(cls, download_rows, upload_rows, user_row):
+        table = cls.__new__(cls)
+        table._set_rows(download_rows, upload_rows, user_row)
+        return table
+
+    def _set_rows(self, download_rows, upload_rows, user_row):
+        d = np.asarray(download_rows, dtype=np.float64)
+        u = np.asarray(upload_rows, dtype=np.float64)
         if d.shape != u.shape or d.ndim != 2:
             raise ValidationError("affinity arrays must share one (users x regions) shape")
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(u))):
             raise ValidationError("affinities must be finite")
         if np.any(d < 0) or np.any(u < 0):
             raise ValidationError("affinities must be non-negative")
-        self.download = d
-        self.upload = u
-        for arr in (self.download, self.upload):
-            arr.setflags(write=False)
+        self.download_rows = d
+        self.upload_rows = u
+        self.user_row = user_row
+        for arr in (d, u, user_row):
+            if arr is not None:
+                arr.setflags(write=False)
+        self._download = self._upload = None
+
+    @property
+    def download(self):
+        """(users x regions) download affinities, built on first read."""
+        if self._download is None:
+            self._download = self._per_user(self.download_rows)
+        return self._download
+
+    @property
+    def upload(self):
+        """(users x regions) upload affinities, built on first read."""
+        if self._upload is None:
+            self._upload = self._per_user(self.upload_rows)
+        return self._upload
+
+    def _per_user(self, rows):
+        if self.user_row is None:
+            return rows
+        dense = rows[self.user_row]
+        dense.setflags(write=False)
+        return dense
 
     @property
     def n_users(self):
-        return self.download.shape[0]
+        return self.download_rows.shape[0] if self.user_row is None else self.user_row.size
 
     @property
     def n_regions(self):
-        return self.download.shape[1]
+        return self.download_rows.shape[1]
+
+    def take_regions(self, regions):
+        """Table over the given region columns only, same users and rows."""
+        return AffinityTable._from_rows(self.download_rows[:, regions],
+                                        self.upload_rows[:, regions], self.user_row)
 
     @classmethod
     def from_coordinates(cls, user_xy, region_xy, scale):
         """Distance-decayed affinities: 1 / (1 + dist / scale).
 
         A user sitting exactly on a region gets affinity 1 there; affinity
-        halves at distance == scale.  Download and upload use the same decay.
+        halves at distance == scale.  Download and upload use the same decay,
+        held once; it is computed once per distinct user position.
         """
-        if scale <= 0:
+        if not scale > 0:
             raise ValidationError("scale must be positive")
         user_xy = np.asarray(user_xy, dtype=np.float64)
         region_xy = np.asarray(region_xy, dtype=np.float64)
-        diff = user_xy[:, None, :] - region_xy[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        aff = 1.0 / (1.0 + dist / scale)
-        return cls(aff, aff.copy())
+        if user_xy.ndim != 2 or region_xy.ndim != 2 or user_xy.shape[1] != region_xy.shape[1]:
+            raise ValidationError("coordinates must be (points x dims) arrays of one width")
+        xy, user_row = _distinct_rows(user_xy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = xy[:, None, :] - region_xy[None, :, :]
+            dist = np.sqrt((diff * diff).sum(axis=2))
+            if not np.all(np.isfinite(dist)):
+                raise ValidationError("user-region distances must be finite")
+            aff = 1.0 / (1.0 + dist / scale)
+        return cls._from_rows(aff, aff, user_row)
+
+
+def _distinct_rows(a):
+    """(rows, inverse): the distinct rows of a 2-D array in lexicographic order
+    and each row's index among them, as np.unique(a, axis=0,
+    return_inverse=True) gives them, from one lexsort (np.unique sorts the rows
+    as structured records, about 7x slower at 1e6 rows)."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    starts = np.ones(len(a), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(a), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
 
 
 class CloudModel:
@@ -155,7 +225,8 @@ class CloudModel:
     Holds cloud/region label tables, the region->cloud map, transfer pricing,
     the affinity table, and per-user profiles (upload volume, blend weight,
     optional home region).  Precomputes, per user and cloud, the best download
-    and upload affinity over the cloud's regions.
+    and upload affinity over the cloud's regions, from the affinity table's
+    distinct rows; it never reads the (users x regions) arrays.
     """
 
     def __init__(self, cloud_labels, region_labels, region_cloud, pricing,
@@ -195,18 +266,24 @@ class CloudModel:
         if np.any((self.home_region < -1) | (self.home_region >= len(self.region_labels))):
             raise ValidationError("home_region must hold region ids or -1")
 
-        # per-cloud best affinity, the max over the cloud's regions (0 if none)
-        C = len(self.cloud_labels)
-        self.best_download = np.zeros((n_users, C))
-        self.best_upload = np.zeros((n_users, C))
-        for c in range(C):
-            cols = np.nonzero(self.region_cloud == c)[0]
-            if cols.size:
-                self.best_download[:, c] = affinity.download[:, cols].max(axis=1)
-                self.best_upload[:, c] = affinity.upload[:, cols].max(axis=1)
+        self.best_download = self._best_per_cloud(affinity.download_rows)
+        self.best_upload = self._best_per_cloud(affinity.upload_rows)
         for arr in (self.upload_volume, self.blend_weight, self.home_region,
                     self.best_download, self.best_upload):
             arr.setflags(write=False)
+
+    def _best_per_cloud(self, rows):
+        """(users x clouds) best affinity, the max over each cloud's regions
+        (0 if none): reduced on the table's distinct rows, then gathered per
+        user."""
+        best = np.zeros((rows.shape[0], self.n_clouds))
+        for c in range(self.n_clouds):
+            cols = np.flatnonzero(self.region_cloud == c)
+            if cols.size:
+                best[:, c] = rows[:, cols].max(axis=1)
+        best += 0.0  # a max over zeros may keep -0.0; the best is then 0.0
+        user_row = self.affinity.user_row
+        return best if user_row is None else best[user_row]
 
     @property
     def n_clouds(self):
@@ -240,8 +317,7 @@ class CloudModel:
             tuple(self.region_labels[r] for r in keep_regions),
             self.region_cloud[keep_regions],
             PricingMatrix(self.pricing.matrix[:n_active, :n_active]),
-            AffinityTable(self.affinity.download[:, keep_regions],
-                          self.affinity.upload[:, keep_regions]),
+            self.affinity.take_regions(keep_regions),
             self.upload_volume,
             self.blend_weight,
             home,
@@ -315,9 +391,12 @@ def load_regions(path):
         region_cloud.append(cloud_index[cloud])
         if len(row) == 4:
             try:
-                coords.append((float(row[2]), float(row[3])))
+                x, y = float(row[2]), float(row[3])
             except ValueError:
                 raise ParseError("bad coordinate", lineno) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"coordinates must be finite, got {x}, {y}", lineno)
+            coords.append((x, y))
     if not region_labels:
         raise ParseError("region file has no rows")
     if coords and len(coords) != len(region_labels):

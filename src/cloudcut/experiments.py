@@ -39,7 +39,7 @@ _GRID_KINDS = {"alpha_grid": "float", "cloud_grid": "int", "oracle_edge_grid": "
 # the least value each field (each entry, for a grid) may take; inf and NaN
 # are refused too
 _LOWER_BOUNDS = {"synth_clouds": 1, "oracle_clouds": 1, "oracle_weight_scale": 0.0,
-                 "cloud_grid": 1, "oracle_edge_grid": 0}
+                 "oracle_instances": 1, "rng_seed": 0, "cloud_grid": 1, "oracle_edge_grid": 0}
 
 
 def _is_number(value, kind):
@@ -100,6 +100,11 @@ class ExperimentConfig:
     telemetry: bool = False
 
     def __post_init__(self):
+        # an empty list would run nothing and write a header-only file
+        for name in ("algorithms", *_GRID_KINDS):
+            value = getattr(self, name)
+            if value is not None and len(value) == 0:
+                raise ValidationError(f"{name} must not be empty")
         for name, low in _LOWER_BOUNDS.items():
             value = getattr(self, name)
             for x in (value or ()) if name in _GRID_KINDS else (value,):

@@ -292,8 +292,10 @@ def synth_graph(n_users, mean_degree, weight_tail_exponent, rng_seed):
     """
     if n_users < 2:
         raise ValidationError("n_users must be >= 2")
-    if not 0 < mean_degree < np.inf:
-        raise ValidationError("mean_degree must be positive and finite")
+    # checked before any draw: a user has at most n_users - 1 out-neighbours
+    if not 0 < mean_degree <= n_users - 1:
+        raise ValidationError(f"mean_degree must be in (0, n_users - 1 = {n_users - 1}], "
+                              f"got {mean_degree!r}")
     if weight_tail_exponent <= 1:
         raise ValidationError("weight_tail_exponent must be > 1")
 

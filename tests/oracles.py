@@ -460,3 +460,32 @@ def naive_graph_arrays(n_users, src, dst, weight):
         "conn_ab": [merged.get((a, b), 0.0) for a, b in pairs],
         "conn_ba": [merged.get((b, a), 0.0) for a, b in pairs],
     }
+
+
+def naive_decay_affinity(user_xy, region_xy, scale):
+    """(users x regions) rows of 1 / (1 + dist / scale), dist the Euclidean
+    distance summed coordinate by coordinate from 0.0."""
+    table = []
+    for ux in user_xy:
+        row = []
+        for rx in region_xy:
+            sq = 0.0
+            for a, b in zip(ux, rx):
+                sq += (a - b) * (a - b)
+            row.append(1.0 / (1.0 + math.sqrt(sq) / scale))
+        table.append(row)
+    return table
+
+
+def naive_best_per_cloud(table, region_cloud, n_clouds):
+    """(users x clouds) rows: each user's largest entry over each cloud's
+    regions, starting from 0.0 (so a cloud without regions, or whose entries
+    are all zeros, gets 0.0)."""
+    out = []
+    for row in table:
+        best = [0.0] * n_clouds
+        for s, x in enumerate(row):
+            if x > best[region_cloud[s]]:
+                best[region_cloud[s]] = x
+        out.append(best)
+    return out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudcut import (
     AffinityTable,
@@ -11,7 +13,13 @@ from cloudcut import (
 )
 from cloudcut.cloud import load_affinities, load_profiles, load_regions, preference_matrix
 from cloudcut.graph import load_graph, synth_graph
-from oracles import make_instance, naive_preference_row, naive_upload_volumes
+from oracles import (
+    make_instance,
+    naive_best_per_cloud,
+    naive_decay_affinity,
+    naive_preference_row,
+    naive_upload_volumes,
+)
 
 
 def frozen_model(blend_weight=(2.0, 1.0, 1.0)):
@@ -145,6 +153,68 @@ def test_affinity_from_coordinates():
     assert np.array_equal(table.download, table.upload)
     with pytest.raises(ValidationError):
         AffinityTable.from_coordinates([[0.0, 0.0]], [[0.0, 0.0]], scale=0.0)
+
+
+def test_affinity_from_coordinates_rejects_distances_that_overflow():
+    with pytest.raises(ValidationError, match="distances must be finite"):
+        AffinityTable.from_coordinates([[0.0, 0.0]], [[1e308, -1e308]], scale=0.3)
+    with pytest.raises(ValidationError, match="distances must be finite"):
+        AffinityTable.from_coordinates([[float("nan"), 0.0]], [[0.0, 0.0]], scale=0.3)
+
+
+def same_bits(got, want):
+    """Equal shape and equal float64 bit patterns (so 0.0 differs from -0.0)."""
+    want = np.asarray(want, dtype=np.float64).reshape(np.shape(got))
+    return np.asarray(got).tobytes() == want.tobytes()
+
+
+# few distinct values, so users share positions and rows; -0.0 sits next to 0.0
+COORD = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0]),
+                  st.floats(-10.0, 10.0, allow_subnormal=False))
+AFFINITY = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(0.0, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_users=st.integers(1, 12), n_regions=st.integers(1, 5),
+       n_clouds=st.integers(1, 3), from_coordinates=st.booleans())
+def test_factored_affinity_table_matches_the_dense_loop_oracle(data, n_users, n_regions,
+                                                               n_clouds, from_coordinates):
+    region_cloud = data.draw(st.lists(st.integers(0, n_clouds - 1),
+                                      min_size=n_regions, max_size=n_regions))
+    if from_coordinates:
+        user_xy = data.draw(st.lists(st.tuples(COORD, COORD), min_size=n_users,
+                                     max_size=n_users))
+        region_xy = data.draw(st.lists(st.tuples(COORD, COORD), min_size=n_regions,
+                                       max_size=n_regions))
+        scale = data.draw(st.floats(0.01, 10.0))
+        table = AffinityTable.from_coordinates(user_xy, region_xy, scale)
+        download = upload = naive_decay_affinity(user_xy, region_xy, scale)
+        # one row per distinct position (0.0 and -0.0 are one), as np.unique finds them
+        assert table.download_rows.shape[0] == len(set(user_xy))
+        _, inverse = np.unique(np.array(user_xy), axis=0, return_inverse=True)
+        assert table.user_row.tolist() == inverse.ravel().tolist()
+    else:
+        download, upload = (data.draw(st.lists(st.lists(AFFINITY, min_size=n_regions,
+                                                        max_size=n_regions),
+                                               min_size=n_users, max_size=n_users))
+                            for _ in range(2))
+        table = AffinityTable(download, upload)
+    model = CloudModel([f"c{k}" for k in range(n_clouds)],
+                       [f"r{j}" for j in range(n_regions)], region_cloud,
+                       PricingMatrix.uniform(n_clouds), table,
+                       np.ones(n_users), np.ones(n_users))
+    for k in range(1, n_clouds + 1):
+        small = model.restrict(k)
+        keep = [s for s in range(n_regions) if region_cloud[s] < k]
+        kept_cloud = [region_cloud[s] for s in keep]
+        for got, want in ((small.affinity.download, download),
+                          (small.affinity.upload, upload)):
+            want = [[row[s] for s in keep] for row in want]
+            assert same_bits(got, want)
+        assert same_bits(small.best_download, naive_best_per_cloud(
+            [[row[s] for s in keep] for row in download], kept_cloud, k))
+        assert same_bits(small.best_upload, naive_best_per_cloud(
+            [[row[s] for s in keep] for row in upload], kept_cloud, k))
 
 
 # -- pricing -----------------------------------------------------------------

@@ -1,11 +1,12 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cloudcut import ExperimentConfig, ValidationError, build_dataset
+from cloudcut import AffinityTable, ExperimentConfig, ValidationError, build_dataset
 from cloudcut.cli import main
 from cloudcut.experiments import (
     SWEEP_HEADER,
@@ -140,6 +141,15 @@ def test_partition_command_writes_assignment_and_report(tmp_path):
     assert sum(report["per_cloud_user_counts"].values()) == 60
     lines = (out / "telemetry.jsonl").read_text().splitlines()
     assert json.loads(lines[-1])["event"] == "summary"
+
+
+def test_partition_never_builds_the_users_by_regions_arrays(tmp_path, monkeypatch):
+    def unread(self):
+        pytest.fail("a partition job read a users x regions affinity array")
+    monkeypatch.setattr(AffinityTable, "download", property(unread))
+    monkeypatch.setattr(AffinityTable, "upload", property(unread))
+    res = cmd_partition(tiny_config(tmp_path))
+    assert Path(res["assignment"]).exists()
 
 
 def test_partition_outputs_are_byte_reproducible(tmp_path):
@@ -318,6 +328,55 @@ def test_cli_zero_clouds_flag_exits_2(tmp_path, capsys):
     assert (code, stdout) == (2, "")
     assert json.loads(stderr) == {"error": "ValidationError",
                                   "message": "synth_clouds must be finite and >= 1, got 0"}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("sweep-alpha", {"alpha_grid": []}), ("sweep-alpha", {"algorithms": []}),
+    ("sweep-providers", {"cloud_grid": []}), ("oracle-compare", {"oracle_edge_grid": []}),
+    ("oracle-compare", {"oracle_instances": -1}), ("oracle-compare", {"oracle_instances": 0}),
+    ("partition", {"rng_seed": -1}),
+    # refused before any edge is drawn (a large value that fits in memory is not tried)
+    ("partition", {"synth_mean_degree": 1e300}), ("partition", {"synth_mean_degree": 20.0}),
+])
+def test_cli_empty_grid_or_count_out_of_range_exits_2(tmp_path, capsys, command, doc):
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps({**doc, "synth_users": 20, "output_dir": str(tmp_path / "o")}))
+    code, stdout, stderr = run_cli([command, "--config", str(cfgp)], capsys)
+    assert (code, stdout) == (2, "")
+    err = json.loads(stderr)
+    assert err["error"] == "ValidationError"
+    assert next(iter(doc)).removeprefix("synth_") in err["message"]
+
+
+def test_cli_negative_seed_flag_exits_2(tmp_path, capsys):
+    code, stdout, stderr = run_cli(
+        ["partition", "--seed", "-1", "--users", "20", "--output-dir", str(tmp_path / "o")],
+        capsys)
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {"error": "ValidationError",
+                                  "message": "rng_seed must be finite and >= 0, got -1"}
+
+
+@pytest.mark.parametrize("regions, error, message", [
+    ("r0,c0,0.1,0.1\nr1,c1,nan,0.9\n", "ParseError",
+     "line 2: coordinates must be finite, got nan, 0.9"),
+    ("r0,c0,0.1,-inf\nr1,c1,0.9,0.9\n", "ParseError",
+     "line 1: coordinates must be finite, got 0.1, -inf"),
+    # finite coordinates whose distances overflow
+    ("r0,c0,1e308,1e308\nr1,c1,-1e308,-1e308\n", "ValidationError",
+     "user-region distances must be finite"),
+], ids=["nan", "inf", "overflow"])
+def test_cli_coordinates_that_break_the_decay_exit_2_without_a_warning(
+        tmp_path, capsys, regions, error, message):
+    (tmp_path / "regions.csv").write_text(regions)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, stderr = run_cli(
+            ["partition", "--users", "20", "--regions", str(tmp_path / "regions.csv"),
+             "--output-dir", str(tmp_path / "o")], capsys)
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {"error": error, "message": message}
+    assert caught == []
 
 
 def test_cli_empty_regions_file_exits_2(tmp_path, capsys):
