@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import csv
 import math
+from functools import partial
 
 import numpy as np
 from scipy import sparse
 
-from ._table import first, floats, ids_of, last_of_each, read_table, stripped
+from ._table import first, ids_of, last_of_each, read_table
 from .errors import ParseError, ValidationError
 
 
@@ -375,18 +376,19 @@ def load_regions(path):
     Cloud ids follow first appearance; coordinates must be all-or-none.
     """
     cloud_labels, region_labels, region_cloud, coords = [], [], [], []
-    cloud_index = {}
+    cloud_index, region_index = {}, {}
     for lineno, row in enumerate(read_table(path).rows(), start=1):
         if len(row) not in (2, 4):
             raise ParseError(f"expected 2 or 4 fields, got {len(row)}", lineno)
         region, cloud = row[0].strip(), row[1].strip()
         if not region or not cloud:
             raise ParseError("empty label", lineno)
-        if region in region_labels:
+        if region in region_index:
             raise ParseError(f"duplicate region {region!r}", lineno)
         if cloud not in cloud_index:
             cloud_index[cloud] = len(cloud_labels)
             cloud_labels.append(cloud)
+        region_index[region] = len(region_labels)
         region_labels.append(region)
         region_cloud.append(cloud_index[cloud])
         if len(row) == 4:
@@ -416,10 +418,10 @@ def load_affinities(path, graph, region_labels, ignore_unknown_users=False):
     region_ids = {lab: i for i, lab in enumerate(region_labels)}
     table = read_table(path)
     n = table.prefix(4)
-    user = graph.user_ids(stripped(table.column(0, n)))
-    region = ids_of(region_ids, stripped(table.column(1, n)))
-    download, bad_download = floats(table.column(2, n))
-    upload, bad_upload = floats(table.column(3, n))
+    user = table.ids(0, n, graph.user_ids)
+    region = table.ids(1, n, partial(ids_of, region_ids))
+    download, bad_download = table.floats(2, n)
+    upload, bad_upload = table.floats(3, n)
     bad = ((region < 0) | bad_download | bad_upload
            | ~(np.isfinite(download) & np.isfinite(upload) & (download >= 0) & (upload >= 0)))
     known = user >= 0
@@ -472,12 +474,12 @@ def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
     region_ids = {lab: i for i, lab in enumerate(region_labels or ())}
     table = read_table(path)
     n = table.prefix(3, 4)
-    user = graph.user_ids(stripped(table.column(0, n)))
-    volume, bad_volume = floats(table.column(1, n))
-    weight, bad_weight = floats(table.column(2, n))
+    user = table.ids(0, n, graph.user_ids)
+    volume, bad_volume = table.floats(1, n)
+    weight, bad_weight = table.floats(2, n)
     with_region = np.flatnonzero(table.widths[:n] == 4)
     region = np.zeros(n, dtype=np.int64)
-    region[with_region] = ids_of(region_ids, stripped(table.column(3, with_region)))
+    region[with_region] = table.ids(3, with_region, partial(ids_of, region_ids))
     bad = (bad_volume | bad_weight
            | ~(np.isfinite(volume) & np.isfinite(weight) & (volume >= 0) & (weight >= 0))
            | (region < 0))

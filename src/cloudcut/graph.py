@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import Table, first, floats, ids_of, read_table, stripped
+from ._table import RowTable, first, ids_of, read_table, stripped
 from .errors import ParseError, ValidationError
 
 
@@ -90,26 +90,20 @@ class SocialGraph:
         Labels are stripped of surrounding whitespace and get dense ids in
         order of first appearance.
         """
-        return cls._from_table(Table(records))
+        return cls._from_table(RowTable(records))
 
     @classmethod
     def _from_table(cls, table):
         n = table.prefix(3)
-        pairs = [None] * (2 * n)
-        pairs[0::2] = stripped(table.column(0, n))
-        pairs[1::2] = stripped(table.column(1, n))
-        ids = _Interner()
-        ends = np.fromiter(map(ids.__getitem__, pairs), dtype=np.int64, count=2 * n)
+        ends, labels = table.intern((0, 1), n)
         src, dst = ends[0::2], ends[1::2]
-        weight, bad = floats(table.column(2, n))
-        bad |= (src == dst) | ~np.isfinite(weight) | (weight < 0)
-        for lab in ("", None):
-            if lab in ids:
-                bad |= (src == ids[lab]) | (dst == ids[lab])
+        weight, bad = table.floats(2, n)
+        blank = np.array([not lab for lab in labels], dtype=bool)
+        bad |= blank[src] | blank[dst] | (src == dst) | ~np.isfinite(weight) | (weight < 0)
         i = first(bad)
         if i < table.n_rows:
             _check_edge_row(table.row(i), i + 1)
-        return cls(ids, src, dst, weight)
+        return cls(labels, src, dst, weight)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -187,14 +181,6 @@ class SocialGraph:
         mask = (remap[self._src] >= 0) & (remap[self._dst] >= 0)
         labels = [self._labels[i] for i in keep]
         return SocialGraph(labels, remap[self._src[mask]], remap[self._dst[mask]], self._w[mask])
-
-
-class _Interner(dict):
-    """Label -> dense id; a label looked up for the first time gets the next id."""
-
-    def __missing__(self, label):
-        i = self[label] = len(self)
-        return i
 
 
 def _check_edge_row(row, line):

@@ -23,10 +23,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from ._table import first, ids_of, read_table, repeats, stripped
+from ._table import first, ids_of, read_table, repeats
 from .cloud import normalize_rows, preference_matrix
 from .errors import ValidationError
 
@@ -85,9 +86,9 @@ class Assignment:
         """Inverse of to_csv: every user exactly once, labels stripped."""
         table = read_table(path)
         n = table.prefix(2)
-        user = graph.user_ids(stripped(table.column(0, n)))
+        user = table.ids(0, n, graph.user_ids)
         cloud_index = {lab: c for c, lab in enumerate(model.cloud_labels)}
-        cloud = ids_of(cloud_index, stripped(table.column(1, n)))
+        cloud = table.ids(1, n, partial(ids_of, cloud_index))
         seen = repeats(user)
         i = first((user < 0) | seen | (cloud < 0))
         if i < table.n_rows:

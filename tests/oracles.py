@@ -6,6 +6,7 @@ the vectorized implementations are checked against a second derivation.
 """
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -299,15 +300,30 @@ def naive_walk(graph, model, params, telemetry=None):
 # -- the per-row loaders -------------------------------------------------------
 #
 # The CSV loaders as they were before they read whole columns, one row at a
-# time.  The only change is that naive_load_graph strips surrounding
-# whitespace from labels, as the other loaders always did.
+# time.  The changes: naive_load_graph strips surrounding whitespace from
+# labels, as the other loaders always did, and every loader reads its file
+# through naive_csv_rows, which reads all rows before any is checked.
+
+def naive_csv_rows(path):
+    """csv.reader's rows of a file.  Text that is not UTF-8 raises ParseError
+    naming the first line that does not decode on its own, and text csv
+    cannot split raises ParseError naming csv's line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("text is not valid UTF-8", lineno) from None
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
+
 
 def naive_load_graph(source):
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            records = [row for row in csv.reader(fh)]
-    else:
-        records = source
+    records = naive_csv_rows(source) if isinstance(source, (str, Path)) else source
     labels = []
     ids = {}
 
@@ -348,26 +364,25 @@ def naive_load_affinities(path, graph, region_labels, ignore_unknown_users=False
     user_ids = {lab: i for i, lab in enumerate(graph.labels)}
     region_ids = {lab: i for i, lab in enumerate(region_labels)}
     table = np.zeros((2, graph.n_users, len(region_labels)))  # download, upload
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", lineno)
-            ulab, rlab = row[0].strip(), row[1].strip()
-            u = user_ids.get(ulab)
-            if u is None:
-                if ignore_unknown_users:
-                    continue
-                raise ParseError(f"unknown user {ulab!r}", lineno)
-            if rlab not in region_ids:
-                raise ParseError(f"unknown region {rlab!r}", lineno)
-            try:
-                dl, ul = float(row[2]), float(row[3])
-            except ValueError:
-                raise ParseError("bad affinity value", lineno) from None
-            if not (math.isfinite(dl) and math.isfinite(ul) and dl >= 0 and ul >= 0):
-                raise ParseError(f"affinities must be finite and non-negative, got {dl}, {ul}",
-                                 lineno)
-            table[:, u, region_ids[rlab]] = dl, ul
+    for lineno, row in enumerate(naive_csv_rows(path), start=1):
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields, got {len(row)}", lineno)
+        ulab, rlab = row[0].strip(), row[1].strip()
+        u = user_ids.get(ulab)
+        if u is None:
+            if ignore_unknown_users:
+                continue
+            raise ParseError(f"unknown user {ulab!r}", lineno)
+        if rlab not in region_ids:
+            raise ParseError(f"unknown region {rlab!r}", lineno)
+        try:
+            dl, ul = float(row[2]), float(row[3])
+        except ValueError:
+            raise ParseError("bad affinity value", lineno) from None
+        if not (math.isfinite(dl) and math.isfinite(ul) and dl >= 0 and ul >= 0):
+            raise ParseError(f"affinities must be finite and non-negative, got {dl}, {ul}",
+                             lineno)
+        table[:, u, region_ids[rlab]] = dl, ul
     return AffinityTable(*table)
 
 
@@ -378,28 +393,27 @@ def naive_load_profiles(path, graph, region_labels=None, ignore_unknown_users=Fa
     home = np.full(graph.n_users, -1, dtype=np.int64)
     user_ids = {lab: i for i, lab in enumerate(graph.labels)}
     region_ids = {lab: i for i, lab in enumerate(region_labels or ())}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if len(row) not in (3, 4):
-                raise ParseError(f"expected 3 or 4 fields, got {len(row)}", lineno)
-            ulab = row[0].strip()
-            u = user_ids.get(ulab)
-            if u is None:
-                if ignore_unknown_users:
-                    continue
-                raise ParseError(f"unknown user {ulab!r}", lineno)
-            try:
-                vol[u] = float(row[1])
-                blend[u] = float(row[2])
-            except ValueError:
-                raise ParseError("bad profile value", lineno) from None
-            if vol[u] < 0 or blend[u] < 0 or not (math.isfinite(vol[u]) and math.isfinite(blend[u])):
-                raise ParseError("profile values must be finite and non-negative", lineno)
-            if len(row) == 4:
-                rlab = row[3].strip()
-                if rlab not in region_ids:
-                    raise ParseError(f"unknown region {rlab!r}", lineno)
-                home[u] = region_ids[rlab]
+    for lineno, row in enumerate(naive_csv_rows(path), start=1):
+        if len(row) not in (3, 4):
+            raise ParseError(f"expected 3 or 4 fields, got {len(row)}", lineno)
+        ulab = row[0].strip()
+        u = user_ids.get(ulab)
+        if u is None:
+            if ignore_unknown_users:
+                continue
+            raise ParseError(f"unknown user {ulab!r}", lineno)
+        try:
+            vol[u] = float(row[1])
+            blend[u] = float(row[2])
+        except ValueError:
+            raise ParseError("bad profile value", lineno) from None
+        if vol[u] < 0 or blend[u] < 0 or not (math.isfinite(vol[u]) and math.isfinite(blend[u])):
+            raise ParseError("profile values must be finite and non-negative", lineno)
+        if len(row) == 4:
+            rlab = row[3].strip()
+            if rlab not in region_ids:
+                raise ParseError(f"unknown region {rlab!r}", lineno)
+            home[u] = region_ids[rlab]
     return vol, blend, home
 
 
@@ -407,19 +421,18 @@ def naive_read_assignment(path, graph, model):
     host = np.full(graph.n_users, -1, dtype=np.int64)
     user_ids = {lab: i for i, lab in enumerate(graph.labels)}
     cloud_ids = {lab: c for c, lab in enumerate(model.cloud_labels)}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if len(row) != 2:
-                raise ValidationError(f"line {lineno}: expected 2 fields")
-            ulab, clab = row[0].strip(), row[1].strip()
-            if ulab not in user_ids:
-                raise ValidationError(f"line {lineno}: unknown user label {ulab!r}")
-            u = user_ids[ulab]
-            if host[u] >= 0:
-                raise ValidationError(f"line {lineno}: duplicate user {row[0]!r}")
-            if clab not in cloud_ids:
-                raise ValidationError(f"line {lineno}: unknown cloud label {clab!r}")
-            host[u] = cloud_ids[clab]
+    for lineno, row in enumerate(naive_csv_rows(path), start=1):
+        if len(row) != 2:
+            raise ValidationError(f"line {lineno}: expected 2 fields")
+        ulab, clab = row[0].strip(), row[1].strip()
+        if ulab not in user_ids:
+            raise ValidationError(f"line {lineno}: unknown user label {ulab!r}")
+        u = user_ids[ulab]
+        if host[u] >= 0:
+            raise ValidationError(f"line {lineno}: duplicate user {row[0]!r}")
+        if clab not in cloud_ids:
+            raise ValidationError(f"line {lineno}: unknown cloud label {clab!r}")
+        host[u] = cloud_ids[clab]
     if np.any(host < 0):
         missing = graph.label_of(int(np.nonzero(host < 0)[0][0]))
         raise ValidationError(f"assignment missing user {missing!r}")

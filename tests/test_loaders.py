@@ -4,8 +4,13 @@ Each loader parses whole columns and checks them with masks; the first row
 that fails a check is re-checked on its own to raise that row's error.  These
 tests hold every loader to its per-row oracle in tests/oracles.py, on small
 generated files both valid and corrupted: the same arrays and labels, or the
-same exception type and message.
+same exception type and message.  They also hold the byte path of the table
+reader to its csv.reader path on the same text, and feed every file loader
+arbitrary bytes.
 """
+
+import csv
+import io
 
 import numpy as np
 import pytest
@@ -19,7 +24,10 @@ from cloudcut import (
     ParseError,
     PricingMatrix,
     SocialGraph,
+    ValidationError,
 )
+from cloudcut import _table
+from cloudcut._table import ByteTable, RowTable, read_table
 from cloudcut.cloud import load_affinities, load_profiles, load_regions
 from cloudcut.graph import load_graph
 from oracles import (
@@ -35,18 +43,28 @@ CLOUDS = ("c0", "c1")
 REGIONS = ("r0", "r1", "r2")
 
 
+# characters str.strip removes, ASCII and not
+SPACE = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+         "\u00a0", "\u2003", "\u3000", "\x85")
+
+
 def labels(good, bad):
     """(good labels, some with stray whitespace; bad labels)."""
-    good = good + (" " + good[0], good[1] + " ")
-    return st.sampled_from(good), st.sampled_from(bad)
+    space = st.sampled_from(("",) + SPACE)
+    spaced = st.tuples(space, st.sampled_from(good), space).map("".join)
+    return st.one_of(st.sampled_from(good), spaced), st.sampled_from(bad)
 
 
-# bad labels are empty, unknown, or hold a comma or a quote
-USER, BAD_USER = labels(USERS, ("", "zz ", "a,b", 'q"t'))
+# bad labels are empty, unknown, or hold a comma, a quote, a newline or a
+# NUL; some are longer than a word, or than a page
+LONG = ("long-label-1", "long-label-2", "x" * 100_000)
+USER, BAD_USER = labels(USERS, ("", "zz ", "a,b", 'q"t', "n\nl", "n\x00l", "\u00e9") + LONG)
 REGION, BAD_REGION = labels(REGIONS, ("", "rX"))
 CLOUD, BAD_CLOUD = labels(CLOUDS, ("", "cX"))
-NUMBER = st.sampled_from(("1.0", "0", "2.5", " 3 ", "0.125", "7", "-0.0", "1_0"))
-BAD_NUMBER = st.sampled_from(("-1", "inf", "-inf", "nan", "1e400", "x", ""))
+NUMBER = st.sampled_from(("1.0", "0", "2.5", " 3 ", "0.125", "7", "-0.0", "1_0",
+                          "\u00a05\u3000", "0.17424576215237397", "1" * 40))
+# the last one is longer than csv.field_size_limit()
+BAD_NUMBER = st.sampled_from(("-1", "inf", "-inf", "nan", "1e400", "x", "", "9" * 200_000))
 
 
 def rows(*fields):
@@ -76,16 +94,19 @@ def model():
 
 @st.composite
 def csv_text(draw, rows):
-    """CSV text of the rows; fields are sometimes quoted, lines end in LF or
-    CRLF, and the last line may lack its terminator."""
+    """CSV text of the rows.  Fields that need it are quoted, and in some
+    files others are too; lines end in LF, or in some files in LF, CRLF or
+    CR; the last line may lack its terminator."""
+    quote_any = draw(st.booleans())
+    endings = draw(st.sampled_from([["\n"], ["\n", "\r\n", "\r"]]))
     lines = []
     for row in rows:
         fields = []
         for field in row:
-            if '"' in field or "," in field or draw(st.booleans()):
+            if any(c in field for c in '",\n\r') or (quote_any and draw(st.booleans())):
                 field = '"' + field.replace('"', '""') + '"'
             fields.append(field)
-        lines.append(",".join(fields) + draw(st.sampled_from(["\n", "\r\n"])))
+        lines.append(",".join(fields) + draw(st.sampled_from(endings)))
     text = "".join(lines)
     if text and draw(st.booleans()):
         text = text.rstrip("\r\n")
@@ -246,3 +267,138 @@ def test_field_longer_than_csv_allows_raises_a_parse_error(tmp_path):
     path.write_text("a,b,1.0\nb,c," + "9" * 200_000 + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match="^line 2: malformed CSV: field larger than"):
         load_graph(path)
+
+
+def spoiled_bytes(text):
+    """UTF-8 text with bytes that are not UTF-8 put in, now and then."""
+    bad = st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe2\x82"])
+    return st.tuples(st.integers(0, len(text)), bad, st.booleans()).map(
+        lambda t: text[:t[0]].encode() + t[1] + text[t[0]:].encode() if t[2] else text.encode())
+
+
+AFFINITY_ROWS = rows((USER, BAD_USER), (REGION, BAD_REGION), (NUMBER, BAD_NUMBER),
+                     (NUMBER, BAD_NUMBER))
+ASSIGNMENT_ROWS = rows((USER, BAD_USER), (CLOUD, BAD_CLOUD))
+LOADERS = {
+    "edges": (EDGE_ROWS, load_graph, naive_load_graph, graph_arrays),
+    "affinities": (AFFINITY_ROWS, lambda p: load_affinities(p, graph(), REGIONS),
+                   lambda p: naive_load_affinities(p, graph(), REGIONS),
+                   lambda table: (table.download, table.upload)),
+    "profiles": (PROFILE_ROWS, lambda p: load_profiles(p, graph(), REGIONS),
+                 lambda p: naive_load_profiles(p, graph(), REGIONS), lambda arrays: arrays),
+    "assignment": (ASSIGNMENT_ROWS, lambda p: Assignment.from_csv(p, graph(), model()),
+                   lambda p: naive_read_assignment(p, graph(), model()), lambda a: (a.host,)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_loaders_match_the_per_row_loaders_on_text_that_may_not_be_utf8(tmp_path_factory,
+                                                                        kind, data):
+    strategy, load, naive, arrays = LOADERS[kind]
+    text = data.draw(csv_text(data.draw(st.lists(strategy, max_size=8))))
+    path = tmp_path_factory.mktemp(kind) / "table.csv"
+    path.write_bytes(data.draw(spoiled_bytes(text)))
+    assert_same(outcome(load, path), outcome(naive, path), arrays)
+
+
+# text with no quote, CR or NUL, so that read_table takes the byte path
+PLAIN_TEXT = st.lists(st.sampled_from(
+    list("ab,,\n\n 1.e-+_x") + list(SPACE) + ["é", "١", "inf", "nan", "0x1", "long-label-",
+                                             "u12345678", "用户", "ア", "†", "\u200b"]),
+    max_size=40).map("".join)
+
+
+def same_columns(got, want, k):
+    """Assert that two tables give field k of each row that has it alike."""
+    rows = np.flatnonzero(want.widths > k)
+    assert same_arrays(got.intern((k,), rows)[0], want.intern((k,), rows)[0])
+    assert got.intern((k,), rows)[1] == want.intern((k,), rows)[1]
+    for a, b in zip(got.floats(k, rows), want.floats(k, rows), strict=True):
+        assert same_arrays(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=PLAIN_TEXT)
+def test_the_byte_path_reads_text_as_csv_reader_does(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("plain") / "table.csv"
+    path.write_bytes(text.encode())
+    got = read_table(path)
+    want = RowTable(csv.reader(io.StringIO(text, newline="")))
+    assert isinstance(got, ByteTable)
+    assert same_arrays(got.widths, want.widths)
+    assert list(got.rows()) == list(want.rows())
+    for allowed in ((0,), (1,), (2,), (1, 2), (3, 4)):
+        assert got.prefix(*allowed) == want.prefix(*allowed)
+    for k in range(int(want.widths.max(initial=0))):
+        same_columns(got, want, k)
+    pairs = np.flatnonzero(want.widths >= 2)
+    for a, b in zip(got.intern((0, 1), pairs), want.intern((0, 1), pairs), strict=True):
+        assert same_arrays(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("text", ['a,"b"\n', "a,b\r\n", "a,b\rc,d\n", "a\x00,b\n"])
+def test_only_text_with_a_quote_cr_or_nul_goes_through_csv_reader(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert isinstance(read_table(path), RowTable)
+
+
+def test_the_byte_path_strips_what_str_strip_strips():
+    ascii_space = {chr(c) for c in range(128) if chr(c).isspace()} - {"\n", "\r"}
+    assert {chr(c) for c in np.flatnonzero(_table._SPACE)} == ascii_space
+    assert set(_table._UNICODE_SPACE) == {c for c in map(chr, range(0x80, 0x110000))
+                                          if c.isspace()}
+
+
+def test_interning_stays_exact_when_every_hash_collides(monkeypatch):
+    labels = [f"label-{i % 7}{'-' * (i % 3)}" for i in range(40)] + [
+        "", "a", "abcdefgh", "abcdefghi", "long-label-1", " long-label-1 ", "x" * 100]
+    text = "".join(f"{a},{b}\n" for a, b in zip(labels, reversed(labels)))
+    want = RowTable(csv.reader(io.StringIO(text, newline="")))
+    monkeypatch.setattr(_table, "_hash", lambda length, words: np.zeros(length.size, np.uint64))
+    got = ByteTable(text.encode())
+    rows = len(labels)
+    for ks in ((0,), (1,), (0, 1)):
+        codes, distinct = got.intern(ks, rows)
+        want_codes, want_distinct = want.intern(ks, rows)
+        assert same_arrays(codes, want_codes)
+        assert distinct == want_distinct
+
+
+def test_region_loader_names_the_line_of_a_duplicate_in_the_last_row(tmp_path):
+    path = tmp_path / "regions.csv"
+    path.write_text("".join(f"r{i},c{i % 3}\n" for i in range(20_000)) + "r7,c1\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 20001: duplicate region 'r7'$"):
+        load_regions(path)
+
+
+TOKENS = st.sampled_from([b"a", b"b", b"u1", b"r0", b"c0", b"c1", b"1.5", b"-1", b"nan",
+                          b"1e400", b"0", b",", b",", b"\n", b"\n", b'"', b"\r", b"\x00",
+                          b"\xff", b"\xc3\xa9", b" ", b"\t", b"x" * 9])
+FUZZ = st.one_of(st.binary(max_size=64), st.lists(TOKENS, max_size=40).map(b"".join))
+
+
+@pytest.mark.parametrize("load", [
+    load_graph,
+    load_regions,
+    PricingMatrix.from_csv,
+    lambda p: load_affinities(p, graph(), REGIONS),
+    lambda p: load_affinities(p, graph(), REGIONS, ignore_unknown_users=True),
+    lambda p: load_profiles(p, graph(), REGIONS),
+    lambda p: load_profiles(p, graph(), None, ignore_unknown_users=True),
+    lambda p: Assignment.from_csv(p, graph(), model()),
+], ids=["edges", "regions", "pricing", "affinities", "affinities-ignore", "profiles",
+        "profiles-ignore", "assignment"])
+@settings(max_examples=150, deadline=None)
+@given(data=FUZZ)
+def test_file_loaders_raise_only_validation_errors_on_arbitrary_bytes(tmp_path_factory,
+                                                                      load, data):
+    path = tmp_path_factory.mktemp("fuzz") / "table.csv"
+    path.write_bytes(data)
+    try:
+        load(path)
+    except ValidationError:  # ParseError included
+        pass
