@@ -1,4 +1,4 @@
-"""Column-at-a-time reading of headerless CSV tables.
+"""Column-at-a-time reading and writing of CSV tables.
 
 The loaders check and convert whole columns with numpy instead of walking
 the rows in Python.  A Table knows each row's width and hands out columns:
@@ -27,12 +27,17 @@ and so does a field longer than csv.field_size_limit(), as csv reports it.
 A loader computes one mask per check over the columns and hands the first
 row that fails any of them to a scalar row check, which raises the error of
 that row.  Row numbers count from 1, blank rows included.
+
+write_table writes every file cloudcut writes, and read_table reads each back.
+It checks a column of labels with one regex over its joined text, and quotes
+field by field only a column that the regex hits.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from itertools import chain, repeat
 
 import numpy as np
@@ -62,6 +67,9 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 # longer number fields are parsed one at a time, so that no column is
 # copied into an array as wide as its longest field
 _FLOAT_WIDTH = 32
+# the characters that make write_table quote a str field
+_SPECIAL = re.compile(r'[,"\r\n]')
+_BLOCK = 1 << 16  # rows write_table renders at a time, so no file's whole text is kept
 
 
 class Table:
@@ -133,14 +141,14 @@ class RowTable(Table):
         try:
             values = np.fromiter(map(float, column), dtype=np.float64, count=len(column))
             return values, np.zeros(len(column), dtype=bool)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
         values = np.zeros(len(column))
         bad = np.zeros(len(column), dtype=bool)
         for i, x in enumerate(column):
             try:
                 values[i] = float(x)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 bad[i] = True
         return values, bad
 
@@ -355,6 +363,40 @@ def read_table(path):
     if not data.isascii():
         _decoded(data)
     return ByteTable(data)
+
+
+def write_table(path, columns, header=()):
+    """Write the header row, if any, then a row per index of the columns, as
+    UTF-8 with LF line ends; rows have at least two fields.  A str field is
+    quoted, its quotes doubled, if it holds ',', '"', CR or LF (csv's
+    QUOTE_MINIMAL rule, plus CR); a float, numpy's too, is written as
+    repr(float(x)), its shortest round-trip form; anything else as str(x)."""
+    columns = list(columns)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if header:
+            fh.write(",".join(_texts(header)) + "\n")
+        for i in range(0, min(map(len, columns), default=0), _BLOCK):
+            rows = zip(*(_texts(column[i:i + _BLOCK]) for column in columns))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
+
+
+def _texts(column):
+    """The fields of a column, or of a row, as CSV text."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    try:
+        if not _SPECIAL.search("".join(column)):
+            return column
+    except TypeError:  # not every field is a str
+        pass
+    return list(map(_text, column))
+
+
+def _text(x):
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    x = str(x)
+    return '"' + x.replace('"', '""') + '"' if _SPECIAL.search(x) else x
 
 
 def _decoded(data):

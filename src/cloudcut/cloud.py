@@ -30,14 +30,13 @@ only on first read.
 
 from __future__ import annotations
 
-import csv
 import math
 from functools import partial
 
 import numpy as np
 from scipy import sparse
 
-from ._table import first, ids_of, last_of_each, read_table
+from ._table import first, ids_of, last_of_each, read_table, write_table
 from .errors import ParseError, ValidationError
 
 
@@ -103,11 +102,7 @@ class PricingMatrix:
         return tuple(header), cls(m)
 
     def to_csv(self, path, cloud_labels):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(["cloud"] + list(cloud_labels))
-            for i, lab in enumerate(cloud_labels):
-                wr.writerow([lab] + [repr(float(x)) for x in self._m[i]])
+        write_table(path, [cloud_labels, *self._m.T], header=("cloud", *cloud_labels))
 
 
 class AffinityTable:
@@ -425,10 +420,7 @@ def load_affinities(path, graph, region_labels, ignore_unknown_users=False):
     bad = ((region < 0) | bad_download | bad_upload
            | ~(np.isfinite(download) & np.isfinite(upload) & (download >= 0) & (upload >= 0)))
     known = user >= 0
-    if ignore_unknown_users:
-        bad &= known
-    else:
-        bad |= ~known
+    bad = bad & known if ignore_unknown_users else bad | ~known
     i = first(bad)
     if i < table.n_rows:
         _check_affinity_row(table.row(i), i + 1, graph, region_ids)
@@ -468,8 +460,6 @@ def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
     arrays.
     """
     vol, blend = default_profiles(graph)
-    vol = vol.copy()
-    blend = blend.copy()
     home = np.full(graph.n_users, -1, dtype=np.int64)
     region_ids = {lab: i for i, lab in enumerate(region_labels or ())}
     table = read_table(path)
@@ -484,10 +474,7 @@ def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
            | ~(np.isfinite(volume) & np.isfinite(weight) & (volume >= 0) & (weight >= 0))
            | (region < 0))
     known = user >= 0
-    if ignore_unknown_users:
-        bad &= known
-    else:
-        bad |= ~known
+    bad = bad & known if ignore_unknown_users else bad | ~known
     i = first(bad)
     if i < table.n_rows:
         _check_profile_row(table.row(i), i + 1, graph)

@@ -8,7 +8,6 @@ rerunning a command reproduces its output files byte for byte.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cloud as cloudmod
+from ._table import write_table
 from .cloud import AffinityTable, CloudModel, PricingMatrix, default_profiles
 from .errors import ValidationError
 from .graph import SocialGraph, bfs_sample, load_graph, synth_graph
@@ -279,20 +279,6 @@ def _outdir(config):
     return out
 
 
-def _fmt(x):
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([_fmt(x) for x in row])
-
-
 # -- commands ----------------------------------------------------------------
 
 def cmd_partition(config):
@@ -332,22 +318,14 @@ def cmd_synth(config):
     out = _outdir(config)
     graph, model = build_dataset(config)
     graph.to_csv(out / "edges.csv")
-    with open(out / "regions.csv", "w", encoding="utf-8", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        cloud_labels, region_labels, region_cloud, xy = _synth_regions(config)
-        for j, lab in enumerate(region_labels):
-            wr.writerow([lab, cloud_labels[region_cloud[j]],
-                         repr(float(xy[j, 0])), repr(float(xy[j, 1]))])
+    cloud_labels, region_labels, region_cloud, xy = _synth_regions(config)
+    cloud_of = np.array(cloud_labels, dtype=object)[region_cloud]
+    write_table(out / "regions.csv", [region_labels, cloud_of, *xy.T])
     model.pricing.to_csv(out / "pricing.csv", model.cloud_labels)
-    with open(out / "profiles.csv", "w", encoding="utf-8", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        for u in range(graph.n_users):
-            home = int(model.home_region[u])
-            row = [graph.label_of(u), repr(float(model.upload_volume[u])),
-                   repr(float(model.blend_weight[u]))]
-            if home >= 0:
-                row.append(model.region_labels[home])
-            wr.writerow(row)
+    # synth refuses input paths, so every user has a home region
+    home = np.array(model.region_labels, dtype=object)[model.home_region]
+    write_table(out / "profiles.csv",
+                [graph.labels, model.upload_volume, model.blend_weight, home])
     return {"edges": str(out / "edges.csv"), "regions": str(out / "regions.csv"),
             "pricing": str(out / "pricing.csv"), "profiles": str(out / "profiles.csv"),
             "n_users": graph.n_users, "n_edges": graph.n_edges}
@@ -378,7 +356,7 @@ def _sweep(config, name, alphas, default_grid):
                              report.inter_cloud_cost,
                              report.inter_cloud_edge_count))
     path = out / f"{name}.csv"
-    _write_csv(path, SWEEP_HEADER, rows)
+    write_table(path, zip(*rows), header=SWEEP_HEADER)
     return {"sweep": str(path), "rows": len(rows)}
 
 
@@ -458,5 +436,5 @@ def cmd_oracle_compare(config):
                 ratio = h_val / o_val
             rows.append((int(n_edges), instance, h_val, o_val, ratio))
     path = out / "oracle.csv"
-    _write_csv(path, ORACLE_HEADER, rows)
+    write_table(path, zip(*rows), header=ORACLE_HEADER)
     return {"oracle": str(path), "rows": len(rows)}

@@ -13,13 +13,12 @@ as isolated nodes.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from ._table import RowTable, first, ids_of, read_table, stripped
+from ._table import RowTable, first, ids_of, read_table, stripped, write_table
 from .errors import ParseError, ValidationError
 
 
@@ -164,10 +163,8 @@ class SocialGraph:
 
     def to_csv(self, path):
         """Write headerless src_label,dst_label,weight rows (UTF-8, LF)."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            for s, d, w in zip(self._src, self._dst, self._w):
-                wr.writerow([self._labels[s], self._labels[d], repr(float(w))])
+        labels = np.array(self._labels, dtype=object)
+        write_table(path, [labels[self._src], labels[self._dst], self._w])
 
     # -- derived graphs ----------------------------------------------------
 
@@ -196,7 +193,7 @@ def _check_edge_row(row, line):
         raise ParseError(f"self-loop on user {a!r}", line)
     try:
         w = float(w)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"bad weight {w!r}", line) from None
     raise ParseError(f"weight must be finite and non-negative, got {w}", line)
 

@@ -20,14 +20,13 @@ preference units.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from ._table import first, ids_of, read_table, repeats
+from ._table import first, ids_of, read_table, repeats, write_table
 from .cloud import normalize_rows, preference_matrix
 from .errors import ValidationError
 
@@ -76,10 +75,7 @@ class Assignment:
     def to_csv(self, path, graph, model):
         """Headerless user_label,cloud_label rows in user id order."""
         self.validate(graph.n_users, model.n_clouds)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            for u in range(graph.n_users):
-                wr.writerow([graph.label_of(u), model.cloud_labels[self.host[u]]])
+        write_table(path, [graph.labels, np.array(model.cloud_labels, dtype=object)[self.host]])
 
     @classmethod
     def from_csv(cls, path, graph, model):

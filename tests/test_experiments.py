@@ -1,14 +1,18 @@
 import csv
 import json
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudcut import AffinityTable, ExperimentConfig, ValidationError, build_dataset
 from cloudcut.cli import main
 from cloudcut.experiments import (
+    ALGORITHMS,
     SWEEP_HEADER,
     cmd_evaluate,
     cmd_oracle_compare,
@@ -44,6 +48,28 @@ def test_config_rejects_unknown_algorithms():
         ExperimentConfig.from_dict({"algorithm": "magic"})
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict({"algorithms": ["heuristic", "magic"]})
+
+
+# any JSON value: nested lists and objects, integers beyond 64 bits, NaN and
+# infinities, bools, and strings that include real field values
+JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.sampled_from([2**70, -2**70]),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.text(max_size=6), st.sampled_from(ALGORITHMS))
+JSON_VALUE = st.recursive(JSON_SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+FIELD_NAMES = [f.name for f in fields(ExperimentConfig)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=st.one_of(st.dictionaries(st.sampled_from(FIELD_NAMES), JSON_VALUE, max_size=6),
+                     JSON_VALUE))
+def test_config_from_dict_lets_only_validation_errors_escape(doc):
+    try:
+        ExperimentConfig.from_dict(doc)
+    except ValidationError:
+        pass
 
 
 def test_config_json_round_trip(tmp_path):
@@ -438,6 +464,30 @@ def test_cli_edge_labels_are_stripped_like_profile_labels(tmp_path, capsys):
     assert code == 0, stderr
     labels = [line.split(",")[0] for line in (out / "assignment.csv").read_text().splitlines()]
     assert labels == ["a", "b"]
+
+
+def test_cli_labels_that_need_quoting_survive_partition_then_evaluate(tmp_path, capsys):
+    labels = ["a,1", 'q"t', "c\rr", "l\nf", 'x,"\r\ny']
+    quoted = ['"' + lab.replace('"', '""') + '"' for lab in labels]
+    files = {
+        "edges": "".join(f"{a},{b},{w}.0\n" for w, (a, b) in
+                         enumerate(zip(quoted, quoted[1:] + quoted[:1]), start=1)),
+        "profiles": "".join(f"{q},1.0,1.0,r{i % 2}\n" for i, q in enumerate(quoted)),
+        "regions": "r0,c0,0.1,0.1\nr1,c1,0.9,0.9\n",
+    }
+    inputs = []
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8", newline="")
+        inputs += [f"--{name}", str(tmp_path / f"{name}.csv")]
+    code, stdout, stderr = run_cli(
+        ["partition", *inputs, "--output-dir", str(tmp_path / "p")], capsys)
+    assert code == 0, stderr
+    partitioned = json.loads(stdout)
+    code, stdout, stderr = run_cli(
+        ["evaluate", partitioned["assignment"], *inputs, "--output-dir", str(tmp_path / "e")],
+        capsys)
+    assert code == 0, stderr
+    assert json.loads(stdout)["objective_value"] == partitioned["objective_value"]
 
 
 def test_cli_pricing_with_extra_row_exits_2(tmp_path, capsys):

@@ -45,6 +45,14 @@ def test_malformed_row_rejected():
         load_graph([("a", "b", "not a number")])
 
 
+def test_weight_too_large_for_a_float_rejected_with_line_number():
+    # float() of such an int overflows; a weight string never does
+    with pytest.raises(ParseError, match="^line 1: bad weight"):
+        load_graph([("a", "b", 10**400)])
+    with pytest.raises(ParseError, match="^line 2: bad weight"):
+        load_graph([("a", "b", 1.0), ("b", "c", -(10**400))])
+
+
 def test_unknown_user_lookup_gives_minus_one():
     g = load_graph([("a", "b", 1.0)])
     assert g.user_ids(["nobody", "b", "a"]).tolist() == [-1, 1, 0]

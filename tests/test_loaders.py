@@ -5,12 +5,13 @@ that fails a check is re-checked on its own to raise that row's error.  These
 tests hold every loader to its per-row oracle in tests/oracles.py, on small
 generated files both valid and corrupted: the same arrays and labels, or the
 same exception type and message.  They also hold the byte path of the table
-reader to its csv.reader path on the same text, and feed every file loader
-arbitrary bytes.
+reader to its csv.reader path on the same text, feed every file loader
+arbitrary bytes, and read back what the table writer writes.
 """
 
 import csv
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from cloudcut import (
     ValidationError,
 )
 from cloudcut import _table
-from cloudcut._table import ByteTable, RowTable, read_table
+from cloudcut._table import ByteTable, RowTable, read_table, write_table
 from cloudcut.cloud import load_affinities, load_profiles, load_regions
 from cloudcut.graph import load_graph
 from oracles import (
@@ -402,3 +403,55 @@ def test_file_loaders_raise_only_validation_errors_on_arbitrary_bytes(tmp_path_f
         load(path)
     except ValidationError:  # ParseError included
         pass
+
+
+# characters the writer quotes for, and others it must leave alone; NUL only
+# where the csv module reads and writes it (Python 3.11 on)
+NUL = ["\x00"] if sys.version_info >= (3, 11) else []
+WRITE_CHARS = st.one_of(
+    st.sampled_from([",", '"', "\r", "\n", "\t", " ", "\u00e9", "\u3000", *NUL]),
+    st.characters(min_codepoint=1, max_codepoint=127))
+WRITE_FIELD = st.one_of(st.just(""), st.text(WRITE_CHARS, max_size=6))
+WRITE_ROWS = st.integers(2, 4).flatmap(
+    lambda k: st.lists(st.lists(WRITE_FIELD, min_size=k, max_size=k), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=WRITE_ROWS, header=st.booleans())
+def test_write_table_reads_back_as_the_rows_written(tmp_path_factory, rows, header):
+    path = tmp_path_factory.mktemp("write") / "table.csv"
+    if header and rows:
+        write_table(path, zip(*rows[1:]), header=rows[0])
+    else:
+        write_table(path, zip(*rows))
+    assert list(read_table(path).rows()) == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=WRITE_ROWS)
+def test_write_table_writes_what_csv_writer_writes_when_no_field_holds_a_cr(
+        tmp_path_factory, rows):
+    rows = [[field.replace("\r", "") for field in row] for row in rows]
+    path = tmp_path_factory.mktemp("write") / "table.csv"
+    write_table(path, zip(*rows))
+    want = io.StringIO(newline="")
+    csv.writer(want, lineterminator="\n").writerows(rows)
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+def test_write_table_writes_the_same_bytes_in_blocks_of_any_size(tmp_path, monkeypatch):
+    # only the fourth row needs quoting, so blocks of 2 quote only the second
+    columns = [[f"u{i}" for i in range(7)], ["c", "c", "c", "a,b", "c", "c", "c"],
+               np.arange(7) / 3, list(range(7))]
+    write_table(tmp_path / "whole.csv", columns, header=("a", "b", "c", "d"))
+    monkeypatch.setattr(_table, "_BLOCK", 2)
+    write_table(tmp_path / "blocks.csv", columns, header=("a", "b", "c", "d"))
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert list(read_table(tmp_path / "blocks.csv").rows())[4] == ["u3", "a,b", "1.0", "3"]
+
+
+def test_write_table_renders_numbers_by_repr_and_str(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, [["a", "b\rc"], np.array([0.1, -0.0]), [np.float64(1e300), 2.5],
+                       [1, np.int64(2)]], header=("label", "x", "y", "n"))
+    assert path.read_bytes() == b'label,x,y,n\na,0.1,1e+300,1\n"b\rc",-0.0,2.5,2\n'
