@@ -17,10 +17,12 @@ own key, and a longer one is keyed by a hash of its bytes and checked byte
 for byte against the first label with its key; the few that differ (hash
 collisions) are interned through a dict.  It parses numbers
 with numpy's bytes to float64 cast, which calls float() without making a
-str per field.  A file with a quote, CR or NUL, and every in-memory record
-sequence (SocialGraph.from_records), goes through csv.reader instead, into
-a RowTable that keeps the fields as Python objects in one flat list.  Both
-read text as Python's default csv dialect does, with the same tables.
+str per field, a chunk of fields at a time: a field the cast rejects sends
+only its chunk through float() of each str.  A file with a quote, CR or
+NUL, and every in-memory record sequence (SocialGraph.from_records), goes
+through csv.reader instead, into a RowTable that keeps the fields as
+Python objects in one flat list.  Both read text as Python's default csv
+dialect does, with the same tables.
 
 Text that is not UTF-8 raises ParseError naming its first undecodable line,
 and so does a field longer than csv.field_size_limit(), as csv reports it.
@@ -67,6 +69,9 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 # longer number fields are parsed one at a time, so that no column is
 # copied into an array as wide as its longest field
 _FLOAT_WIDTH = 32
+# number fields cast at a time: a field the cast rejects costs its chunk a
+# parse field by field
+_FLOAT_CHUNK = 1 << 12
 # the characters that make write_table quote a str field
 _SPECIAL = re.compile(r'[,"\r\n]')
 _BLOCK = 1 << 16  # rows write_table renders at a time, so no file's whole text is kept
@@ -220,15 +225,20 @@ class ByteTable(Table):
         width = int(length[fast].max(initial=1))
         chars = as_strided(self._bytes, (self._words.size, width), (1, 1))[begin[fast]]
         chars[np.arange(width) >= length[fast, None]] = 0
-        try:
-            # the cast is float() of each item's bytes (trailing NULs end an
-            # item, and no field holds one); a field that only float() of its
-            # str reads, with non-ASCII digits or space, fails the whole cast
-            values[fast] = chars.view(f"S{width}").ravel().astype(np.float64)
-            slow = np.flatnonzero(~fast)
-        except ValueError:
-            slow = np.arange(index.size)
-        for i in slow.tolist():
+        # the cast is float() of each item's bytes (trailing NULs end an
+        # item, and no field holds one); a field that only float() of its
+        # str reads, with non-ASCII digits or space, fails the cast of its
+        # whole chunk, whose fields are then parsed one at a time
+        items = chars.view(f"S{width}").ravel()
+        slow = [np.flatnonzero(~fast)]
+        fast = np.flatnonzero(fast)
+        for at in range(0, fast.size, _FLOAT_CHUNK):
+            chunk = slice(at, at + _FLOAT_CHUNK)
+            try:
+                values[fast[chunk]] = items[chunk].astype(np.float64)
+            except ValueError:
+                slow.append(fast[chunk])
+        for i in np.concatenate(slow).tolist():
             try:
                 values[i] = float(self._data[begin[i]:end[i]].decode("utf-8"))
             except ValueError:

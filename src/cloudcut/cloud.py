@@ -21,11 +21,13 @@ preference_matrix computes it for every user and cloud at once; normalized,
 each user's row sums to 1 over the clouds (uniform when all are zero), so
 per-user satisfaction is comparable across users and model scales.
 
-An AffinityTable holds each distinct affinity row once, plus the row index of
-each user: affinities derived from coordinates have one row per distinct user
-position.  The model's best-per-cloud tables are reduced on those rows, and
-AffinityTable.download / .upload, the (users x regions) arrays, are built
-only on first read.
+An AffinityTable holds its affinities as entries (row, region, download,
+upload), unlisted pairs being 0, over distinct rows, plus the row index of each
+user.  A loaded table keeps the entries its file lists, one row per user;
+affinities derived from coordinates have one row per distinct user position,
+with an entry for each region.  The model reduces the entries to its
+best-per-cloud tables in one pass, and AffinityTable.download / .upload, the
+(users x regions) arrays, are built only on first read.
 """
 
 from __future__ import annotations
@@ -106,39 +108,40 @@ class PricingMatrix:
 
 
 class AffinityTable:
-    """Per-(user, region) download/upload affinities, stored by distinct row.
+    """Per-(user, region) download/upload affinities, stored as entries.
 
-    Rows are users, columns regions; entries default to 0.  The table keeps
-    K distinct rows per direction (K x regions) and user_row, the row index
-    of each user, or None when every user has a row of its own (a table built
-    from dense arrays, which copies nothing).  The (users x regions) arrays
-    download and upload are built from the rows on first read and cached;
-    the model reduces the rows themselves.  Built once and treated as
-    immutable.
+    Rows are users, columns regions; unlisted pairs are 0.  The table keeps
+    entries (row, region, download, upload) over n_rows distinct rows, at
+    most one per (row, region), and user_row, the row index of each user, or
+    None when each user is its own row.  Download and upload may share one
+    values array.  The (users x regions) arrays download and upload are
+    built from the entries on first read and cached; the model reduces the
+    entries themselves.  Built once and treated as immutable.
     """
 
     def __init__(self, download, upload):
-        self._set_rows(download, upload, None)
-
-    @classmethod
-    def _from_rows(cls, download_rows, upload_rows, user_row):
-        table = cls.__new__(cls)
-        table._set_rows(download_rows, upload_rows, user_row)
-        return table
-
-    def _set_rows(self, download_rows, upload_rows, user_row):
-        d = np.asarray(download_rows, dtype=np.float64)
-        u = np.asarray(upload_rows, dtype=np.float64)
+        d = np.array(download, dtype=np.float64)
+        u = np.array(upload, dtype=np.float64)
         if d.shape != u.shape or d.ndim != 2:
             raise ValidationError("affinity arrays must share one (users x regions) shape")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(u))):
+        self._set_entries(*_cells(d, u), None)
+
+    @classmethod
+    def _from_entries(cls, n_rows, n_regions, row, region, download, upload, user_row):
+        table = cls.__new__(cls)
+        table._set_entries(n_rows, n_regions, row, region, download, upload, user_row)
+        return table
+
+    def _set_entries(self, n_rows, n_regions, row, region, download, upload, user_row):
+        if not (np.all(np.isfinite(download)) and np.all(np.isfinite(upload))):
             raise ValidationError("affinities must be finite")
-        if np.any(d < 0) or np.any(u < 0):
+        if np.any(download < 0) or np.any(upload < 0):
             raise ValidationError("affinities must be non-negative")
-        self.download_rows = d
-        self.upload_rows = u
+        self.n_rows = n_rows
+        self.n_regions = n_regions
+        self.entries = (row, region, download, upload)
         self.user_row = user_row
-        for arr in (d, u, user_row):
+        for arr in (*self.entries, user_row):
             if arr is not None:
                 arr.setflags(write=False)
         self._download = self._upload = None
@@ -147,35 +150,40 @@ class AffinityTable:
     def download(self):
         """(users x regions) download affinities, built on first read."""
         if self._download is None:
-            self._download = self._per_user(self.download_rows)
+            self._download = self._per_user(self.entries[2])
         return self._download
 
     @property
     def upload(self):
         """(users x regions) upload affinities, built on first read."""
         if self._upload is None:
-            self._upload = self._per_user(self.upload_rows)
+            _, _, download, upload = self.entries
+            self._upload = self.download if upload is download else self._per_user(upload)
         return self._upload
 
-    def _per_user(self, rows):
-        if self.user_row is None:
-            return rows
-        dense = rows[self.user_row]
+    def _per_user(self, values):
+        row, region = self.entries[:2]
+        rows = np.zeros((self.n_rows, self.n_regions))
+        rows[row, region] = values
+        dense = rows if self.user_row is None else rows[self.user_row]
         dense.setflags(write=False)
         return dense
 
     @property
     def n_users(self):
-        return self.download_rows.shape[0] if self.user_row is None else self.user_row.size
-
-    @property
-    def n_regions(self):
-        return self.download_rows.shape[1]
+        return self.n_rows if self.user_row is None else self.user_row.size
 
     def take_regions(self, regions):
-        """Table over the given region columns only, same users and rows."""
-        return AffinityTable._from_rows(self.download_rows[:, regions],
-                                        self.upload_rows[:, regions], self.user_row)
+        """Table over the given distinct regions only, numbered in the given
+        order; same users and rows."""
+        new = np.full(self.n_regions, -1, dtype=np.int64)
+        new[regions] = np.arange(len(regions))
+        row, region, download, upload = self.entries
+        keep = np.flatnonzero(new[region] >= 0)
+        kept = download[keep]
+        return AffinityTable._from_entries(
+            self.n_rows, len(regions), row[keep], new[region[keep]], kept,
+            kept if upload is download else upload[keep], self.user_row)
 
     @classmethod
     def from_coordinates(cls, user_xy, region_xy, scale):
@@ -198,7 +206,17 @@ class AffinityTable:
             if not np.all(np.isfinite(dist)):
                 raise ValidationError("user-region distances must be finite")
             aff = 1.0 / (1.0 + dist / scale)
-        return cls._from_rows(aff, aff, user_row)
+        return cls._from_entries(*_cells(aff, aff), user_row)
+
+
+def _cells(download, upload):
+    """(n_rows, n_regions, row, region, download, upload): every cell of two
+    (rows x regions) arrays as an entry, row after row; one values array when
+    the two arrays are one."""
+    n_rows, n_regions = download.shape
+    row, region = np.divmod(np.arange(download.size), n_regions)
+    d = download.ravel()
+    return n_rows, n_regions, row, region, d, d if upload is download else upload.ravel()
 
 
 def _distinct_rows(a):
@@ -222,7 +240,7 @@ class CloudModel:
     the affinity table, and per-user profiles (upload volume, blend weight,
     optional home region).  Precomputes, per user and cloud, the best download
     and upload affinity over the cloud's regions, from the affinity table's
-    distinct rows; it never reads the (users x regions) arrays.
+    entries; it never reads the (users x regions) arrays.
     """
 
     def __init__(self, cloud_labels, region_labels, region_cloud, pricing,
@@ -262,22 +280,22 @@ class CloudModel:
         if np.any((self.home_region < -1) | (self.home_region >= len(self.region_labels))):
             raise ValidationError("home_region must hold region ids or -1")
 
-        self.best_download = self._best_per_cloud(affinity.download_rows)
-        self.best_upload = self._best_per_cloud(affinity.upload_rows)
+        row, region, download, upload = affinity.entries
+        at = (row, self.region_cloud[region])
+        self.best_download = self._best_per_cloud(at, download)
+        self.best_upload = (self.best_download if upload is download
+                            else self._best_per_cloud(at, upload))
         for arr in (self.upload_volume, self.blend_weight, self.home_region,
                     self.best_download, self.best_upload):
             arr.setflags(write=False)
 
-    def _best_per_cloud(self, rows):
+    def _best_per_cloud(self, at, values):
         """(users x clouds) best affinity, the max over each cloud's regions
-        (0 if none): reduced on the table's distinct rows, then gathered per
-        user."""
-        best = np.zeros((rows.shape[0], self.n_clouds))
-        for c in range(self.n_clouds):
-            cols = np.flatnonzero(self.region_cloud == c)
-            if cols.size:
-                best[:, c] = rows[:, cols].max(axis=1)
-        best += 0.0  # a max over zeros may keep -0.0; the best is then 0.0
+        (0 if none): the entries' values reduced at their (row, cloud) on the
+        table's distinct rows, then gathered per user."""
+        best = np.zeros((self.affinity.n_rows, self.n_clouds))
+        np.maximum.at(best, at, values)
+        best += 0.0  # a max of zeros may keep -0.0; the best is then 0.0
         user_row = self.affinity.user_row
         return best if user_row is None else best[user_row]
 
@@ -425,13 +443,10 @@ def load_affinities(path, graph, region_labels, ignore_unknown_users=False):
     if i < table.n_rows:
         _check_affinity_row(table.row(i), i + 1, graph, region_ids)
     R = len(region_labels)
-    cell = (user * R + region)[known]
-    last = last_of_each(cell)
-    d = np.zeros((graph.n_users, R))
-    u = np.zeros((graph.n_users, R))
-    d.ravel()[cell[last]] = download[known][last]
-    u.ravel()[cell[last]] = upload[known][last]
-    return AffinityTable(d, u)
+    rows = np.flatnonzero(known)
+    rows = rows[last_of_each((user * R + region)[rows])]
+    return AffinityTable._from_entries(graph.n_users, R, user[rows], region[rows],
+                                       download[rows], upload[rows], None)
 
 
 def _check_affinity_row(row, line, graph, region_ids):

@@ -34,6 +34,9 @@ class SocialGraph:
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValidationError("user labels must be unique")
+        if not _loadable(labels):
+            raise ValidationError("user labels must be non-empty strings with no "
+                                  "surrounding whitespace")
         n = len(labels)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -196,6 +199,15 @@ def _check_edge_row(row, line):
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"bad weight {w!r}", line) from None
     raise ParseError(f"weight must be finite and non-negative, got {w}", line)
+
+
+def _loadable(labels):
+    """Whether each label is a non-empty str that str.strip leaves as it is,
+    as load_graph reads labels, so that to_csv writes a file that loads."""
+    try:
+        return all(map(str.__eq__, map(str.strip, labels), labels)) and "" not in labels
+    except TypeError:  # a label that is not a str
+        return False
 
 
 def _offsets(n, row):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,12 +178,13 @@ AFFINITY = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(0.0, 2.0
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n_users=st.integers(1, 12), n_regions=st.integers(1, 5),
-       n_clouds=st.integers(1, 3), from_coordinates=st.booleans())
-def test_factored_affinity_table_matches_the_dense_loop_oracle(data, n_users, n_regions,
-                                                               n_clouds, from_coordinates):
+       n_clouds=st.integers(1, 3), source=st.sampled_from(["coordinates", "dense", "csv"]))
+def test_factored_affinity_table_matches_the_dense_loop_oracle(tmp_path_factory, data,
+                                                               n_users, n_regions,
+                                                               n_clouds, source):
     region_cloud = data.draw(st.lists(st.integers(0, n_clouds - 1),
                                       min_size=n_regions, max_size=n_regions))
-    if from_coordinates:
+    if source == "coordinates":
         user_xy = data.draw(st.lists(st.tuples(COORD, COORD), min_size=n_users,
                                      max_size=n_users))
         region_xy = data.draw(st.lists(st.tuples(COORD, COORD), min_size=n_regions,
@@ -190,15 +193,28 @@ def test_factored_affinity_table_matches_the_dense_loop_oracle(data, n_users, n_
         table = AffinityTable.from_coordinates(user_xy, region_xy, scale)
         download = upload = naive_decay_affinity(user_xy, region_xy, scale)
         # one row per distinct position (0.0 and -0.0 are one), as np.unique finds them
-        assert table.download_rows.shape[0] == len(set(user_xy))
+        assert table.n_rows == len(set(user_xy))
         _, inverse = np.unique(np.array(user_xy), axis=0, return_inverse=True)
         assert table.user_row.tolist() == inverse.ravel().tolist()
-    else:
+    elif source == "dense":
         download, upload = (data.draw(st.lists(st.lists(AFFINITY, min_size=n_regions,
                                                         max_size=n_regions),
                                                min_size=n_users, max_size=n_users))
                             for _ in range(2))
         table = AffinityTable(download, upload)
+    else:
+        # a file that leaves pairs unlisted and lists some twice (the last wins)
+        lines = data.draw(st.lists(st.tuples(st.integers(0, n_users - 1),
+                                             st.integers(0, n_regions - 1), AFFINITY, AFFINITY),
+                                   max_size=2 * n_users * n_regions))
+        download = [[0.0] * n_regions for _ in range(n_users)]
+        upload = [[0.0] * n_regions for _ in range(n_users)]
+        for u, s, d, up in lines:
+            download[u][s], upload[u][s] = d, up
+        path = tmp_path_factory.mktemp("affinities") / "affinities.csv"
+        path.write_text("".join(f"u{u},r{s},{d!r},{up!r}\n" for u, s, d, up in lines))
+        users = SocialGraph([f"u{i}" for i in range(n_users)], [], [], [])
+        table = load_affinities(path, users, [f"r{j}" for j in range(n_regions)])
     model = CloudModel([f"c{k}" for k in range(n_clouds)],
                        [f"r{j}" for j in range(n_regions)], region_cloud,
                        PricingMatrix.uniform(n_clouds), table,
@@ -319,6 +335,25 @@ def test_affinity_loader(tmp_path):
     # sampled graphs may drop users present in the sidecar tables
     table = load_affinities(bad, graph, ("r0", "r1"), ignore_unknown_users=True)
     assert table.download.sum() == 0.0
+
+
+def test_affinity_loader_never_builds_the_users_by_regions_arrays(tmp_path):
+    # two users x regions float64 arrays would take 2 * 2e4 * 200 * 8 B = 64 MB
+    n, R = 20_000, 200
+    regions = [f"r{j}" for j in range(R)]
+    p = tmp_path / "aff.csv"
+    p.write_text("".join(f"u{u},r{u % R},0.5,0.25\n" for u in range(n)))
+    graph = SocialGraph([f"u{i}" for i in range(n)], [], [], [])
+    tracemalloc.start()
+    try:
+        table = load_affinities(p, graph, regions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, f"loading peaked at {peak / 2**20:.1f} MB"
+    assert table.n_users == n
+    assert table.download[7, 7] == 0.5 and table.upload[7, 7] == 0.25
+    assert table.download.sum() == 0.5 * n
 
 
 def test_profile_loader(tmp_path):

@@ -28,6 +28,15 @@ def test_isolated_extra_users_are_kept():
     assert g.n_connections == 1
 
 
+@pytest.mark.parametrize("labels", [[" a", "b"], ["a", "b\n"], ["", "b"], [None, "b"],
+                                    [1, "b"]])
+def test_labels_the_loader_would_refuse_or_change_are_rejected(labels):
+    # load_graph strips labels and refuses an empty one, so to_csv could not
+    # write such a graph as a file that loads back as itself
+    with pytest.raises(ValidationError, match="non-empty strings"):
+        SocialGraph(labels, [0], [1], [1.0])
+
+
 def test_self_loop_rejected_with_line_number():
     with pytest.raises(ParseError, match="line 2"):
         load_graph([("a", "b", 1.0), ("b", "b", 2.0)])

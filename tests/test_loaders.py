@@ -339,6 +339,47 @@ def test_the_byte_path_reads_text_as_csv_reader_does(tmp_path_factory, text):
         assert same_arrays(a, b) if isinstance(a, np.ndarray) else a == b
 
 
+# numbers numpy's cast reads, and fields it rejects: some float() reads
+# (non-ASCII digits or space, or wider than the cast is given), some not
+CAST_NUMBER = st.sampled_from(("0.5", "1", "-0.0", "0.17424576215237397", "1e-300", " 2 "))
+UNCAST_NUMBER = st.sampled_from(("x", "", "١", " 5", "1" * 40, "inf　"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(numbers=st.lists(CAST_NUMBER, min_size=1, max_size=40), data=st.data(),
+       chunk=st.integers(1, 8))
+def test_the_byte_path_reads_a_long_column_with_a_few_uncast_numbers_as_csv_reader_does(
+        tmp_path_factory, numbers, data, chunk):
+    # the shape of an affinity file with one row for a user outside the graph
+    for _ in range(data.draw(st.integers(0, 3))):
+        numbers[data.draw(st.integers(0, len(numbers) - 1))] = data.draw(UNCAST_NUMBER)
+    text = "".join(f"u{i},{x}\n" for i, x in enumerate(numbers))
+    path = tmp_path_factory.mktemp("numbers") / "table.csv"
+    path.write_bytes(text.encode())
+    want = RowTable(csv.reader(io.StringIO(text, newline="")))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_table, "_FLOAT_CHUNK", chunk)
+        same_columns(read_table(path), want, 1)
+
+
+def test_a_number_the_cast_rejects_is_parsed_again_only_with_its_chunk(tmp_path,
+                                                                        monkeypatch):
+    path = tmp_path / "table.csv"
+    path.write_text("".join(f"u{i},0.5\n" for i in range(10)) + "nobody,x\n")
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return float(text)
+
+    monkeypatch.setattr(_table, "_FLOAT_CHUNK", 4)
+    monkeypatch.setattr(_table, "float", counted, raising=False)
+    values, bad = read_table(path).floats(1, 11)
+    assert values.tolist() == [0.5] * 10 + [0.0]
+    assert bad.tolist() == [False] * 10 + [True]
+    assert parsed == ["0.5", "0.5", "x"]  # fields 8 to 10, the last chunk
+
+
 @pytest.mark.parametrize("text", ['a,"b"\n', "a,b\r\n", "a,b\rc,d\n", "a\x00,b\n"])
 def test_only_text_with_a_quote_cr_or_nul_goes_through_csv_reader(tmp_path, text):
     path = tmp_path / "table.csv"
@@ -455,3 +496,37 @@ def test_write_table_renders_numbers_by_repr_and_str(tmp_path):
     write_table(path, [["a", "b\rc"], np.array([0.1, -0.0]), [np.float64(1e300), 2.5],
                        [1, np.int64(2)]], header=("label", "x", "y", "n"))
     assert path.read_bytes() == b'label,x,y,n\na,0.1,1e+300,1\n"b\rc",-0.0,2.5,2\n'
+
+
+# labels as load_graph gives them: non-empty, with no surrounding space
+GRAPH_LABEL = st.text(st.one_of(WRITE_CHARS, st.sampled_from(SPACE)), min_size=1,
+                      max_size=6).filter(lambda s: s == s.strip())
+WEIGHT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.1]),
+                   st.floats(0.0, 1e300, allow_subnormal=True))
+
+
+@st.composite
+def loadable_graphs(draw):
+    """A graph with no isolated user whose ids follow first appearance in its
+    edge file: a chain u -> u + 1, and other edges only to an earlier user or
+    to the next one.  Repeated pairs are summed."""
+    labels = draw(st.lists(GRAPH_LABEL, min_size=2, max_size=8, unique=True))
+    n = len(labels)
+    src, dst = list(range(n - 1)), list(range(1, n))
+    for u, back in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                 max_size=12)):
+        if u < back or (u == back and u + 1 == n):
+            continue
+        src.append(u)
+        dst.append(u + 1 if u == back else back)
+    weight = draw(st.lists(WEIGHT, min_size=len(src), max_size=len(src)))
+    return SocialGraph(labels, src, dst, weight)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=loadable_graphs())
+def test_a_graph_written_by_to_csv_loads_back_as_itself(tmp_path_factory, g):
+    path = tmp_path_factory.mktemp("graph") / "edges.csv"
+    g.to_csv(path)
+    for got, want in zip(graph_arrays(load_graph(path)), graph_arrays(g), strict=True):
+        assert got == want if isinstance(want, tuple) else same_arrays(got, want)
