@@ -18,7 +18,6 @@ from .graph import SocialGraph
 from .objective import Assignment, ObjectiveParams, evaluate, total_objective
 from .partition import (
     HeuristicParams,
-    RehostMove,
     baseline_max_preference,
     baseline_min_propagation,
     baseline_random,
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinityTable", "Assignment", "CloudModel", "ExperimentConfig",
     "HeuristicParams", "ObjectiveParams", "ParseError", "PricingMatrix",
-    "RehostMove", "SearchSpaceError", "SocialGraph", "ValidationError",
+    "SearchSpaceError", "SocialGraph", "ValidationError",
     "baseline_max_preference", "baseline_min_propagation", "baseline_random",
     "brute_force_optimal", "build_dataset", "default_profiles", "evaluate",
     "initial_hosting", "run_heuristic", "total_objective",

@@ -5,17 +5,17 @@ the rows in Python.  A Table knows each row's width and hands out columns:
 floats(k, rows) parses field k of the given rows as float() does, and
 intern(ks, rows) gives each distinct stripped label among fields ks of those
 rows a code, in order of first appearance, so that Python code runs once per
-distinct label rather than once per row.
+distinct label rather than once per row.  Both tables intern the fields as
+they are; str.strip then runs once per distinct field, and fields that strip
+to one label share its code.
 
 read_table reads a file's bytes once.  When the only special bytes in them
 are ',' and '\\n' (no '"', '\\r' or NUL), a ByteTable splits them with numpy
 and keeps each field as a (begin, end) span into the buffer, with no Python
-object per field.  It strips labels as str.strip does: ASCII space in
-numpy, and a label that begins or ends with other space through str.strip
-itself.  It interns them by a 64-bit key: a label of up to 8 bytes is its
-own key, and a longer one is keyed by a hash of its bytes and checked byte
-for byte against the first label with its key; the few that differ (hash
-collisions) are interned through a dict.  It parses numbers
+object per field.  It interns fields by a 64-bit key: a field of up to 8
+bytes is its own key, and a longer one is keyed by a hash of its bytes and
+checked byte for byte against the first field with its key; the few that
+differ (hash collisions) are interned through a dict.  It parses numbers
 with numpy's bytes to float64 cast, which calls float() without making a
 str per field, a chunk of fields at a time: a field the cast rejects sends
 only its chunk through float() of each str.  A file with a quote, CR or
@@ -48,21 +48,6 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ParseError
 
 _COMMA = ord(",")
-# bytes that str.strip removes and that a field on the byte path can hold
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[0x09, 0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F, 0x20]] = True
-# the other characters str.strip removes, those str.isspace calls space
-_UNICODE_SPACE = ("\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
-                  + "\u2028\u2029\u202f\u205f\u3000")
-# their UTF-8 bytes as big-endian integers, and their first and last bytes
-_SPACE_KEYS = np.array([int.from_bytes(c.encode("utf-8"), "big") for c in _UNICODE_SPACE])
-_LEAD = np.zeros(256, dtype=bool)
-_LEAD[[c.encode("utf-8")[0] for c in _UNICODE_SPACE]] = True
-_TRAIL = np.zeros(256, dtype=bool)
-_TRAIL[[c.encode("utf-8")[-1] for c in _UNICODE_SPACE]] = True
-# spaces left at a label's ends after this many rounds of ASCII stripping
-# go to str.strip itself
-_STRIP_ROUNDS = 4
 # _MASK[r] keeps the first r bytes of a little-endian word
 _MASK = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -105,6 +90,20 @@ class Table:
         labels of field k of rows and spread back over those rows."""
         codes, labels = self.intern((k,), rows)
         return lookup(labels)[codes]
+
+    def intern(self, ks, rows):
+        """(int64 code of each of fields ks of rows, row after row; the
+        distinct stripped labels in order of first appearance).  A field that
+        is not a str reads as the label None."""
+        codes, labels = self._distinct(ks, rows)
+        texts = stripped(labels)
+        if texts == labels:
+            return codes, labels
+        # labels that strip to one text share its code; the raw labels come
+        # in order of first appearance, so their texts do too
+        ids = _Interner()
+        remap = np.fromiter(map(ids.__getitem__, texts), dtype=np.int64, count=len(texts))
+        return remap[codes], list(ids)
 
     def _index(self, ks, rows):
         """Flat indices of fields ks of the first `rows` rows, or of the rows
@@ -157,12 +156,14 @@ class RowTable(Table):
                 bad[i] = True
         return values, bad
 
-    def intern(self, ks, rows):
+    def _distinct(self, ks, rows):
         """(int64 code of each of fields ks of rows, row after row; the
-        distinct stripped labels in order of first appearance).  A field that
-        is not a string reads as the label None."""
+        distinct fields in order of first appearance, None for a field that
+        is not a str)."""
         ids = _Interner()
-        column = stripped(self._column(ks, rows))
+        column = self._column(ks, rows)
+        if not all(map(isinstance, column, repeat(str))):
+            column = [x if isinstance(x, str) else None for x in column]
         codes = np.fromiter(map(ids.__getitem__, column), dtype=np.int64, count=len(column))
         return codes, list(ids)
 
@@ -245,12 +246,12 @@ class ByteTable(Table):
                 bad[i] = True
         return values, bad
 
-    def intern(self, ks, rows):
+    def _distinct(self, ks, rows):
         """(int64 code of each of fields ks of rows, row after row; the
-        distinct stripped labels in order of first appearance)."""
+        distinct fields in order of first appearance)."""
         index = self._index(ks, rows)
         n = index.size
-        begin, end = self._strip(self._begin[index], self._end[index])
+        begin, end = self._begin[index], self._end[index]
         length = end - begin
         # a label of up to 8 bytes is its own key, since it holds no NUL; a
         # longer one is keyed by its hash and checked byte for byte below
@@ -288,39 +289,6 @@ class ByteTable(Table):
         joined = self._bytes[np.repeat(begin - start, step) + np.arange(int(step.sum()))]
         joined[start + step - 1] = ord("\n")
         return joined.tobytes().decode("utf-8").split("\n")[:-1]
-
-    def _strip(self, begin, end):
-        """Take the space str.strip removes off both ends of the spans, in
-        place."""
-        at = self._bytes
-        odd = self._spaced(begin, end)
-        b, e = begin[odd], end[odd]
-        for _ in range(_STRIP_ROUNDS):
-            b += _SPACE[at[b]] & (b < e)
-            e -= _SPACE[at[e - 1]] & (b < e)
-        for i in self._spaced(b, e).tolist():
-            text = self._data[b[i]:e[i]].decode("utf-8")
-            b[i] += len(text[:len(text) - len(text.lstrip())].encode("utf-8"))
-            e[i] = b[i] + len(text.strip().encode("utf-8"))
-        begin[odd], end[odd] = b, e
-        return begin, end
-
-    def _spaced(self, begin, end):
-        """Indices of the spans that begin or end with a character str.strip
-        removes."""
-        at = self._bytes
-        first, last = at[begin], at[end - 1]
-        maybe = np.flatnonzero((_SPACE[first] | _SPACE[last] | _LEAD[first] | _TRAIL[last])
-                               & (begin < end))
-        b, e = begin[maybe], end[maybe]
-        # spans begin and end on character boundaries, so a multi-byte
-        # character that these bytes spell lies inside the span
-        head = (at[b].astype(np.int64) << 16) | (at[b + 1].astype(np.int64) << 8) | at[b + 2]
-        tail = (at[e - 3].astype(np.int64) << 16) | (at[e - 2].astype(np.int64) << 8) | at[e - 1]
-        hit = (_SPACE[at[b]] | _SPACE[at[e - 1]]
-               | np.isin(head >> 8, _SPACE_KEYS) | np.isin(head, _SPACE_KEYS)
-               | np.isin(tail & 0xFFFF, _SPACE_KEYS) | np.isin(tail, _SPACE_KEYS))
-        return maybe[hit]
 
     def _unlike(self, begin, length, rep):
         """Indices of the spans whose bytes differ from those of span rep,

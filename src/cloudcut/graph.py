@@ -276,7 +276,7 @@ def bfs_sample(graph, seed_count, target_size, rng_seed):
     return graph.subgraph(visited)
 
 
-def synth_graph(n_users, mean_degree, weight_tail_exponent, rng_seed):
+def synth_graph(n_users, mean_degree, weight_exponent, rng_seed):
     """Random directed graph with heavy-tailed propagation weights.
 
     Draws round(n_users * mean_degree) candidate edges with uniform random
@@ -291,8 +291,8 @@ def synth_graph(n_users, mean_degree, weight_tail_exponent, rng_seed):
     if not 0 < mean_degree <= n_users - 1:
         raise ValidationError(f"mean_degree must be in (0, n_users - 1 = {n_users - 1}], "
                               f"got {mean_degree!r}")
-    if weight_tail_exponent <= 1:
-        raise ValidationError("weight_tail_exponent must be > 1")
+    if not weight_exponent > 1:
+        raise ValidationError(f"weight_exponent must be > 1, got {weight_exponent!r}")
 
     rng = np.random.default_rng(rng_seed)
     m = int(round(n_users * mean_degree))
@@ -300,6 +300,6 @@ def synth_graph(n_users, mean_degree, weight_tail_exponent, rng_seed):
     dst = rng.integers(0, n_users, size=m, dtype=np.int64)
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    w = rng.zipf(weight_tail_exponent, size=src.size).astype(np.float64)
+    w = rng.zipf(weight_exponent, size=src.size).astype(np.float64)
     labels = [f"u{i}" for i in range(n_users)]
     return SocialGraph(labels, src, dst, w)

@@ -21,6 +21,7 @@ preference units.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -44,8 +45,8 @@ class ObjectiveParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError("alpha must lie in [0, 1]")
-        if self.cost_weight <= 0:
-            raise ValidationError("cost_weight must be positive")
+        if not 0.0 < self.cost_weight < math.inf:
+            raise ValidationError(f"cost_weight must be finite and > 0, got {self.cost_weight!r}")
 
 
 class Assignment:

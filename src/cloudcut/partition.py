@@ -44,7 +44,6 @@ from .cloud import preference_matrix
 from .errors import SearchSpaceError, ValidationError
 from .objective import Assignment, ObjectiveParams
 
-_CASES = ("keep", "move_u", "move_v", "move_both")
 _WINDOW = 256  # sorted pairs scored per batched kernel call
 
 
@@ -67,26 +66,6 @@ class HeuristicParams:
             raise ValidationError("touched_budget must lie in [0, 1]")
         if not math.isfinite(self.min_gain):
             raise ValidationError("min_gain must be finite")
-
-
-@dataclass(frozen=True)
-class RehostMove:
-    """One candidate re-hosting of a cross-cloud pair.
-
-    case "move_u" sends u to v's cloud, "move_v" sends v to u's cloud,
-    "move_both" sends both to target (a cloud distinct from either side).
-    """
-
-    u: int
-    v: int
-    case: str
-    target: int | None = None
-
-    def __post_init__(self):
-        if self.case not in _CASES[1:]:
-            raise ValidationError(f"case must be one of {_CASES[1:]}")
-        if self.case == "move_both" and self.target is None:
-            raise ValidationError("move_both requires a target cloud")
 
 
 def _batch_gains(us, vs, e_uv, e_vu, host, psi, friends, P, alpha, cost_scale):

@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,29 @@ def naive_total_objective(host, graph, model, alpha, cost_weight=1.0, normalized
     for u in range(graph.n_users):
         pref += naive_preference_row(u, graph, model, normalized)[host[u]]
     return alpha * pref - (1.0 - alpha) * cost_weight * naive_transfer_cost(host, graph, model)
+
+
+_CASES = ("keep", "move_u", "move_v", "move_both")
+
+
+@dataclass(frozen=True)
+class RehostMove:
+    """One candidate re-hosting of a cross-cloud pair.
+
+    case "move_u" sends u to v's cloud, "move_v" sends v to u's cloud,
+    "move_both" sends both to target (a cloud distinct from either side).
+    """
+
+    u: int
+    v: int
+    case: str
+    target: int | None = None
+
+    def __post_init__(self):
+        if self.case not in _CASES[1:]:
+            raise ValidationError(f"case must be one of {_CASES[1:]}")
+        if self.case == "move_both" and self.target is None:
+            raise ValidationError("move_both requires a target cloud")
 
 
 def apply_move(host, move):

@@ -23,7 +23,6 @@ from cloudcut import (
     HeuristicParams,
     ObjectiveParams,
     PricingMatrix,
-    RehostMove,
     SocialGraph,
     baseline_max_preference,
     baseline_min_propagation,
@@ -40,7 +39,7 @@ from cloudcut.experiments import (
     make_oracle_instance,
     oracle_heuristic_params,
 )
-from oracles import apply_move, make_instance
+from oracles import RehostMove, apply_move, make_instance
 
 
 @lru_cache(maxsize=None)

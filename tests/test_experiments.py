@@ -363,6 +363,7 @@ def test_cli_zero_clouds_flag_exits_2(tmp_path, capsys):
     ("partition", {"rng_seed": -1}),
     # refused before any edge is drawn (a large value that fits in memory is not tried)
     ("partition", {"synth_mean_degree": 1e300}), ("partition", {"synth_mean_degree": 20.0}),
+    ("partition", {"synth_weight_exponent": float("nan")}),
 ])
 def test_cli_empty_grid_or_count_out_of_range_exits_2(tmp_path, capsys, command, doc):
     cfgp = tmp_path / "config.json"
@@ -374,13 +375,18 @@ def test_cli_empty_grid_or_count_out_of_range_exits_2(tmp_path, capsys, command,
     assert next(iter(doc)).removeprefix("synth_") in err["message"]
 
 
-def test_cli_negative_seed_flag_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "rng_seed must be finite and >= 0, got -1"),
+    # a score of NaN or -Infinity is not JSON
+    ("--cost-weight", "nan", "cost_weight must be finite and > 0, got nan"),
+    ("--cost-weight", "inf", "cost_weight must be finite and > 0, got inf"),
+], ids=["seed", "cost-weight-nan", "cost-weight-inf"])
+def test_cli_out_of_range_flag_exits_2(tmp_path, capsys, flag, value, message):
     code, stdout, stderr = run_cli(
-        ["partition", "--seed", "-1", "--users", "20", "--output-dir", str(tmp_path / "o")],
+        ["partition", flag, value, "--users", "20", "--output-dir", str(tmp_path / "o")],
         capsys)
     assert (code, stdout) == (2, "")
-    assert json.loads(stderr) == {"error": "ValidationError",
-                                  "message": "rng_seed must be finite and >= 0, got -1"}
+    assert json.loads(stderr) == {"error": "ValidationError", "message": message}
 
 
 @pytest.mark.parametrize("regions, error, message", [

@@ -384,14 +384,12 @@ def test_a_number_the_cast_rejects_is_parsed_again_only_with_its_chunk(tmp_path,
 def test_only_text_with_a_quote_cr_or_nul_goes_through_csv_reader(tmp_path, text):
     path = tmp_path / "table.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert isinstance(read_table(path), RowTable)
-
-
-def test_the_byte_path_strips_what_str_strip_strips():
-    ascii_space = {chr(c) for c in range(128) if chr(c).isspace()} - {"\n", "\r"}
-    assert {chr(c) for c in np.flatnonzero(_table._SPACE)} == ascii_space
-    assert set(_table._UNICODE_SPACE) == {c for c in map(chr, range(0x80, 0x110000))
-                                          if c.isspace()}
+    if "\x00" in text and sys.version_info < (3, 11):
+        # csv.reader before 3.11 refuses NUL
+        with pytest.raises(ParseError, match="^line 1: malformed CSV: .*NUL"):
+            read_table(path)
+    else:
+        assert isinstance(read_table(path), RowTable)
 
 
 def test_interning_stays_exact_when_every_hash_collides(monkeypatch):

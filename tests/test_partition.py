@@ -11,7 +11,6 @@ from cloudcut import (
     HeuristicParams,
     ObjectiveParams,
     PricingMatrix,
-    RehostMove,
     SearchSpaceError,
     SocialGraph,
     ValidationError,
@@ -26,6 +25,7 @@ from cloudcut import (
 )
 from cloudcut.cloud import preference_matrix
 from oracles import (
+    RehostMove,
     apply_move,
     kernel_pair_gains,
     make_instance,
