@@ -110,6 +110,13 @@ class ExperimentConfig:
             for x in (value or ()) if name in _GRID_KINDS else (value,):
                 if not low <= x < math.inf:
                     raise ValidationError(f"{name} must be finite and >= {low}, got {x!r}")
+        # the objective and walk parameters, refused before any command works
+        self.heuristic_params()
+        for alpha in self.alpha_grid:
+            try:
+                self.objective_params(alpha)
+            except ValidationError as exc:
+                raise ValidationError(f"alpha_grid entry {alpha!r}: {exc}") from None
 
     @classmethod
     def from_dict(cls, doc):

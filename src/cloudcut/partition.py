@@ -16,18 +16,28 @@ the placement score.  The option with the largest gain is applied (ties keep
 users put), and the walk stops when a touched-connection budget is spent or
 the best gain falls below a threshold, whichever comes first.
 
-The walk is windowed.  It takes the next _WINDOW pairs of the sorted order,
+The walk reads at most a budget's worth of cross pairs, so only those are
+ordered: np.partition finds the weight of the last pair it can reach, and
+one stable sort orders the pairs at least that heavy.  connection_arrays()
+lists pairs by (a, b), so equal weights keep that order, and a run of equal
+weights at the cut comes in whole, so the prefix is exactly that of a full
+sort by (-weight, a, b).
+
+The walk is windowed.  It takes the next _WINDOW pairs of that order,
 scores every pair of the window that is still cross-cloud in one batched
 kernel call, then visits the pairs one by one exactly as an unwindowed walk
 would.  A pair's gains depend only on the clouds of its two users and of
 their friends, so they go stale only when one of these users moves (the
 gain-locality argument of Fiduccia and Mattheyses, DAC 1982).  When a user
-moves, it and its friends are marked dirty; a pair with a dirty endpoint is
-scored again on its own before its move is chosen, and the marks are cleared
-when the next window is scored.  The kernel gives every element the same
-operations in the same order whatever the batch, so the windowed walk makes
-the same choices, with bit-identical gains, as one that scores each pair
-just before it decides.
+moves, it and its friends are marked dirty.  At the first pair examined with
+a dirty endpoint, one round rescores, in one kernel call, every pair left in
+the window that is still cross-cloud and has a dirty endpoint, and clears
+the marks.  A pair rescored in a round is rescored again if a later move
+dirties it, and a pair that turns cross-cloud later has a mover as an
+endpoint, so no pair is decided on stale gains.  The kernel gives every
+element the same operations in the same order whatever the batch, so the
+walk makes the same choices, with bit-identical gains, as one that scores
+each pair just before it decides.
 """
 
 from __future__ import annotations
@@ -147,10 +157,18 @@ def run_heuristic(graph, model, params, telemetry=None):
     cw = e_ab + e_ba
     friends = graph.friend_csr()
     total_connections = ca.size
-    order = np.lexsort((cb, ca, -cw))
-    cross = order[host[ca[order]] != host[cb[order]]]
-    # every pair the walk reaches is touched, so the budget caps the prefix
-    end = min(cross.size, math.ceil(params.touched_budget * total_connections))
+    # the cross pairs in (a, b) order; every pair the walk reaches is
+    # touched, so the budget caps the prefix it can read
+    cross = np.flatnonzero(host[ca] != host[cb])
+    n_cross = cross.size
+    end = min(n_cross, math.ceil(params.touched_budget * total_connections))
+    # sort only the pairs at least as heavy as the end-th heaviest, stably,
+    # so equal weights keep (a, b) order (see the module docstring)
+    key = -cw[cross]
+    if 0 < end < n_cross:
+        heavy = key <= np.partition(key, end - 1)[end - 1]
+        cross, key = cross[heavy], key[heavy]
+    cross = cross[np.argsort(key, kind="stable")[:end]]
 
     def score(idx):
         """[(move_u, move_v, move_both, third cloud)] per connection in idx."""
@@ -162,22 +180,32 @@ def run_heuristic(graph, model, params, telemetry=None):
 
     off, nbr = friends[0].tolist(), friends[1]
     hosts = host.tolist()  # scalar reads; host stays the array the kernel reads
+    mark = np.zeros(graph.n_users, dtype=bool)  # the dirty set as a mask, during a round
     rows = []  # telemetry
     touched = examined = moves = 0
     stop_reason = "exhausted"
     while touched < end and stop_reason == "exhausted":
         window = cross[touched:min(touched + _WINDOW, end)]
-        live = window[host[ca[window]] != host[cb[window]]]
+        wa, wb = ca[window], cb[window]
+        live = window[host[wa] != host[wb]]
         gains = dict(zip(live.tolist(), score(live)))
-        dirty = set()  # movers and their friends since the window was scored
-        for idx, u, v in zip(window.tolist(), ca[window].tolist(), cb[window].tolist()):
+        dirty = set()  # movers and their friends since the last scoring
+        for i, (idx, u, v) in enumerate(zip(window.tolist(), wa.tolist(), wb.tolist())):
             touched += 1
             c, d = hosts[u], hosts[v]
             if c == d:
                 continue
             examined += 1
             if u in dirty or v in dirty:
-                gains[idx] = score(np.array([idx]))[0]
+                # one round: rescore every pair left in the window, this one
+                # included, that is still cross-cloud and has a dirty endpoint
+                marked = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
+                mark[marked] = True
+                ra, rb = wa[i:], wb[i:]
+                stale = window[i:][(mark[ra] | mark[rb]) & (host[ra] != host[rb])]
+                mark[marked] = False
+                gains.update(zip(stale.tolist(), score(stale)))
+                dirty.clear()
             gain_u, gain_v, gain_both, f = gains[idx]
             # strict > from keep = 0.0: ties keep users put
             case, gain, target, movers = "keep", 0.0, None, ()
@@ -198,7 +226,7 @@ def run_heuristic(graph, model, params, telemetry=None):
             if gain < params.min_gain:
                 stop_reason = "gain_threshold"
                 break
-    if stop_reason == "exhausted" and touched < cross.size:
+    if stop_reason == "exhausted" and touched < n_cross:
         stop_reason = "budget"
     if telemetry is not None:
         telemetry.write("".join(json.dumps({

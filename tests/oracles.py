@@ -191,14 +191,22 @@ def two_user_instance(pricing=None):
     return graph, model
 
 def make_instance(seed, n_users=10, n_clouds=3, n_edges=20, pricing="uniform",
-                  weight_scale=1.0, regions_per_cloud=1):
-    """Random small instance with exact directed edge count."""
+                  weight_scale=1.0, regions_per_cloud=1, weight_levels=None):
+    """Random small instance with exact directed edge count.
+
+    pricing is "uniform" (flat 0/1), "random" (random inter-cloud prices,
+    free intra-cloud traffic) or "random_intra" (random prices on the
+    diagonal too).  weight_levels, when given, is the set the edge weights
+    are drawn from, so that weights tie.
+    """
     rng = np.random.default_rng(seed)
     codes = rng.choice(n_users * (n_users - 1), size=n_edges, replace=False)
     src = codes // (n_users - 1)
     rem = codes % (n_users - 1)
     dst = rem + (rem >= src)
     w = rng.uniform(0.0, weight_scale, size=n_edges)
+    if weight_levels is not None:
+        w = rng.choice(np.asarray(weight_levels, dtype=np.float64), size=n_edges)
     graph = SocialGraph([f"u{i}" for i in range(n_users)], src, dst, w)
 
     R = n_clouds * regions_per_cloud
@@ -208,7 +216,8 @@ def make_instance(seed, n_users=10, n_clouds=3, n_edges=20, pricing="uniform",
         pm = PricingMatrix.uniform(n_clouds)
     else:
         m = rng.uniform(0.2, 3.0, (n_clouds, n_clouds))
-        np.fill_diagonal(m, 0.0)
+        if pricing == "random":
+            np.fill_diagonal(m, 0.0)
         pm = PricingMatrix(m)
     vol, blend = default_profiles(graph)
     model = CloudModel(

@@ -3,6 +3,7 @@ import json
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -387,6 +388,35 @@ def test_cli_out_of_range_flag_exits_2(tmp_path, capsys, flag, value, message):
         capsys)
     assert (code, stdout) == (2, "")
     assert json.loads(stderr) == {"error": "ValidationError", "message": message}
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("partition", ["--cost-weight", "nan"], "cost_weight must be finite and > 0, got nan"),
+    ("partition", ["--alpha", "1.5"], "alpha must lie in [0, 1]"),
+    ("partition", ["--alpha", "nan"], "alpha must lie in [0, 1]"),
+    ("partition", ["--touched-budget", "2"], "touched_budget must lie in [0, 1]"),
+    ("partition", ["--touched-budget", "-0.1"], "touched_budget must lie in [0, 1]"),
+    ("partition", ["--min-gain", "inf"], "min_gain must be finite"),
+    ("sweep-alpha", {"alpha_grid": [0.5, 2.0]}, "alpha_grid entry 2.0: alpha must lie in [0, 1]"),
+    ("sweep-alpha", {"alpha_grid": [float("nan")]},
+     "alpha_grid entry nan: alpha must lie in [0, 1]"),
+], ids=["cost-weight-nan", "alpha-1.5", "alpha-nan", "touched-budget-2",
+        "touched-budget-negative", "min-gain-inf", "alpha-grid-2", "alpha-grid-nan"])
+def test_cli_bad_objective_or_walk_parameter_exits_2_before_any_work(
+        tmp_path, capsys, command, argv, message):
+    # refused when the config is built: no dataset is built, and the output
+    # directory is never made
+    out = tmp_path / "o"
+    if isinstance(argv, dict):  # a config document
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text(json.dumps(argv))
+        argv = ["--config", str(cfgp)]
+    with mock.patch("cloudcut.experiments.build_dataset", side_effect=AssertionError):
+        code, stdout, stderr = run_cli(
+            [command, *argv, "--users", "2000", "--output-dir", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {"error": "ValidationError", "message": message}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("regions, error, message", [

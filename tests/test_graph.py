@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudcut import ParseError, SocialGraph, ValidationError, default_profiles
 from cloudcut.graph import bfs_sample, load_graph, synth_graph
@@ -73,6 +75,36 @@ def test_connection_arrays_merge_both_directions():
     pairs = {(int(x), int(y)): (float(f), float(b)) for x, y, f, b in zip(ca, cb, w_ab, w_ba)}
     assert pairs == {(0, 1): (4.0, 2.0), (0, 2): (1.0, 0.0)}
     assert g.n_connections == 2
+
+
+def assert_connections_sorted(graph):
+    """a < b on every connection, keys strictly increasing in (a, b), and one
+    connection per friend pair: the walk's weight sort relies on this order."""
+    ca, cb, _, _ = graph.connection_arrays()
+    src, dst, _ = graph.edge_arrays()
+    assert np.all(ca < cb)
+    key = ca * graph.n_users + cb
+    assert np.all(np.diff(key) > 0)
+    assert set(zip(ca.tolist(), cb.tolist())) == {
+        (min(s, d), max(s, d)) for s, d in zip(src.tolist(), dst.tolist())}
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), n_users=st.integers(2, 30), n_edges=st.integers(0, 120))
+def test_connection_arrays_are_sorted_by_pair(tmp_path_factory, seed, n_users, n_edges):
+    # records drawn with repeats and in both directions, in random order
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n_users, size=n_edges)
+    dst = (src + rng.integers(1, n_users, size=n_edges)) % n_users
+    w = rng.choice([0.0, 0.5, 2.0], size=n_edges)
+    graph = SocialGraph([f"u{i}" for i in range(n_users)], src, dst, w)
+    assert_connections_sorted(graph)
+    # the same records from a CSV whose rows are shuffled: ids follow first
+    # appearance, so they differ, and the order must hold on the new ids
+    path = tmp_path_factory.mktemp("edges") / "edges.csv"
+    rows = [f"u{s},u{d},{x!r}\n" for s, d, x in zip(src.tolist(), dst.tolist(), w.tolist())]
+    path.write_text("".join(rows[i] for i in rng.permutation(n_edges)), encoding="utf-8")
+    assert_connections_sorted(load_graph(path))
 
 
 def test_friend_arrays_align_directed_weights():

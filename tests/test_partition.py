@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 
 import numpy as np
@@ -108,9 +109,11 @@ def test_rehost_move_rejects_bad_cases():
 # -- pair gains ---------------------------------------------------------------
 
 def test_gains_equal_score_deltas_in_exact_mode():
-    for seed in range(6):
+    # with and without a price on intra-cloud traffic, which the joint move's
+    # mutual edge pays
+    for seed, pricing in itertools.product(range(6), ("random", "random_intra")):
         graph, model = make_instance(seed, n_users=10, n_clouds=4, n_edges=30,
-                                     pricing="random")
+                                     pricing=pricing)
         for alpha in (0.0, 0.5, 0.9):
             params = params_for(alpha)
             assign = initial_hosting(graph, model)
@@ -204,9 +207,9 @@ def test_heuristic_at_alpha_one_keeps_initial_hosting():
 
 
 def test_heuristic_never_lowers_the_score_in_exact_mode():
-    for seed in range(6):
+    for seed, pricing in itertools.product(range(6), ("random", "random_intra")):
         graph, model = make_instance(seed, n_users=25, n_clouds=4, n_edges=80,
-                                     pricing="random")
+                                     pricing=pricing)
         for alpha in (0.0, 0.3, 0.7):
             params = params_for(alpha, touched_budget=1.0)
             start = total_objective(initial_hosting(graph, model), graph,

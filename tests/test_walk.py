@@ -1,10 +1,11 @@
 """The windowed re-hosting walk against the one-pair-at-a-time walk.
 
-run_heuristic scores a window of sorted pairs in one batch and rescores a
-pair on its own only when one of its users, or a friend of one, moved since
-the batch.  These tests hold it to naive_walk, which scores every pair just
-before deciding it: the same assignment and the same telemetry bytes,
-whatever the window size, pricing, alpha, budget and gain threshold.
+run_heuristic orders only the heaviest cross pairs it can reach, scores a
+window of them in one batch, and rescores the pairs whose users, or a friend
+of one, moved since, in rounds.  These tests hold it to naive_walk, which
+orders every pair with lexsort and scores each just before deciding it: the
+same assignment and the same telemetry bytes, whatever the window size,
+pricing, alpha, weight ties, budget and gain threshold.
 """
 
 import io
@@ -26,6 +27,7 @@ from cloudcut import (
     run_heuristic,
 )
 from cloudcut import partition
+from cloudcut.cloud import preference_matrix
 from oracles import make_instance, naive_walk
 
 
@@ -62,6 +64,45 @@ def test_windowed_walk_matches_the_naive_walk(seed, n_users, n_clouds, edge_shar
                              touched_budget=budget)
     windowed, naive = both_walks(graph, model, params, window)
     assert windowed == naive
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       n_users=st.integers(2, 14),
+       n_clouds=st.sampled_from([2, 3, 5]),
+       edge_share=st.floats(0.05, 1.0),
+       levels=st.sampled_from([(0.0,), (0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 0.25, 2.0)]),
+       alpha=st.floats(0.0, 1.0),
+       budget=st.sampled_from(["one pair", 0.0, 0.2, 1.0]),
+       window=st.sampled_from([1, 7, 256]))
+def test_windowed_walk_matches_the_naive_walk_on_tied_weights(
+        seed, n_users, n_clouds, edge_share, levels, alpha, budget, window):
+    # few distinct weights, zero among them: runs of equal weight straddle the
+    # budget's cut, and the walk must cut them in (a, b) order as lexsort does
+    n_edges = max(1, int(edge_share * n_users * (n_users - 1)))
+    graph, model = make_instance(seed, n_users=n_users, n_clouds=n_clouds,
+                                 n_edges=n_edges, pricing="random", weight_levels=levels)
+    if budget == "one pair":
+        budget = 1 / graph.n_connections
+    params = HeuristicParams(ObjectiveParams(alpha=alpha), touched_budget=budget)
+    windowed, naive = both_walks(graph, model, params, window)
+    assert windowed == naive
+
+
+def test_budget_cuts_a_run_of_tied_weights():
+    graph, model = make_instance(1, n_users=40, n_clouds=3, n_edges=400,
+                                 pricing="random", weight_levels=(0.0, 0.5, 1.0))
+    params = HeuristicParams(ObjectiveParams(alpha=0.5), touched_budget=0.2)
+    windowed, naive = both_walks(graph, model, params, window=7)
+    assert windowed == naive
+    s = summary(windowed[1])
+    assert s["stop_reason"] == "budget"
+    # the last pair touched and the first pair left out weigh the same
+    host = np.argmax(preference_matrix(graph, model, normalized=True), axis=1)
+    ca, cb, e_ab, e_ba = graph.connection_arrays()
+    cross = host[ca] != host[cb]
+    weights = np.sort(e_ab[cross] + e_ba[cross])[::-1]
+    assert weights[s["touched"] - 1] == weights[s["touched"]]
 
 
 def test_budget_stops_the_walk_inside_a_window():
