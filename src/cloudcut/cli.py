@@ -15,6 +15,8 @@ import os
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from .errors import ValidationError
 from .experiments import (  # main finds the cmd_* functions by name
     ExperimentConfig,
@@ -55,8 +57,16 @@ def _add_common(p):
                    help="write telemetry.jsonl next to the assignment")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises a bad command line as a
+    ValidationError, so that main reports it as JSON like any bad input."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cloudcut",
         description="Assign social-network users to cloud providers, trading "
                     "hosting preference against cross-cloud replication cost.",
@@ -100,24 +110,28 @@ def config_from_args(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = config_from_args(args)
         # looked up by name on each call, so a wrapped cmd_* attribute is used
         command = globals()["cmd_" + args.command.replace("-", "_")]
         extra = (args.assignment,) if args.command == "evaluate" else ()
-        summary = command(config, *extra)
+        # numbers too large to score are bad input, not a crash
+        with np.errstate(over="raise", invalid="raise"):
+            summary = command(config, *extra)
+    except FloatingPointError as exc:
+        return _fail("ValidationError", f"input numbers too large to score ({exc})", 2)
     except ValidationError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return _fail(type(exc).__name__, str(exc), 2)
     except OSError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 3
+        return _fail(type(exc).__name__, str(exc), 3)
     print(json.dumps(summary, sort_keys=True))
     return 0
+
+
+def _fail(error, message, code):
+    print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -17,9 +17,12 @@ and the hosting preference, their blend:
 
   preference(u, c) = download_index + blend_weight(u) * upload_index
 
-preference_matrix computes it for every user and cloud at once; normalized,
-each user's row sums to 1 over the clouds (uniform when all are zero), so
-per-user satisfaction is comparable across users and model scales.
+preference_matrix computes it for every user and cloud at once.  The download
+index sums each user's friends' best download rows in neighbor order, one
+np.bincount per cloud over the friend CSR, so it matches a sparse
+adjacency-matrix product bit for bit.  Normalized, each user's row sums to 1
+over the clouds (uniform when all are zero), so per-user satisfaction is
+comparable across users and model scales.
 
 An AffinityTable holds its affinities as entries (row, region, download,
 upload), unlisted pairs being 0, over distinct rows, plus the row index of each
@@ -36,7 +39,6 @@ import math
 from functools import partial
 
 import numpy as np
-from scipy import sparse
 
 from ._table import first, ids_of, last_of_each, read_table, write_table
 from .errors import ParseError, ValidationError
@@ -361,10 +363,12 @@ def preference_matrix(graph, model, normalized=False):
         raise ValidationError("model and graph disagree on user count")
     off, nbr, _, _ = graph.friend_csr()
     n = graph.n_users
-    adj = sparse.csr_matrix(
-        (np.ones(nbr.size), nbr, off), shape=(n, n)
-    )
-    download = adj @ model.best_download
+    # each user's friends' best download rows, summed in neighbor order: one
+    # bincount per cloud over the friend CSR's row index
+    row = np.repeat(np.arange(n), np.diff(off))
+    download = np.empty_like(model.best_download)
+    for c, best in enumerate(np.ascontiguousarray(model.best_download.T)):
+        download[:, c] = np.bincount(row, weights=best[nbr], minlength=n)
     upload = model.best_upload * model.upload_volume[:, None]
     psi = download + model.blend_weight[:, None] * upload
     return normalize_rows(psi) if normalized else psi

@@ -8,6 +8,7 @@ rerunning a command reproduces its output files byte for byte.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -110,6 +111,11 @@ class ExperimentConfig:
             for x in (value or ()) if name in _GRID_KINDS else (value,):
                 if not low <= x < math.inf:
                     raise ValidationError(f"{name} must be finite and >= {low}, got {x!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise ValidationError(f"algorithm must be one of {ALGORITHMS}")
+        for a in self.algorithms:
+            if a not in ALGORITHMS:
+                raise ValidationError(f"unknown algorithm {a!r}")
         # the objective and walk parameters, refused before any command works
         self.heuristic_params()
         for alpha in self.alpha_grid:
@@ -148,13 +154,7 @@ class ExperimentConfig:
             if grid and not (isinstance(value, tuple) and all(_is_number(x, grid) for x in value)):
                 what = "integers" if grid == "int" else "numbers"
                 raise ValidationError(f"{f.name} must be a list of {what}, got {value!r}")
-        cfg = cls(**doc)
-        if cfg.algorithm not in ALGORITHMS:
-            raise ValidationError(f"algorithm must be one of {ALGORITHMS}")
-        for a in cfg.algorithms:
-            if a not in ALGORITHMS:
-                raise ValidationError(f"unknown algorithm {a!r}")
-        return cfg
+        return cls(**doc)
 
     @classmethod
     def from_json(cls, path):
@@ -281,6 +281,8 @@ def solve(graph, model, config, algorithm=None, alpha=None, telemetry=None):
 # -- output helpers ----------------------------------------------------------
 
 def _outdir(config):
+    """The output directory, made when a command is about to write into it:
+    a command that fails on its input leaves none behind."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -290,15 +292,13 @@ def _outdir(config):
 
 def cmd_partition(config):
     """Partition the dataset once; writes assignment.csv and report.json."""
-    out = _outdir(config)
     graph, model = build_dataset(config)
-    telemetry_path = out / "telemetry.jsonl"
-    if config.telemetry and config.algorithm == "heuristic":
-        with open(telemetry_path, "w", encoding="utf-8", newline="") as tfh:
-            assignment = solve(graph, model, config, telemetry=tfh)
-    else:
-        assignment = solve(graph, model, config)
+    telemetry = io.StringIO() if config.telemetry and config.algorithm == "heuristic" else None
+    assignment = solve(graph, model, config, telemetry=telemetry)
     report = evaluate(assignment, graph, model, config.objective_params())
+    out = _outdir(config)
+    if telemetry is not None:
+        (out / "telemetry.jsonl").write_text(telemetry.getvalue(), encoding="utf-8", newline="")
     assignment.to_csv(out / "assignment.csv", graph, model)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     return {"assignment": str(out / "assignment.csv"),
@@ -308,10 +308,10 @@ def cmd_partition(config):
 
 def cmd_evaluate(config, assignment_path):
     """Score an existing assignment file; writes report.json."""
-    out = _outdir(config)
     graph, model = build_dataset(config)
     assignment = Assignment.from_csv(assignment_path, graph, model)
     report = evaluate(assignment, graph, model, config.objective_params())
+    out = _outdir(config)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     return {"report": str(out / "report.json"), **report.to_dict()}
 
@@ -322,8 +322,8 @@ def cmd_synth(config):
               config.affinity_path, config.profiles_path):
         if p:
             raise ValidationError("synth generates a fresh dataset; remove input paths")
-    out = _outdir(config)
     graph, model = build_dataset(config)
+    out = _outdir(config)
     graph.to_csv(out / "edges.csv")
     cloud_labels, region_labels, region_cloud, xy = _synth_regions(config)
     cloud_of = np.array(cloud_labels, dtype=object)[region_cloud]
@@ -344,7 +344,6 @@ def _sweep(config, name, alphas, default_grid):
     Without a cloud_grid in the config, default_grid(n_clouds) gives the
     cloud counts.
     """
-    out = _outdir(config)
     graph, model = build_dataset(config)
     grid = default_grid(model.n_clouds) if config.cloud_grid is None else config.cloud_grid
     for k in grid:
@@ -362,7 +361,7 @@ def _sweep(config, name, alphas, default_grid):
                              report.preference_satisfaction,
                              report.inter_cloud_cost,
                              report.inter_cloud_edge_count))
-    path = out / f"{name}.csv"
+    path = _outdir(config) / f"{name}.csv"
     write_table(path, zip(*rows), header=SWEEP_HEADER)
     return {"sweep": str(path), "rows": len(rows)}
 
@@ -425,7 +424,6 @@ def oracle_heuristic_params(config, alpha=None):
 
 def cmd_oracle_compare(config):
     """Heuristic vs exhaustive optimum on small instances; writes oracle.csv."""
-    out = _outdir(config)
     rows = []
     for n_edges in config.oracle_edge_grid:
         for instance in range(config.oracle_instances):
@@ -442,6 +440,6 @@ def cmd_oracle_compare(config):
             else:
                 ratio = h_val / o_val
             rows.append((int(n_edges), instance, h_val, o_val, ratio))
-    path = out / "oracle.csv"
+    path = _outdir(config) / "oracle.csv"
     write_table(path, zip(*rows), header=ORACLE_HEADER)
     return {"oracle": str(path), "rows": len(rows)}

@@ -125,7 +125,11 @@ def total_objective(assignment, graph, model, params):
 def _score(psi, assignment, graph, model, params):
     pref = float(psi[np.arange(graph.n_users), assignment.host].sum())
     cost = transfer_cost_total(assignment, graph, model)
-    return params.alpha * pref - (1.0 - params.alpha) * params.cost_weight * cost
+    value = params.alpha * pref - (1.0 - params.alpha) * params.cost_weight * cost
+    if not math.isfinite(value):  # NaN and +-Infinity are not JSON
+        raise ValidationError(f"objective value {value} is not finite: preferences, "
+                              "prices, edge weights or cost_weight too large")
+    return value
 
 
 @dataclass

@@ -47,8 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .cloud import preference_matrix
 from .errors import SearchSpaceError, ValidationError
@@ -180,32 +178,32 @@ def run_heuristic(graph, model, params, telemetry=None):
 
     off, nbr = friends[0].tolist(), friends[1]
     hosts = host.tolist()  # scalar reads; host stays the array the kernel reads
-    mark = np.zeros(graph.n_users, dtype=bool)  # the dirty set as a mask, during a round
+    # movers and their friends since the last scoring; only the marks of the
+    # window's endpoints are read, and these are cleared whenever scored
+    mark = np.zeros(graph.n_users, dtype=bool)
+    dirty = memoryview(mark)  # scalar reads and writes of mark
     rows = []  # telemetry
     touched = examined = moves = 0
     stop_reason = "exhausted"
     while touched < end and stop_reason == "exhausted":
         window = cross[touched:min(touched + _WINDOW, end)]
         wa, wb = ca[window], cb[window]
+        mark[wa] = mark[wb] = False
         live = window[host[wa] != host[wb]]
         gains = dict(zip(live.tolist(), score(live)))
-        dirty = set()  # movers and their friends since the last scoring
         for i, (idx, u, v) in enumerate(zip(window.tolist(), wa.tolist(), wb.tolist())):
             touched += 1
             c, d = hosts[u], hosts[v]
             if c == d:
                 continue
             examined += 1
-            if u in dirty or v in dirty:
+            if dirty[u] or dirty[v]:
                 # one round: rescore every pair left in the window, this one
                 # included, that is still cross-cloud and has a dirty endpoint
-                marked = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
-                mark[marked] = True
                 ra, rb = wa[i:], wb[i:]
                 stale = window[i:][(mark[ra] | mark[rb]) & (host[ra] != host[rb])]
-                mark[marked] = False
+                mark[ra] = mark[rb] = False
                 gains.update(zip(stale.tolist(), score(stale)))
-                dirty.clear()
             gain_u, gain_v, gain_both, f = gains[idx]
             # strict > from keep = 0.0: ties keep users put
             case, gain, target, movers = "keep", 0.0, None, ()
@@ -217,8 +215,8 @@ def run_heuristic(graph, model, params, telemetry=None):
                 case, gain, target, movers = "move_both", gain_both, f, (u, v)
             for w in movers:
                 host[w] = hosts[w] = target
-                dirty.add(w)
-                dirty.update(nbr[off[w]:off[w + 1]].tolist())
+                dirty[w] = True
+                mark[nbr[off[w]:off[w + 1]]] = True
             if movers:
                 moves += 1
             if telemetry is not None:
@@ -300,12 +298,33 @@ def baseline_min_propagation(graph, model):
     preference of its members (lowest cloud id on ties), so no connection
     ever crosses clouds.
     """
-    n = graph.n_users
-    off, nbr, _, _ = graph.friend_csr()
-    adj = csr_matrix((np.ones(nbr.size), nbr, off), shape=(n, n))
-    n_comp, comp = connected_components(adj, directed=False)
+    a, b, _, _ = graph.connection_arrays()
+    comp = _least_member(graph.n_users, a, b)
     psi = preference_matrix(graph, model, normalized=True)
-    totals = np.zeros((n_comp, model.n_clouds))
+    totals = np.zeros_like(psi)
     np.add.at(totals, comp, psi)
-    comp_cloud = np.argmax(totals, axis=1)
-    return Assignment(comp_cloud[comp])
+    return Assignment(np.argmax(totals, axis=1)[comp])
+
+
+def _least_member(n, a, b):
+    """The least user id in each user's connected component, for n users
+    joined by the undirected edges (a[i], b[i]).
+
+    Shiloach-Vishkin style root hooking and pointer jumping.  No label
+    exceeds its user's id, so a root is the least id of its tree, and at the
+    start of each round every user's label is its root.  A round drops the
+    edges inside one tree, hooks each root onto the least lesser root across
+    its remaining edges, and jumps pointers until every label is a root
+    again.  Every round but the last lowers some root's label, so the loop
+    ends.
+    """
+    label = np.arange(n)
+    while a.size:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+    return label

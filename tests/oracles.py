@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes model quantities with plain Python loops straight
-from their definitions, sharing no code paths with the library internals, so
-the vectorized implementations are checked against a second derivation.
+from their definitions, or with scipy's sparse matrices and graph routines,
+sharing no code paths with the library internals, so the vectorized
+implementations are checked against a second derivation.
 """
 
 import csv
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from cloudcut import (
     AffinityTable,
@@ -77,6 +80,29 @@ def naive_preference_row(u, graph, model, normalized):
     if total <= 0.0:
         return [1.0 / model.n_clouds] * model.n_clouds
     return [x / total for x in row]
+
+
+def friend_adjacency(graph):
+    """The friend CSR as a scipy (users x users) matrix of ones."""
+    off, nbr, _, _ = graph.friend_csr()
+    n = graph.n_users
+    return sparse.csr_matrix((np.ones(nbr.size), nbr, off), shape=(n, n))
+
+
+def scipy_preference_matrix(graph, model):
+    """The raw preference table with the download index as the sparse product
+    friend adjacency @ best download table."""
+    upload = model.best_upload * model.upload_volume[:, None]
+    return friend_adjacency(graph) @ model.best_download + model.blend_weight[:, None] * upload
+
+
+def scipy_least_member(graph):
+    """The least user id in each user's connected component, from scipy's
+    connected_components."""
+    n_comp, comp = connected_components(friend_adjacency(graph), directed=False)
+    least = np.full(n_comp, graph.n_users)
+    np.minimum.at(least, comp, np.arange(graph.n_users))
+    return least[comp]
 
 
 def naive_upload_volumes(graph):

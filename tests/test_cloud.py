@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from cloudcut import (
     AffinityTable,
     CloudModel,
+    ExperimentConfig,
     PricingMatrix,
     SocialGraph,
     ValidationError,
+    build_dataset,
     default_profiles,
 )
 from cloudcut.cloud import load_affinities, load_profiles, load_regions, preference_matrix
@@ -21,6 +23,7 @@ from oracles import (
     naive_decay_affinity,
     naive_preference_row,
     naive_upload_volumes,
+    scipy_preference_matrix,
 )
 
 
@@ -79,6 +82,32 @@ def test_normalized_rows_sum_to_one():
     # user b has zero preference everywhere: uniform fallback
     assert psi[1].tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
     assert np.allclose(psi.sum(axis=1), 1.0)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(2, 40), n_clouds=st.integers(1, 5),
+       density=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_preference_matrix_is_bit_identical_to_the_sparse_product(seed, n_users, n_clouds,
+                                                                  density):
+    # density 0 gives an edgeless graph, and low densities leave users isolated
+    graph, model = make_instance(seed, n_users=n_users, n_clouds=n_clouds,
+                                 n_edges=int(density * n_users * (n_users - 1)),
+                                 regions_per_cloud=2)
+    assert_same_bits(preference_matrix(graph, model), scipy_preference_matrix(graph, model))
+
+
+def test_preference_matrix_is_bit_identical_to_the_sparse_product_on_a_synthetic_graph():
+    # heavy-tailed degrees, isolated users, and one affinity row per position
+    graph, model = build_dataset(ExperimentConfig(synth_users=3000, synth_mean_degree=2.0,
+                                                  synth_regions=12, synth_clouds=4))
+    assert np.any(np.diff(graph.friend_csr()[0]) == 0)
+    assert model.affinity.user_row is not None
+    assert_same_bits(preference_matrix(graph, model), scipy_preference_matrix(graph, model))
 
 
 def test_preference_matrix_matches_scalar_definitions():

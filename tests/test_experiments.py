@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -49,6 +52,11 @@ def test_config_rejects_unknown_algorithms():
         ExperimentConfig.from_dict({"algorithm": "magic"})
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict({"algorithms": ["heuristic", "magic"]})
+    # built directly, not only from a document
+    with pytest.raises(ValidationError, match="algorithm must be one of"):
+        ExperimentConfig(algorithm="bogus", algorithms=("nope",))
+    with pytest.raises(ValidationError, match="unknown algorithm 'nope'"):
+        ExperimentConfig(algorithms=("heuristic", "nope"))
 
 
 # any JSON value: nested lists and objects, integers beyond 64 bits, NaN and
@@ -400,8 +408,11 @@ def test_cli_out_of_range_flag_exits_2(tmp_path, capsys, flag, value, message):
     ("sweep-alpha", {"alpha_grid": [0.5, 2.0]}, "alpha_grid entry 2.0: alpha must lie in [0, 1]"),
     ("sweep-alpha", {"alpha_grid": [float("nan")]},
      "alpha_grid entry nan: alpha must lie in [0, 1]"),
+    ("partition", {"algorithm": "bogus"}, f"algorithm must be one of {ALGORITHMS}"),
+    ("sweep-providers", {"algorithms": ["heuristic", "nope"]}, "unknown algorithm 'nope'"),
 ], ids=["cost-weight-nan", "alpha-1.5", "alpha-nan", "touched-budget-2",
-        "touched-budget-negative", "min-gain-inf", "alpha-grid-2", "alpha-grid-nan"])
+        "touched-budget-negative", "min-gain-inf", "alpha-grid-2", "alpha-grid-nan",
+        "algorithm", "algorithms"])
 def test_cli_bad_objective_or_walk_parameter_exits_2_before_any_work(
         tmp_path, capsys, command, argv, message):
     # refused when the config is built: no dataset is built, and the output
@@ -614,3 +625,75 @@ def test_cli_oracle_compare_smoke(tmp_path, capsys):
     code, stdout, _ = run_cli(["oracle-compare", "--config", str(cfgp)], capsys)
     assert code == 0
     assert json.loads(stdout)["rows"] == 2
+
+
+# -- the CLI contract under arbitrary numbers ----------------------------------
+
+NAN, INF = float("nan"), float("inf")
+# NaN, +-inf, negative, zero, non-integer and huge values
+ODD_NUMBER = st.one_of(
+    st.sampled_from([NAN, INF, -INF, -1, -0.5, 0, 0.0, 0.5, 2.5, 1e308, 10**30, -10**30]),
+    st.integers(-3, 60), st.floats(-2.0, 60.0))
+# the same for fields that size an allocation or a loop, without the huge values
+ODD_SIZE = st.one_of(st.sampled_from([NAN, INF, -INF, -1, -0.5, 0, 0.0, 0.5, 2.5]),
+                     st.integers(-3, 8))
+SIZE_CAPS = {"synth_users": 50, "synth_regions": 16, "synth_clouds": 8, "oracle_users": 6,
+             "oracle_clouds": 3, "oracle_instances": 3, "oracle_edge_grid": 30,
+             "cloud_grid": 8}
+# each numeric flag, and the config field it sets
+NUMERIC_FLAGS = {"--seed": "rng_seed", "--alpha": "alpha", "--cost-weight": "cost_weight",
+                 "--min-gain": "min_gain", "--touched-budget": "touched_budget",
+                 "--users": "synth_users", "--mean-degree": "synth_mean_degree",
+                 "--clouds": "synth_clouds", "--regions-count": "synth_regions"}
+NUMERIC_FIELDS = [f.name for f in fields(ExperimentConfig)
+                  if f.type.split(" | ")[0] in ("int", "float") or f.name in (
+                      "alpha_grid", "cloud_grid", "oracle_edge_grid")]
+# small enough that every command runs in milliseconds
+CLI_BASE = {"synth_users": 30, "synth_regions": 8, "synth_clouds": 3, "oracle_users": 5,
+            "oracle_clouds": 3, "oracle_instances": 2, "oracle_edge_grid": [4, 8]}
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def odd_value(name):
+    if name in SIZE_CAPS:
+        value = st.one_of(ODD_SIZE, st.integers(0, SIZE_CAPS[name]))
+    else:
+        value = ODD_NUMBER
+    if name in ("alpha_grid", "cloud_grid", "oracle_edge_grid"):
+        return st.lists(value, min_size=1, max_size=3)
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["partition", "evaluate", "synth", "sweep-alpha",
+                                "sweep-providers", "oracle-compare"]),
+       doc=st.sampled_from(NUMERIC_FIELDS).flatmap(lambda name: st.fixed_dictionaries(
+           {name: odd_value(name), "algorithm": st.sampled_from(ALGORITHMS)})),
+       flags=st.lists(st.sampled_from(sorted(NUMERIC_FLAGS)), max_size=2, unique=True).flatmap(
+           lambda flags: st.fixed_dictionaries(
+               {flag: odd_value(NUMERIC_FLAGS[flag]) for flag in flags})))
+def test_cli_exits_0_2_or_3_with_a_json_error_for_any_number(command, doc, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        cfgp = Path(tmp) / "config.json"
+        cfgp.write_text(json.dumps({**CLI_BASE, **doc}))
+        argv = [command, "--config", str(cfgp), "--output-dir", str(out),
+                *(f"{flag}={value}" for flag, value in flags.items())]
+        if command == "evaluate":
+            # never written: evaluate ends in exit 2 or 3
+            argv.append(str(Path(tmp) / "assignment.csv"))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 2, 3), stderr.getvalue()
+        if code == 0:  # a summary in strict JSON: no NaN or Infinity
+            json.loads(stdout.getvalue(), parse_constant=reject_constant)
+        else:
+            assert "Traceback" not in stderr.getvalue()
+            error = json.loads(stderr.getvalue().splitlines()[-1])
+            assert set(error) == {"error", "message"}
+        if code == 2:
+            assert not out.exists(), error

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudcut import (
     AffinityTable,
@@ -25,12 +27,14 @@ from cloudcut import (
     total_objective,
 )
 from cloudcut.cloud import preference_matrix
+from cloudcut.partition import _least_member
 from oracles import (
     RehostMove,
     apply_move,
     kernel_pair_gains,
     make_instance,
     naive_move_cost_delta,
+    scipy_least_member,
     two_user_instance,
 )
 
@@ -379,3 +383,36 @@ def test_baseline_min_propagation_picks_the_popular_cloud_per_component():
                        AffinityTable(download, upload), vol, np.ones(4))
     a = baseline_min_propagation(graph, model)
     assert a.host.tolist() == [0, 0, 1, 1]
+
+
+# -- min-propagation's components -------------------------------------------
+
+def least_member(graph):
+    a, b, _, _ = graph.connection_arrays()
+    return _least_member(graph.n_users, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_users=st.integers(1, 60),
+       pairs=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=50))
+def test_components_match_scipy_and_carry_their_least_member(n_users, pairs):
+    # at most 50 edges over up to 60 users: many components, isolated users too
+    pairs = [(a % n_users, b % n_users) for a, b in pairs if a % n_users != b % n_users]
+    graph = SocialGraph([f"u{i}" for i in range(n_users)], [a for a, _ in pairs],
+                        [b for _, b in pairs], np.ones(len(pairs)))
+    assert least_member(graph).tolist() == scipy_least_member(graph).tolist()
+
+
+def test_components_of_a_randomly_numbered_path():
+    n = 100_000
+    rng = np.random.default_rng(11)
+    order = rng.permutation(n)
+    a, b = order[:-1], order[1:]
+    assert not np.any(_least_member(n, np.minimum(a, b), np.maximum(a, b)))
+    # cut into ten pieces: the least id of each piece
+    keep = np.ones(n - 1, dtype=bool)
+    keep[rng.choice(n - 1, size=9, replace=False)] = False
+    graph = SocialGraph([f"u{i}" for i in range(n)], a[keep], b[keep], np.ones(int(keep.sum())))
+    got = least_member(graph)
+    assert np.unique(got).size == 10
+    assert np.array_equal(got, scipy_least_member(graph))

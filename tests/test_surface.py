@@ -3,8 +3,11 @@
 import importlib
 import io
 import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import cloudcut
@@ -50,3 +53,35 @@ def test_benchmark_trace_targets_and_attributes_resolve():
     run_heuristic(graph, model.restrict(2), config.heuristic_params(), telemetry=sink)
     summary = json.loads(sink.getvalue().splitlines()[-1])
     assert {"touched", "examined", "moves", "stop_reason"} <= set(summary)
+
+
+# every command at a tiny size, in an interpreter where any import of scipy fails
+NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from cloudcut.cli import main
+small = ["--users", "40", "--clouds", "3", "--regions-count", "6"]
+syn = ["--edges", "syn/edges.csv", "--regions", "syn/regions.csv",
+       "--pricing", "syn/pricing.csv", "--profiles", "syn/profiles.csv"]
+with open("oracle.json", "w") as fh:
+    json.dump({"oracle_edge_grid": [5, 10], "oracle_instances": 2, "oracle_users": 6}, fh)
+runs = [["synth", *small, "--output-dir", "syn"],
+        ["partition", *syn, "--output-dir", "p"],
+        ["evaluate", "p/assignment.csv", *syn, "--output-dir", "e"],
+        ["sweep-alpha", *small, "--output-dir", "sa"],
+        ["sweep-providers", *small, "--output-dir", "sp"],
+        ["oracle-compare", "--config", "oracle.json", "--output-dir", "oc"]]
+codes = [main(argv) for argv in runs]
+assert codes == [0] * len(runs), codes
+assert sys.modules["scipy"] is None
+"""
+
+
+def test_the_cli_runs_every_command_without_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # sweep-providers runs every algorithm, min_propagation included
+    assert "min_propagation" in (tmp_path / "sp" / "sweep_providers.csv").read_text()
