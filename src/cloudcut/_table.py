@@ -9,13 +9,17 @@ distinct label rather than once per row.  Both tables intern the fields as
 they are; str.strip then runs once per distinct field, and fields that strip
 to one label share its code.
 
-read_table reads a file's bytes once.  When the only special bytes in them
-are ',' and '\\n' (no '"', '\\r' or NUL), a ByteTable splits them with numpy
-and keeps each field as a (begin, end) span into the buffer, with no Python
-object per field.  It interns fields by a 64-bit key: a field of up to 8
-bytes is its own key, and a longer one is keyed by a hash of its bytes and
-checked byte for byte against the first field with its key; the few that
-differ (hash collisions) are interned through a dict.  It parses numbers
+read_table reads a file's bytes once, into a buffer with room for a
+ByteTable's padding, so that they are never held twice.  When the only
+special bytes in them are ',' and '\\n' (no '"', '\\r' or NUL), a ByteTable
+splits them with numpy, a block at a time, and keeps each field as a (begin,
+end) span into the buffer, with no Python object per field.  Spans and row
+starts are int32 when the padded buffer is under 2 GiB, so that they index
+every byte of it, and int64 otherwise; sums over spans are int64.  It
+interns fields by a 64-bit key, gathered in one read per field: a field of
+up to 8 bytes is its own key, and a longer one is keyed by a hash of its
+bytes and checked byte for byte against the first field with its key; the
+few that differ (hash collisions) are interned through a dict.  It parses numbers
 with numpy's bytes to float64 cast, which calls float() without making a
 str per field, a chunk of fields at a time: a field the cast rejects sends
 only its chunk through float() of each str.  A file with a quote, CR or
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 from itertools import chain, repeat
 
@@ -48,6 +53,7 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ParseError
 
 _COMMA = ord(",")
+_NEWLINE = ord("\n")
 # _MASK[r] keeps the first r bytes of a little-endian word
 _MASK = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -60,14 +66,19 @@ _FLOAT_CHUNK = 1 << 12
 # the characters that make write_table quote a str field
 _SPECIAL = re.compile(r'[,"\r\n]')
 _BLOCK = 1 << 16  # rows write_table renders at a time, so no file's whole text is kept
+# a ByteTable whose padded buffer is shorter than this keeps its spans and row
+# starts as int32, which index every byte of it; a longer one as int64
+_INT32_SPANS = 1 << 31
+_SPLIT = 1 << 20  # bytes ByteTable splits at a time, so that no mask is as long as the file
 
 
 class Table:
     """Each row's width, and the flat index of each row's first field."""
 
-    def __init__(self, widths):
+    def __init__(self, widths, dtype=np.int64):
         self.widths = np.asarray(widths, dtype=np.int64)
-        self._row_first = np.cumsum(self.widths) - self.widths
+        self._row_first = np.cumsum(self.widths, dtype=dtype)
+        self._row_first -= self.widths
 
     @property
     def n_rows(self):
@@ -110,7 +121,8 @@ class Table:
         an index array names, row after row; each row has every field."""
         if isinstance(rows, (int, np.integer)):
             rows = slice(rows)
-        return (self._row_first[rows][:, None] + np.asarray(ks, dtype=np.int64)).ravel()
+        first = self._row_first[rows][:, None]
+        return (first + np.asarray(ks, dtype=first.dtype)).ravel()
 
 
 class RowTable(Table):
@@ -173,18 +185,29 @@ class ByteTable(Table):
 
     def __init__(self, data):
         size = len(data)
+        # each field ends at a separator, or at the end of a last line that
+        # lacks its newline
+        ragged = size > 0 and data[-1] != _NEWLINE
+        n_fields = data.count(b",") + data.count(b"\n") + ragged
         # padded with NULs, so that a number field or a word read at any
-        # offset stays inside the buffer
-        self._data = data + bytes(_FLOAT_WIDTH)
-        self._bytes = np.frombuffer(self._data, dtype=np.uint8)
-        self._words = np.ndarray((size + 1,), dtype="<u8", buffer=self._data, strides=(1,))
-        text = self._bytes[:size]
-        end = np.flatnonzero((text == _COMMA) | (text == ord("\n")))
-        if size and data[-1] != ord("\n"):
-            end = np.append(end, size)  # the last line lacks its newline
+        # offset stays inside the buffer; a bytearray, as read_table reads,
+        # is padded in place rather than copied
+        data += bytes(_FLOAT_WIDTH)
+        self._data = data
+        self._bytes = np.frombuffer(data, dtype=np.uint8)
+        self._words = np.ndarray((size + 1,), dtype="<u8", buffer=data, strides=(1,))
+        dtype = np.int32 if len(data) < _INT32_SPANS else np.int64
+        end = np.empty(n_fields, dtype=dtype)
+        at = 0
+        for start in range(0, size, _SPLIT):
+            text = self._bytes[start:start + _SPLIT]  # the padding holds no separator
+            hits = np.flatnonzero((text == _COMMA) | (text == _NEWLINE))
+            end[at:at + hits.size] = hits + start
+            at += hits.size
+        end[at:] = size
         begin = np.empty_like(end)
         begin[:1] = 0
-        begin[1:] = end[:-1] + 1
+        np.add(end[:-1], 1, out=begin[1:])
         # a field ends its line unless a comma ends it (the padding is NUL)
         last = np.flatnonzero(self._bytes[end] != _COMMA)
         widths = np.diff(last, prepend=-1)
@@ -195,7 +218,7 @@ class ByteTable(Table):
             keep = np.ones(end.size, dtype=bool)
             keep[last[blank]] = False
             begin, end = begin[keep], end[keep]
-        super().__init__(widths)
+        super().__init__(widths, dtype)
         self._begin, self._end = begin, end
         limit = csv.field_size_limit()
         for f in np.flatnonzero(end - begin > limit).tolist():
@@ -210,38 +233,46 @@ class ByteTable(Table):
     def _word(self, begin, length, j):
         """Bytes 8 j .. 8 j + 7 of spans longer than 8 j bytes, as
         little-endian words, zero past each span's end."""
-        return self._words[begin + 8 * j] & _MASK[np.minimum(length - 8 * j, 8)]
+        word = self._words[begin + 8 * j]
+        word &= _MASK[np.minimum(length - 8 * j, 8)]
+        return word
+
+    def _spans(self, ks, rows):
+        """(begin, length) of fields ks of rows, row after row."""
+        index = self._index(ks, rows)
+        begin = self._begin[index]
+        length = self._end[index]
+        length -= begin
+        return begin, length
 
     def floats(self, k, rows):
         """(float() of field k of rows, mask of the fields float() rejects).
 
         Rejected fields read 0.0.
         """
-        index = self._index((k,), rows)
-        begin, end = self._begin[index], self._end[index]
-        values = np.zeros(index.size)
-        bad = np.zeros(index.size, dtype=bool)
-        length = end - begin
+        begin, length = self._spans((k,), rows)
+        values = np.zeros(begin.size)
+        bad = np.zeros(begin.size, dtype=bool)
         fast = length <= _FLOAT_WIDTH
         width = int(length[fast].max(initial=1))
-        chars = as_strided(self._bytes, (self._words.size, width), (1, 1))[begin[fast]]
-        chars[np.arange(width) >= length[fast, None]] = 0
+        chars = as_strided(self._bytes, (self._words.size, width), (1, 1))
         # the cast is float() of each item's bytes (trailing NULs end an
         # item, and no field holds one); a field that only float() of its
         # str reads, with non-ASCII digits or space, fails the cast of its
         # whole chunk, whose fields are then parsed one at a time
-        items = chars.view(f"S{width}").ravel()
         slow = [np.flatnonzero(~fast)]
         fast = np.flatnonzero(fast)
         for at in range(0, fast.size, _FLOAT_CHUNK):
-            chunk = slice(at, at + _FLOAT_CHUNK)
+            chunk = fast[at:at + _FLOAT_CHUNK]
+            items = chars[begin[chunk]]
+            items[np.arange(width) >= length[chunk, None]] = 0
             try:
-                values[fast[chunk]] = items[chunk].astype(np.float64)
+                values[chunk] = items.view(f"S{width}").ravel().astype(np.float64)
             except ValueError:
-                slow.append(fast[chunk])
+                slow.append(chunk)
         for i in np.concatenate(slow).tolist():
             try:
-                values[i] = float(self._data[begin[i]:end[i]].decode("utf-8"))
+                values[i] = float(self._data[begin[i]:begin[i] + length[i]].decode("utf-8"))
             except ValueError:
                 bad[i] = True
         return values, bad
@@ -249,25 +280,22 @@ class ByteTable(Table):
     def _distinct(self, ks, rows):
         """(int64 code of each of fields ks of rows, row after row; the
         distinct fields in order of first appearance)."""
-        index = self._index(ks, rows)
-        n = index.size
-        begin, end = self._begin[index], self._end[index]
-        length = end - begin
+        begin, length = self._spans(ks, rows)
+        n = begin.size
         # a label of up to 8 bytes is its own key, since it holds no NUL; a
         # longer one is keyed by its hash and checked byte for byte below
-        key = np.zeros(n, dtype=np.uint64)
-        short = np.flatnonzero((length > 0) & (length <= 8))
-        key[short] = self._word(begin[short], length[short], 0)
+        key = self._word(begin, length, 0)
         long = np.flatnonzero(length > 8)
-        key[long] = _hash(length, ((sub, self._word(begin[sub], length[sub], j))
-                                   for j, sub in _by_word(length, long)))[long]
+        if long.size:
+            key[long] = _hash(length, ((sub, self._word(begin[sub], length[sub], j))
+                                       for j, sub in _by_word(length, long)))[long]
         # each span's representative: the first span with its key
-        order = np.argsort(key)
-        sorted_key = key[order]
-        run = np.flatnonzero(np.diff(sorted_key, prepend=~sorted_key[:1]))
+        order, start = sorted_runs(key)
+        del key
         rep = np.empty(n, dtype=np.int64)
         if n:
-            rep[order] = np.repeat(np.minimum.reduceat(order, run), np.diff(run, append=n))
+            rep[order] = np.repeat(np.minimum.reduceat(order, start), np.diff(start, append=n))
+        del order
         # each span's first equal span: its representative, or for the
         # spans whose bytes differ from it, the first span with those bytes
         first_of = rep
@@ -275,16 +303,21 @@ class ByteTable(Table):
         if unlike.size:
             seen = {}
             for i in unlike.tolist():
-                first_of[i] = seen.setdefault(self._data[begin[i]:end[i]], i)
+                span = bytes(self._data[begin[i]:begin[i] + length[i]])
+                first_of[i] = seen.setdefault(span, i)
         is_first = np.zeros(n, dtype=bool)
         is_first[first_of] = True
-        codes = (np.cumsum(is_first) - 1)[first_of]
-        return codes, self._texts(begin[is_first], end[is_first])
+        texts = self._texts(begin[is_first], length[is_first])
+        del begin, length
+        codes = np.cumsum(is_first)
+        codes -= 1
+        return codes[first_of], texts
 
-    def _texts(self, begin, end):
+    def _texts(self, begin, length):
         """The spans as str, in one decode: they are joined by newlines,
         which no field holds."""
-        step = end - begin + 1
+        step = length.astype(np.int64)
+        step += 1
         start = np.cumsum(step) - step
         joined = self._bytes[np.repeat(begin - start, step) + np.arange(int(step.sum()))]
         joined[start + step - 1] = ord("\n")
@@ -294,7 +327,8 @@ class ByteTable(Table):
         """Indices of the spans whose bytes differ from those of span rep,
         where spans of up to 8 bytes with one key are known to be equal."""
         unlike = length != length[rep]
-        check = np.flatnonzero(~unlike & (length > 8) & (rep != np.arange(rep.size)))
+        check = np.flatnonzero(~unlike & (length > 8))
+        check = check[rep[check] != check]
         for j, sub in _by_word(length, check):
             other = rep[sub]
             unlike[sub] |= (self._word(begin[sub], length[sub], j)
@@ -331,7 +365,14 @@ def read_table(path):
     Text that is not UTF-8, or that csv cannot split, raises ParseError.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        # read into a buffer with room for a ByteTable's padding, so that the
+        # file's bytes are never held twice
+        data = bytearray(os.fstat(fh.fileno()).st_size + _FLOAT_WIDTH)
+        size = fh.readinto(data)
+        if size == len(data):  # longer than its size said: a pipe, or a growing file
+            data += fh.read()
+        else:
+            del data[size:]
     if b'"' in data or b"\r" in data or b"\0" in data:
         reader = csv.reader(io.StringIO(_decoded(data), newline=""))
         try:
@@ -416,8 +457,19 @@ def ids_of(ids, labels):
 
 def last_of_each(keys):
     """Indices of the last occurrence of each distinct key, in key order."""
-    _, from_end = np.unique(keys[::-1], return_index=True)
-    return keys.size - 1 - from_end
+    order, start = sorted_runs(keys)
+    return np.maximum.reduceat(order, start) if keys.size else order
+
+
+def sorted_runs(key):
+    """(order, start): an argsort of key, and the positions in it at which
+    each run of equal keys starts."""
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return order, np.flatnonzero(new)
 
 
 def repeats(keys):

@@ -446,6 +446,7 @@ def load_affinities(path, graph, region_labels, ignore_unknown_users=False):
     i = first(bad)
     if i < table.n_rows:
         _check_affinity_row(table.row(i), i + 1, graph, region_ids)
+    del table, bad
     R = len(region_labels)
     rows = np.flatnonzero(known)
     rows = rows[last_of_each((user * R + region)[rows])]

@@ -41,6 +41,11 @@ _GRID_KINDS = {"alpha_grid": "float", "cloud_grid": "int", "oracle_edge_grid": "
 # are refused too
 _LOWER_BOUNDS = {"synth_clouds": 1, "oracle_clouds": 1, "oracle_weight_scale": 0.0,
                  "oracle_instances": 1, "rng_seed": 0, "cloud_grid": 1, "oracle_edge_grid": 0}
+# the most each size field may ask for: the graph build keys each user pair
+# as src * n_users + dst, which must fit in int64
+MAX_SIZE = math.isqrt(2**63 - 1)
+_SIZES = ("synth_users", "synth_regions", "synth_clouds", "sample_users", "sample_seeds",
+          "oracle_users")
 
 
 def _is_number(value, kind):
@@ -111,6 +116,10 @@ class ExperimentConfig:
             for x in (value or ()) if name in _GRID_KINDS else (value,):
                 if not low <= x < math.inf:
                     raise ValidationError(f"{name} must be finite and >= {low}, got {x!r}")
+        for name in _SIZES:
+            value = getattr(self, name)
+            if value is not None and value > MAX_SIZE:
+                raise ValidationError(f"{name} must be at most {MAX_SIZE}, got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(f"algorithm must be one of {ALGORITHMS}")
         for a in self.algorithms:

@@ -60,25 +60,41 @@ class SocialGraph:
         # (src, dst) order.
         m = src.size
         key = np.concatenate([src * n + dst, dst * n + src])
-        uniq, inv = np.unique(key, return_inverse=True)
+        order = np.argsort(key)
+        key = key[order]
+        new = np.empty(key.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        slot_key = key[new]
+        del key
+        # each record's slot, spread back to record order
+        slot = np.cumsum(new)
+        slot -= 1
+        inv = np.empty_like(slot)
+        inv[order] = slot
+        del order, new, slot
 
         def slot_sums(records):
             # bincount of no records returns integers
-            sums = np.bincount(records, weights=weight, minlength=uniq.size)
+            sums = np.bincount(records, weights=weight, minlength=slot_key.size)
             return sums.astype(np.float64, copy=False)
 
         wout = slot_sums(inv[:m])
         win = slot_sums(inv[m:])
-        row = uniq // n
-        col = uniq % n
-        edge = np.bincount(inv[:m], minlength=uniq.size) > 0
+        edge = np.zeros(slot_key.size, dtype=bool)
+        edge[inv[:m]] = True
+        del inv
+        row = slot_key // n
+        col = np.remainder(slot_key, n, out=slot_key)
+        off = _offsets(n, row)
+        self._src = row[edge]
+        del row
 
         self._labels = labels
         self._ids = {lab: i for i, lab in enumerate(labels)}
-        self._src = row[edge]
         self._dst = col[edge]
         self._w = wout[edge]
-        self._friends = (_offsets(n, row), col, wout, win)
+        self._friends = (off, col, wout, win)
         for arr in (self._src, self._dst, self._w, *self._friends):
             arr.setflags(write=False)
         self._conn_cache = None
@@ -92,10 +108,13 @@ class SocialGraph:
         Labels are stripped of surrounding whitespace and get dense ids in
         order of first appearance.
         """
-        return cls._from_table(RowTable(records))
+        return cls._from_table(RowTable, records)
 
     @classmethod
-    def _from_table(cls, table):
+    def _from_table(cls, read, source):
+        """Build from the edge table read(source); the table is freed before
+        the graph is built, so that the two are never held at once."""
+        table = read(source)
         n = table.prefix(3)
         ends, labels = table.intern((0, 1), n)
         src, dst = ends[0::2], ends[1::2]
@@ -105,6 +124,7 @@ class SocialGraph:
         i = first(bad)
         if i < table.n_rows:
             _check_edge_row(table.row(i), i + 1)
+        del table, bad, blank
         return cls(labels, src, dst, weight)
 
     # -- basic accessors ---------------------------------------------------
@@ -227,7 +247,7 @@ def load_graph(source):
     offending line number.
     """
     if isinstance(source, (str, Path)):
-        return SocialGraph._from_table(read_table(source))
+        return SocialGraph._from_table(read_table, source)
     return SocialGraph.from_records(source)
 
 

@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,16 @@ from cloudcut import (
 from cloudcut import partition
 from cloudcut.cloud import preference_matrix
 from cloudcut.graph import load_graph
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the most bytes tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def edge_weight(graph, u, v):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +22,7 @@ from oracles import (
     naive_preference_row,
     naive_upload_volumes,
     scipy_preference_matrix,
+    traced_peak,
 )
 
 
@@ -373,12 +372,7 @@ def test_affinity_loader_never_builds_the_users_by_regions_arrays(tmp_path):
     p = tmp_path / "aff.csv"
     p.write_text("".join(f"u{u},r{u % R},0.5,0.25\n" for u in range(n)))
     graph = SocialGraph([f"u{i}" for i in range(n)], [], [], [])
-    tracemalloc.start()
-    try:
-        table = load_affinities(p, graph, regions)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(load_affinities, p, graph, regions)
     assert peak < 16 << 20, f"loading peaked at {peak / 2**20:.1f} MB"
     assert table.n_users == n
     assert table.download[7, 7] == 0.5 and table.upload[7, 7] == 0.25

@@ -17,6 +17,7 @@ from cloudcut import AffinityTable, ExperimentConfig, ValidationError, build_dat
 from cloudcut.cli import main
 from cloudcut.experiments import (
     ALGORITHMS,
+    MAX_SIZE,
     SWEEP_HEADER,
     cmd_evaluate,
     cmd_oracle_compare,
@@ -410,9 +411,24 @@ def test_cli_out_of_range_flag_exits_2(tmp_path, capsys, flag, value, message):
      "alpha_grid entry nan: alpha must lie in [0, 1]"),
     ("partition", {"algorithm": "bogus"}, f"algorithm must be one of {ALGORITHMS}"),
     ("sweep-providers", {"algorithms": ["heuristic", "nope"]}, "unknown algorithm 'nope'"),
+    # sizes above the cap, refused before anything is allocated
+    ("partition", ["--users", "1" + "0" * 30],
+     f"synth_users must be at most {MAX_SIZE}, got {10**30}"),
+    ("partition", ["--users", str(MAX_SIZE + 1)],
+     f"synth_users must be at most {MAX_SIZE}, got {MAX_SIZE + 1}"),
+    ("synth", ["--regions-count", str(2**63)],
+     f"synth_regions must be at most {MAX_SIZE}, got {2**63}"),
+    ("synth", ["--clouds", str(2**40)], f"synth_clouds must be at most {MAX_SIZE}, got {2**40}"),
+    ("partition", {"sample_users": 2**62},
+     f"sample_users must be at most {MAX_SIZE}, got {2**62}"),
+    ("partition", {"sample_seeds": 2**64},
+     f"sample_seeds must be at most {MAX_SIZE}, got {2**64}"),
+    ("oracle-compare", {"oracle_users": 10**20},
+     f"oracle_users must be at most {MAX_SIZE}, got {10**20}"),
 ], ids=["cost-weight-nan", "alpha-1.5", "alpha-nan", "touched-budget-2",
         "touched-budget-negative", "min-gain-inf", "alpha-grid-2", "alpha-grid-nan",
-        "algorithm", "algorithms"])
+        "algorithm", "algorithms", "users-1e30", "users-cap", "regions", "clouds",
+        "sample-users", "sample-seeds", "oracle-users"])
 def test_cli_bad_objective_or_walk_parameter_exits_2_before_any_work(
         tmp_path, capsys, command, argv, message):
     # refused when the config is built: no dataset is built, and the output
@@ -422,9 +438,10 @@ def test_cli_bad_objective_or_walk_parameter_exits_2_before_any_work(
         cfgp = tmp_path / "config.json"
         cfgp.write_text(json.dumps(argv))
         argv = ["--config", str(cfgp)]
+    users = [] if "--users" in argv else ["--users", "2000"]
     with mock.patch("cloudcut.experiments.build_dataset", side_effect=AssertionError):
         code, stdout, stderr = run_cli(
-            [command, *argv, "--users", "2000", "--output-dir", str(out)], capsys)
+            [command, *argv, *users, "--output-dir", str(out)], capsys)
     assert (code, stdout) == (2, "")
     assert json.loads(stderr) == {"error": "ValidationError", "message": message}
     assert not out.exists()

@@ -1,11 +1,14 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudcut import ParseError, SocialGraph, ValidationError, default_profiles
+from cloudcut._table import ByteTable
 from cloudcut.graph import bfs_sample, load_graph, synth_graph
-from oracles import edge_weight, friend_arrays
+from oracles import edge_weight, friend_arrays, traced_peak
 
 
 def test_duplicate_directed_edges_are_summed():
@@ -240,3 +243,45 @@ def test_synth_deterministic_and_minimum_size():
     for degree in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="mean_degree"):
             synth_graph(10, degree, 2.0, rng_seed=0)
+
+
+def edge_file(path, n_users, seed=5):
+    """A generated edge file shaped like a benchmark one: ten edges per user,
+    labels u0.., heavy-tailed weights written with repr."""
+    rng = np.random.default_rng(seed)
+    m = 10 * n_users
+    src = rng.integers(0, n_users, m)
+    dst = (src + rng.integers(1, n_users, m)) % n_users
+    w = rng.zipf(3.0, m).astype(np.float64)
+    path.write_text("".join(map("u{},u{},{!r}\n".format, src.tolist(), dst.tolist(),
+                                w.tolist())))
+    return path
+
+
+def test_loading_an_edge_file_peaks_below_ten_times_its_size(tmp_path):
+    # the table, the interned labels and the graph build's sort each take a
+    # few times the file's size; held at once they would near 16 times
+    path = edge_file(tmp_path / "edges.csv", 5000)
+    graph, peak = traced_peak(load_graph, path)
+    size = path.stat().st_size
+    assert peak < 10 * size, f"loading peaked at {peak / size:.1f} times the file's size"
+    assert graph.n_users == 5000
+
+
+def test_the_edge_table_is_freed_before_the_graph_is_built(tmp_path, monkeypatch):
+    path = edge_file(tmp_path / "edges.csv", 50)
+    tables, alive = [], []
+    read, build = ByteTable.__init__, SocialGraph.__init__
+
+    def noted(self, data):
+        read(self, data)
+        tables.append(weakref.ref(self))
+
+    def checked(self, *args):
+        alive.extend(table() is not None for table in tables)
+        build(self, *args)
+
+    monkeypatch.setattr(ByteTable, "__init__", noted)
+    monkeypatch.setattr(SocialGraph, "__init__", checked)
+    load_graph(path)
+    assert alive == [False]

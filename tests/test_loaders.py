@@ -339,6 +339,26 @@ def test_the_byte_path_reads_text_as_csv_reader_does(tmp_path_factory, text):
         assert same_arrays(a, b) if isinstance(a, np.ndarray) else a == b
 
 
+@settings(max_examples=150, deadline=None)
+@given(text=PLAIN_TEXT)
+def test_int32_and_int64_spans_read_a_table_alike(text):
+    # a table takes int64 spans only past 2 GiB; a lowered limit sends this
+    # one down that path
+    narrow = ByteTable(text.encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_table, "_INT32_SPANS", 0)
+        wide = ByteTable(text.encode())
+    assert narrow._begin.dtype == narrow._end.dtype == narrow._row_first.dtype == np.int32
+    assert wide._begin.dtype == wide._end.dtype == wide._row_first.dtype == np.int64
+    assert same_arrays(narrow.widths, wide.widths)
+    assert list(narrow.rows()) == list(wide.rows())
+    for k in range(int(wide.widths.max(initial=0))):
+        same_columns(narrow, wide, k)
+    pairs = np.flatnonzero(wide.widths >= 2)
+    for a, b in zip(narrow.intern((0, 1), pairs), wide.intern((0, 1), pairs), strict=True):
+        assert same_arrays(a, b) if isinstance(a, np.ndarray) else a == b
+
+
 # numbers numpy's cast reads, and fields it rejects: some float() reads
 # (non-ASCII digits or space, or wider than the cast is given), some not
 CAST_NUMBER = st.sampled_from(("0.5", "1", "-0.0", "0.17424576215237397", "1e-300", " 2 "))
