@@ -23,7 +23,7 @@ few that differ (hash collisions) are interned through a dict.  It parses number
 with numpy's bytes to float64 cast, which calls float() without making a
 str per field, a chunk of fields at a time: a field the cast rejects sends
 only its chunk through float() of each str.  A file with a quote, CR or
-NUL, and every in-memory record sequence (SocialGraph.from_records), goes
+NUL, and every in-memory record sequence (load_graph of records), goes
 through csv.reader instead, into a RowTable that keeps the fields as
 Python objects in one flat list.  Both read text as Python's default csv
 dialect does, with the same tables.

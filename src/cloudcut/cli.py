@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .experiments import (  # main finds the cmd_* functions by name
+    ALGORITHMS,
     ExperimentConfig,
     cmd_evaluate,
     cmd_oracle_compare,
@@ -40,8 +41,7 @@ def _add_common(p):
     p.add_argument("--cost-weight", type=float, dest="cost_weight")
     p.add_argument("--raw-preference", dest="use_normalized", action="store_false",
                    default=None, help="score with raw instead of normalized preference")
-    p.add_argument("--algorithm", choices=["heuristic", "random", "min_propagation",
-                                           "max_preference"])
+    p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--min-gain", type=float, dest="min_gain")
     p.add_argument("--touched-budget", type=float, dest="touched_budget")
     p.add_argument("--edges", dest="edges_path", help="edge CSV (src,dst,weight)")

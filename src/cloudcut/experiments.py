@@ -39,8 +39,9 @@ ALGORITHMS = ("heuristic", "random", "min_propagation", "max_preference")
 _GRID_KINDS = {"alpha_grid": "float", "cloud_grid": "int", "oracle_edge_grid": "int"}
 # the least value each field (each entry, for a grid) may take; inf and NaN
 # are refused too
-_LOWER_BOUNDS = {"synth_clouds": 1, "oracle_clouds": 1, "oracle_weight_scale": 0.0,
-                 "oracle_instances": 1, "rng_seed": 0, "cloud_grid": 1, "oracle_edge_grid": 0}
+_LOWER_BOUNDS = {"synth_clouds": 1, "oracle_users": 1, "oracle_clouds": 1,
+                 "oracle_weight_scale": 0.0, "oracle_instances": 1, "sample_seeds": 1,
+                 "rng_seed": 0, "cloud_grid": 1, "oracle_edge_grid": 0}
 # the most each size field may ask for: the graph build keys each user pair
 # as src * n_users + dst, which must fit in int64
 MAX_SIZE = math.isqrt(2**63 - 1)
@@ -424,11 +425,7 @@ def oracle_heuristic_params(config, alpha=None):
     """Full re-hosting pass for oracle-scale instances: on a handful of
     connections a touched budget would examine almost nothing, so the budget
     is lifted and the stop is the gain threshold alone."""
-    return HeuristicParams(
-        objective=config.objective_params(alpha),
-        min_gain=config.min_gain,
-        touched_budget=1.0,
-    )
+    return replace(config.heuristic_params(alpha), touched_budget=1.0)
 
 
 def cmd_oracle_compare(config):

@@ -25,9 +25,10 @@ from .errors import ParseError, ValidationError
 class SocialGraph:
     """Directed weighted social graph with dense user ids.
 
-    Internally stores edges as parallel numpy arrays sorted by (src, dst),
-    plus the merged "friend" CSR (union of both directions, with
-    per-direction weights aligned).
+    Immutable: it stores edges as parallel read-only numpy arrays sorted by
+    (src, dst), plus the merged "friend" CSR (union of both directions, with
+    per-direction weights aligned), and nothing derived from them.  There is
+    no cache: connection_arrays() derives the connections on each call.
     """
 
     def __init__(self, labels, src, dst, weight):
@@ -97,35 +98,6 @@ class SocialGraph:
         self._friends = (off, col, wout, win)
         for arr in (self._src, self._dst, self._w, *self._friends):
             arr.setflags(write=False)
-        self._conn_cache = None
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_records(cls, records):
-        """Build from (src_label, dst_label, weight) records.
-
-        Labels are stripped of surrounding whitespace and get dense ids in
-        order of first appearance.
-        """
-        return cls._from_table(RowTable, records)
-
-    @classmethod
-    def _from_table(cls, read, source):
-        """Build from the edge table read(source); the table is freed before
-        the graph is built, so that the two are never held at once."""
-        table = read(source)
-        n = table.prefix(3)
-        ends, labels = table.intern((0, 1), n)
-        src, dst = ends[0::2], ends[1::2]
-        weight, bad = table.floats(2, n)
-        blank = np.array([not lab for lab in labels], dtype=bool)
-        bad |= blank[src] | blank[dst] | (src == dst) | ~np.isfinite(weight) | (weight < 0)
-        i = first(bad)
-        if i < table.n_rows:
-            _check_edge_row(table.row(i), i + 1)
-        del table, bad, blank
-        return cls(labels, src, dst, weight)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -167,20 +139,16 @@ class SocialGraph:
     def connection_arrays(self):
         """(a, b, w_ab, w_ba) arrays over unordered pairs a < b, sorted by
         (a, b): the friend CSR's row < col entries, with the weight of each
-        direction (0.0 where that edge is absent)."""
-        if self._conn_cache is None:
-            off, nbr, wout, win = self._friends
-            row = np.repeat(np.arange(self.n_users), np.diff(off))
-            upper = row < nbr
-            conns = (row[upper], nbr[upper], wout[upper], win[upper])
-            for arr in conns:
-                arr.setflags(write=False)
-            self._conn_cache = conns
-        return self._conn_cache
+        direction (0.0 where that edge is absent).  Built anew on each call."""
+        off, nbr, wout, win = self._friends
+        row = np.repeat(np.arange(self.n_users), np.diff(off))
+        upper = row < nbr
+        return row[upper], nbr[upper], wout[upper], win[upper]
 
     @property
     def n_connections(self):
-        return int(self.connection_arrays()[0].size)
+        # each connection fills two slots of the friend CSR, one per endpoint
+        return int(self._friends[1].size) // 2
 
     # -- serialization -----------------------------------------------------
 
@@ -244,11 +212,21 @@ def load_graph(source):
     UTF-8, LF), or an iterable of (src_label, dst_label, weight) records.
     Labels are stripped of surrounding whitespace.  Duplicate ordered pairs
     are summed; self-loops and negative weights raise ParseError with the
-    offending line number.
+    offending line number.  The edge table is freed before the graph is
+    built, so that the two are never held at once.
     """
-    if isinstance(source, (str, Path)):
-        return SocialGraph._from_table(read_table, source)
-    return SocialGraph.from_records(source)
+    table = read_table(source) if isinstance(source, (str, Path)) else RowTable(source)
+    n = table.prefix(3)
+    ends, labels = table.intern((0, 1), n)
+    src, dst = ends[0::2], ends[1::2]
+    weight, bad = table.floats(2, n)
+    blank = np.array([not lab for lab in labels], dtype=bool)
+    bad |= blank[src] | blank[dst] | (src == dst) | ~np.isfinite(weight) | (weight < 0)
+    i = first(bad)
+    if i < table.n_rows:
+        _check_edge_row(table.row(i), i + 1)
+    del table, bad, blank
+    return SocialGraph(labels, src, dst, weight)
 
 
 def bfs_sample(graph, seed_count, target_size, rng_seed):

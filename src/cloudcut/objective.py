@@ -16,6 +16,10 @@ score an assignment maximizes is
 where pref is the normalized preference by default (raw preference on
 request) and cost_weight calibrates propagation volume units against
 preference units.
+
+evaluate is the one scorer: it computes the score and every reported metric
+in one pass over the edge list and the friend CSR, and total_objective is
+its objective_value.
 """
 
 from __future__ import annotations
@@ -105,31 +109,9 @@ class Assignment:
         return cls(host)
 
 
-def transfer_cost_total(assignment, graph, model):
-    """Directed priced traffic total over every edge."""
-    src, dst, w = graph.edge_arrays()
-    if src.size == 0:
-        return 0.0
-    P = model.pricing.matrix
-    h = assignment.host
-    return float(np.dot(P[h[src], h[dst]], w))
-
-
 def total_objective(assignment, graph, model, params):
     """Score of a full assignment under the given trade-off parameters."""
-    assignment.validate(graph.n_users, model.n_clouds)
-    psi = preference_matrix(graph, model, normalized=params.use_normalized)
-    return _score(psi, assignment, graph, model, params)
-
-
-def _score(psi, assignment, graph, model, params):
-    pref = float(psi[np.arange(graph.n_users), assignment.host].sum())
-    cost = transfer_cost_total(assignment, graph, model)
-    value = params.alpha * pref - (1.0 - params.alpha) * params.cost_weight * cost
-    if not math.isfinite(value):  # NaN and +-Infinity are not JSON
-        raise ValidationError(f"objective value {value} is not finite: preferences, "
-                              "prices, edge weights or cost_weight too large")
-    return value
+    return evaluate(assignment, graph, model, params).objective_value
 
 
 @dataclass
@@ -161,30 +143,36 @@ class EvaluationReport:
 
 
 def evaluate(assignment, graph, model, params):
-    """Full metric sweep of an assignment.
+    """Full metric sweep of an assignment, and the only scorer.
 
-    inter_cloud_cost sums priced traffic on cross-cloud directed edges only
-    (each directed edge counted once, no halving); inter_cloud_edge_count
-    counts cross-cloud unordered connections.
+    One gather of the directed edges' prices gives both the score's cost
+    term and inter_cloud_cost, which sums priced traffic on cross-cloud
+    directed edges only (each directed edge counted once, no halving).
+    inter_cloud_edge_count counts cross-cloud unordered connections off the
+    friend CSR, where each connection fills two slots.
     """
     assignment.validate(graph.n_users, model.n_clouds)
     h = assignment.host
     src, dst, w = graph.edge_arrays()
-    P = model.pricing.matrix
-    if src.size:
-        cross = h[src] != h[dst]
-        inter_cost = float(np.dot(P[h[src], h[dst]] * cross, w))
-    else:
-        inter_cost = 0.0
-    ca, cb, _, _ = graph.connection_arrays()
-    edge_count = int(np.count_nonzero(h[ca] != h[cb]))
+    hs, hd = h[src], h[dst]
+    price = model.pricing.matrix[hs, hd]
+    cost = float(np.dot(price, w))
+    inter_cost = float(np.dot(price * (hs != hd), w))
+    del hs, hd, price
+    off, nbr, _, _ = graph.friend_csr()
+    edge_count = int(np.count_nonzero(np.repeat(h, np.diff(off)) != h[nbr])) // 2
     psi = preference_matrix(graph, model)
     psi_norm = normalize_rows(psi)
-    pref_sat = float(psi_norm[np.arange(graph.n_users), h].sum())
+    users = np.arange(graph.n_users)
+    pref_sat = float(psi_norm[users, h].sum())
+    pref = pref_sat if params.use_normalized else float(psi[users, h].sum())
+    value = params.alpha * pref - (1.0 - params.alpha) * params.cost_weight * cost
+    if not math.isfinite(value):  # NaN and +-Infinity are not JSON
+        raise ValidationError(f"objective value {value} is not finite: preferences, "
+                              "prices, edge weights or cost_weight too large")
     counts = np.bincount(h, minlength=model.n_clouds)
     return EvaluationReport(
-        objective_value=_score(psi_norm if params.use_normalized else psi,
-                               assignment, graph, model, params),
+        objective_value=value,
         preference_satisfaction=pref_sat,
         inter_cloud_cost=inter_cost,
         inter_cloud_edge_count=edge_count,

@@ -425,10 +425,16 @@ def test_cli_out_of_range_flag_exits_2(tmp_path, capsys, flag, value, message):
      f"sample_seeds must be at most {MAX_SIZE}, got {2**64}"),
     ("oracle-compare", {"oracle_users": 10**20},
      f"oracle_users must be at most {MAX_SIZE}, got {10**20}"),
+    # counts below 1: no instance or sample could be drawn
+    ("oracle-compare", {"oracle_users": -2, "oracle_edge_grid": [0]},
+     "oracle_users must be finite and >= 1, got -2"),
+    ("partition", {"sample_users": 50, "sample_seeds": 0},
+     "sample_seeds must be finite and >= 1, got 0"),
 ], ids=["cost-weight-nan", "alpha-1.5", "alpha-nan", "touched-budget-2",
         "touched-budget-negative", "min-gain-inf", "alpha-grid-2", "alpha-grid-nan",
         "algorithm", "algorithms", "users-1e30", "users-cap", "regions", "clouds",
-        "sample-users", "sample-seeds", "oracle-users"])
+        "sample-users", "sample-seeds", "oracle-users", "oracle-users-negative",
+        "sample-seeds-0"])
 def test_cli_bad_objective_or_walk_parameter_exits_2_before_any_work(
         tmp_path, capsys, command, argv, message):
     # refused when the config is built: no dataset is built, and the output

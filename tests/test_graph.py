@@ -90,6 +90,7 @@ def assert_connections_sorted(graph):
     assert np.all(np.diff(key) > 0)
     assert set(zip(ca.tolist(), cb.tolist())) == {
         (min(s, d), max(s, d)) for s, d in zip(src.tolist(), dst.tolist())}
+    assert graph.n_connections == ca.size
 
 
 @settings(max_examples=100, deadline=None)

@@ -84,7 +84,7 @@ def rows(*fields):
 
 
 def graph():
-    return SocialGraph.from_records([("a", "b", 1.0), ("b", "c", 2.0), ("d", "a", 0.5)])
+    return load_graph([("a", "b", 1.0), ("b", "c", 2.0), ("d", "a", 0.5)])
 
 
 def model():

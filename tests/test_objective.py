@@ -9,13 +9,14 @@ from cloudcut import (
     CloudModel,
     ObjectiveParams,
     PricingMatrix,
+    SocialGraph,
     ValidationError,
     default_profiles,
     evaluate,
     total_objective,
 )
 from cloudcut.graph import load_graph
-from cloudcut.objective import EvaluationReport, transfer_cost_total
+from cloudcut.objective import EvaluationReport
 from oracles import (
     make_instance,
     naive_inter_cloud_cost,
@@ -26,16 +27,24 @@ from oracles import (
 )
 
 
+def scored_cost(assignment, graph, model):
+    """The transfer cost inside the score: at alpha 0 and cost weight 1 the
+    score is minus the cost."""
+    return -total_objective(assignment, graph, model, ObjectiveParams(alpha=0.0))
+
+
 def test_replication_cost_splits_each_connection_evenly():
     graph, model = two_user_instance()
     split = Assignment([0, 1])
     # each endpoint carries half of (1*4 + 1*2)
     assert replication_cost(0, split, graph, model) == pytest.approx(3.0)
     assert replication_cost(1, split, graph, model) == pytest.approx(3.0)
-    assert transfer_cost_total(split, graph, model) == pytest.approx(6.0)
+    assert naive_transfer_cost(split.host, graph, model) == pytest.approx(6.0)
+    assert scored_cost(split, graph, model) == pytest.approx(6.0)
     together = Assignment([0, 0])
     assert replication_cost(0, together, graph, model) == 0.0
-    assert transfer_cost_total(together, graph, model) == 0.0
+    assert naive_transfer_cost(together.host, graph, model) == 0.0
+    assert scored_cost(together, graph, model) == 0.0
 
 
 def test_replication_cost_prices_each_direction_separately():
@@ -49,7 +58,8 @@ def test_replication_cost_prices_each_direction_separately():
     # only the u->v direction is priced: each half-share is (2*3 + 0*5)/2
     assert replication_cost(0, a, graph, model) == pytest.approx(3.0)
     assert replication_cost(1, a, graph, model) == pytest.approx(3.0)
-    assert transfer_cost_total(a, graph, model) == pytest.approx(6.0)
+    assert naive_transfer_cost(a.host, graph, model) == pytest.approx(6.0)
+    assert scored_cost(a, graph, model) == pytest.approx(6.0)
 
 
 def test_per_user_costs_sum_to_directed_total():
@@ -60,7 +70,7 @@ def test_per_user_costs_sum_to_directed_total():
         a = Assignment(rng.integers(0, 4, size=graph.n_users))
         total = sum(replication_cost(u, a, graph, model)
                     for u in range(graph.n_users))
-        assert total == pytest.approx(transfer_cost_total(a, graph, model))
+        assert total == pytest.approx(scored_cost(a, graph, model))
         assert total == pytest.approx(naive_transfer_cost(a.host, graph, model))
 
 
@@ -168,6 +178,38 @@ def test_evaluate_counts_only_cross_cloud_traffic():
         crossing = sum(1 for x, y in zip(ca, cb) if a.host[x] != a.host[y])
         assert rep.inter_cloud_edge_count == crossing
         assert sum(rep.per_cloud_user_counts.values()) == graph.n_users
+    # mutual pairs (a, b) and (c, d) are one connection each, and the
+    # 0-weight edge a -> c is a connection that carries no cost
+    graph = SocialGraph(["a", "b", "c", "d"], [0, 1, 0, 2, 3], [1, 0, 2, 3, 2],
+                        [1.0, 2.0, 0.0, 3.0, 0.5])
+    vol, blend = default_profiles(graph)
+    model = CloudModel(["A", "B"], ["rA", "rB"], [0, 1],
+                       PricingMatrix([[0.0, 2.0], [0.5, 0.0]]),
+                       AffinityTable(np.zeros((4, 2)), np.zeros((4, 2))), vol, blend)
+    for host, cost, count in [([0, 1, 1, 0], 2 * 1.0 + 0.5 * 2.0 + 0.5 * 3.0 + 2 * 0.5, 3),
+                              ([0, 0, 1, 1], 0.0, 1),
+                              ([0, 0, 0, 0], 0.0, 0),
+                              ([1, 1, 0, 1], 2 * 3.0 + 0.5 * 0.5, 2)]:
+        rep = evaluate(Assignment(host), graph, model, ObjectiveParams(alpha=0.4))
+        assert rep.inter_cloud_cost == pytest.approx(cost)
+        assert rep.inter_cloud_cost == pytest.approx(naive_inter_cloud_cost(host, graph, model))
+        assert rep.inter_cloud_edge_count == count
+
+
+def test_evaluate_never_builds_the_connection_arrays(monkeypatch):
+    # the cross-cloud count comes off the friend CSR; the connection arrays
+    # are the walk's, and a scorer building them holds four more arrays
+    def refused(self):
+        raise AssertionError("evaluate built the connection arrays")
+
+    graph, model = make_instance(2, n_users=14, n_clouds=3, n_edges=40, pricing="random")
+    a = Assignment(np.arange(14) % 3)
+    expected = evaluate(a, graph, model, ObjectiveParams(alpha=0.3))
+    monkeypatch.setattr(SocialGraph, "connection_arrays", refused)
+    for params in (ObjectiveParams(alpha=0.3), ObjectiveParams(alpha=0.3, use_normalized=False)):
+        rep = evaluate(a, graph, model, params)
+        assert rep.inter_cloud_edge_count == expected.inter_cloud_edge_count
+        assert total_objective(a, graph, model, params) == rep.objective_value
 
 
 def test_evaluate_satisfaction_ignores_raw_preference_setting():
