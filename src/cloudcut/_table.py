@@ -30,9 +30,10 @@ dialect does, with the same tables.
 
 Text that is not UTF-8 raises ParseError naming its first undecodable line,
 and so does a field longer than csv.field_size_limit(), as csv reports it.
-A loader computes one mask per check over the columns and hands the first
-row that fails any of them to a scalar row check, which raises the error of
-that row.  Row numbers count from 1, blank rows included.
+A loader states each of its rules once, as a mask over the columns and the
+message of a row that breaks it, and refuse raises the message of the first
+rule that the first broken row breaks.  Row numbers count from 1, blank rows
+included.
 
 write_table writes every file cloudcut writes, and read_table reads each back.
 It checks a column of labels with one regex over its joined text, and quotes
@@ -440,6 +441,23 @@ def first(mask):
     """Index of the first True in mask, or its length when there is none."""
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else int(mask.size)
+
+
+def refuse(table, n, rules, width_message, error=ParseError):
+    """Raise error naming the first row of table that breaks a rule, if any.
+
+    rules are (mask over the first n rows, message(row)) pairs, in the order a
+    row is checked, and the first broken row gets the message of the first
+    rule it breaks.  The row after the first n, if there is one, has a width
+    the loader refuses and gets width_message(row).
+    """
+    bad = np.zeros(n, dtype=bool)
+    for mask, _ in rules:
+        bad |= mask
+    i = first(bad)
+    if i < table.n_rows:
+        message = width_message if i == n else next(m for mask, m in rules if mask[i])
+        raise error(message(table.row(i)), i + 1)
 
 
 def stripped(column):

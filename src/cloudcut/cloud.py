@@ -40,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from ._table import first, ids_of, last_of_each, read_table, write_table
+from ._table import ids_of, last_of_each, read_table, refuse, write_table
 from .errors import ParseError, ValidationError
 
 
@@ -428,9 +428,10 @@ def load_affinities(path, graph, region_labels, ignore_unknown_users=False):
     """Headerless CSV user_label,region_label,download,upload -> AffinityTable.
 
     Unlisted pairs default to 0; of duplicate rows for one pair, the last
-    wins.  Unknown labels raise ParseError, unless ignore_unknown_users is
-    set (rows for users outside the graph are dropped, which a sampled graph
-    needs when the file covers its parent).
+    wins.  A bad row raises ParseError naming its line.  With
+    ignore_unknown_users, rows for users outside the graph are dropped
+    unchecked, which a sampled graph needs when the file covers its parent;
+    an unknown region in any other row is still refused.
     """
     region_ids = {lab: i for i, lab in enumerate(region_labels)}
     table = read_table(path)
@@ -439,36 +440,20 @@ def load_affinities(path, graph, region_labels, ignore_unknown_users=False):
     region = table.ids(1, n, partial(ids_of, region_ids))
     download, bad_download = table.floats(2, n)
     upload, bad_upload = table.floats(3, n)
-    bad = ((region < 0) | bad_download | bad_upload
-           | ~(np.isfinite(download) & np.isfinite(upload) & (download >= 0) & (upload >= 0)))
     known = user >= 0
-    bad = bad & known if ignore_unknown_users else bad | ~known
-    i = first(bad)
-    if i < table.n_rows:
-        _check_affinity_row(table.row(i), i + 1, graph, region_ids)
-    del table, bad
+    refuse(table, n, _user_rules(known, [
+        (region < 0, lambda row: f"unknown region {row[1].strip()!r}"),
+        (bad_download | bad_upload, lambda row: "bad affinity value"),
+        (~(np.isfinite(download) & np.isfinite(upload) & (download >= 0) & (upload >= 0)),
+         lambda row: ("affinities must be finite and non-negative, "
+                      f"got {float(row[2])}, {float(row[3])}")),
+    ], ignore_unknown_users), lambda row: f"expected 4 fields, got {len(row)}")
+    del table
     R = len(region_labels)
     rows = np.flatnonzero(known)
     rows = rows[last_of_each((user * R + region)[rows])]
     return AffinityTable._from_entries(graph.n_users, R, user[rows], region[rows],
                                        download[rows], upload[rows], None)
-
-
-def _check_affinity_row(row, line, graph, region_ids):
-    """Raise the ParseError of an affinity row that fails a check."""
-    if len(row) != 4:
-        raise ParseError(f"expected 4 fields, got {len(row)}", line)
-    ulab, rlab = row[0].strip(), row[1].strip()
-    if graph.user_ids([ulab])[0] < 0:
-        raise ParseError(f"unknown user {ulab!r}", line)
-    if rlab not in region_ids:
-        raise ParseError(f"unknown region {rlab!r}", line)
-    try:
-        download, upload = float(row[2]), float(row[3])
-    except ValueError:
-        raise ParseError("bad affinity value", line) from None
-    raise ParseError(f"affinities must be finite and non-negative, got {download}, {upload}",
-                     line)
 
 
 def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
@@ -477,7 +462,9 @@ def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
     Unlisted users fall back to defaults (mean outgoing weight, blend 1); of
     duplicate rows for one user, the last wins (the last one with a region,
     for the home region).  Returns (upload_volume, blend_weight, home_region)
-    arrays.
+    arrays.  A bad row raises ParseError naming its line.  With
+    ignore_unknown_users, rows for users outside the graph are dropped
+    unchecked; an unknown region in any other row is still refused.
     """
     vol, blend = default_profiles(graph)
     home = np.full(graph.n_users, -1, dtype=np.int64)
@@ -490,14 +477,13 @@ def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
     with_region = np.flatnonzero(table.widths[:n] == 4)
     region = np.zeros(n, dtype=np.int64)
     region[with_region] = table.ids(3, with_region, partial(ids_of, region_ids))
-    bad = (bad_volume | bad_weight
-           | ~(np.isfinite(volume) & np.isfinite(weight) & (volume >= 0) & (weight >= 0))
-           | (region < 0))
     known = user >= 0
-    bad = bad & known if ignore_unknown_users else bad | ~known
-    i = first(bad)
-    if i < table.n_rows:
-        _check_profile_row(table.row(i), i + 1, graph)
+    refuse(table, n, _user_rules(known, [
+        (bad_volume | bad_weight, lambda row: "bad profile value"),
+        (~(np.isfinite(volume) & np.isfinite(weight) & (volume >= 0) & (weight >= 0)),
+         lambda row: "profile values must be finite and non-negative"),
+        (region < 0, lambda row: f"unknown region {row[3].strip()!r}"),
+    ], ignore_unknown_users), lambda row: f"expected 3 or 4 fields, got {len(row)}")
     rows = np.flatnonzero(known)
     rows = rows[last_of_each(user[rows])]
     vol[user[rows]] = volume[rows]
@@ -508,17 +494,11 @@ def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
     return vol, blend, home
 
 
-def _check_profile_row(row, line, graph):
-    """Raise the ParseError of a profile row that fails a check."""
-    if len(row) not in (3, 4):
-        raise ParseError(f"expected 3 or 4 fields, got {len(row)}", line)
-    ulab = row[0].strip()
-    if graph.user_ids([ulab])[0] < 0:
-        raise ParseError(f"unknown user {ulab!r}", line)
-    try:
-        volume, weight = float(row[1]), float(row[2])
-    except ValueError:
-        raise ParseError("bad profile value", line) from None
-    if volume < 0 or weight < 0 or not (math.isfinite(volume) and math.isfinite(weight)):
-        raise ParseError("profile values must be finite and non-negative", line)
-    raise ParseError(f"unknown region {row[3].strip()!r}", line)
+def _user_rules(known, rules, ignore_unknown_users):
+    """A side table's rules, led by the unknown-user rule; or, when rows of
+    unknown users are dropped, each mask narrowed in place to known users."""
+    if not ignore_unknown_users:
+        return [(~known, lambda row: f"unknown user {row[0].strip()!r}"), *rules]
+    for mask, _ in rules:
+        mask &= known
+    return rules

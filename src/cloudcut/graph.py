@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import RowTable, first, ids_of, read_table, stripped, write_table
-from .errors import ParseError, ValidationError
+from ._table import RowTable, ids_of, read_table, refuse, write_table
+from .errors import ValidationError
 
 
 class SocialGraph:
@@ -171,24 +171,6 @@ class SocialGraph:
         return SocialGraph(labels, remap[self._src[mask]], remap[self._dst[mask]], self._w[mask])
 
 
-def _check_edge_row(row, line):
-    """Raise the ParseError of an edge row that fails a check."""
-    if len(row) != 3:
-        raise ParseError(f"expected 3 fields, got {len(row)}", line)
-    a, b, w = row
-    a, b = stripped((a, b))
-    for lab in (a, b):
-        if not lab:
-            raise ParseError("user label must be a non-empty string", line)
-    if a == b:
-        raise ParseError(f"self-loop on user {a!r}", line)
-    try:
-        w = float(w)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"bad weight {w!r}", line) from None
-    raise ParseError(f"weight must be finite and non-negative, got {w}", line)
-
-
 def _loadable(labels):
     """Whether each label is a non-empty str that str.strip leaves as it is,
     as load_graph reads labels, so that to_csv writes a file that loads."""
@@ -219,13 +201,16 @@ def load_graph(source):
     n = table.prefix(3)
     ends, labels = table.intern((0, 1), n)
     src, dst = ends[0::2], ends[1::2]
-    weight, bad = table.floats(2, n)
+    weight, bad_weight = table.floats(2, n)
     blank = np.array([not lab for lab in labels], dtype=bool)
-    bad |= blank[src] | blank[dst] | (src == dst) | ~np.isfinite(weight) | (weight < 0)
-    i = first(bad)
-    if i < table.n_rows:
-        _check_edge_row(table.row(i), i + 1)
-    del table, bad, blank
+    refuse(table, n, [
+        (blank[src] | blank[dst], lambda row: "user label must be a non-empty string"),
+        (src == dst, lambda row: f"self-loop on user {row[0].strip()!r}"),
+        (bad_weight, lambda row: f"bad weight {row[2]!r}"),
+        (~(np.isfinite(weight) & (weight >= 0)),
+         lambda row: f"weight must be finite and non-negative, got {float(row[2])}"),
+    ], lambda row: f"expected 3 fields, got {len(row)}")
+    del table, bad_weight, blank
     return SocialGraph(labels, src, dst, weight)
 
 

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
 
-from ._table import first, ids_of, read_table, repeats, write_table
+from ._table import ids_of, read_table, refuse, repeats, write_table
 from .cloud import normalize_rows, preference_matrix
 from .errors import ValidationError
 
@@ -90,17 +90,11 @@ class Assignment:
         user = table.ids(0, n, graph.user_ids)
         cloud_index = {lab: c for c, lab in enumerate(model.cloud_labels)}
         cloud = table.ids(1, n, partial(ids_of, cloud_index))
-        seen = repeats(user)
-        i = first((user < 0) | seen | (cloud < 0))
-        if i < table.n_rows:
-            row, line = table.row(i), i + 1
-            if len(row) != 2:
-                raise ValidationError(f"line {line}: expected 2 fields")
-            if user[i] < 0:
-                raise ValidationError(f"line {line}: unknown user label {row[0].strip()!r}")
-            if seen[i]:
-                raise ValidationError(f"line {line}: duplicate user {row[0]!r}")
-            raise ValidationError(f"line {line}: unknown cloud label {row[1].strip()!r}")
+        refuse(table, n, [
+            (user < 0, lambda row: f"unknown user label {row[0].strip()!r}"),
+            (repeats(user), lambda row: f"duplicate user {row[0]!r}"),
+            (cloud < 0, lambda row: f"unknown cloud label {row[1].strip()!r}"),
+        ], lambda row: "expected 2 fields", ValidationError)
         host = np.full(graph.n_users, -1, dtype=np.int64)
         host[user] = cloud
         if np.any(host < 0):
@@ -130,13 +124,7 @@ class EvaluationReport:
     per_cloud_user_counts: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "objective_value": self.objective_value,
-            "preference_satisfaction": self.preference_satisfaction,
-            "inter_cloud_cost": self.inter_cloud_cost,
-            "inter_cloud_edge_count": self.inter_cloud_edge_count,
-            "per_cloud_user_counts": dict(self.per_cloud_user_counts),
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

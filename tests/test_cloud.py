@@ -14,6 +14,7 @@ from cloudcut import (
     default_profiles,
 )
 from cloudcut.cloud import load_affinities, load_profiles, load_regions, preference_matrix
+from cloudcut.errors import ParseError
 from cloudcut.graph import load_graph, synth_graph
 from oracles import (
     make_instance,
@@ -363,6 +364,17 @@ def test_affinity_loader(tmp_path):
     # sampled graphs may drop users present in the sidecar tables
     table = load_affinities(bad, graph, ("r0", "r1"), ignore_unknown_users=True)
     assert table.download.sum() == 0.0
+    # an unknown user's row is dropped whatever else it breaks, and without
+    # the flag the unknown user is the error it names
+    bad.write_text("nobody,rX,abc,-1\n")
+    table = load_affinities(bad, graph, ("r0", "r1"), ignore_unknown_users=True)
+    assert table.download.sum() == 0.0
+    with pytest.raises(ParseError, match=r"^line 1: unknown user 'nobody'$"):
+        load_affinities(bad, graph, ("r0", "r1"))
+    # a known user's unknown region is refused even with the flag
+    bad.write_text("nobody,rX,abc,-1\na,rX,0.9,0.8\n")
+    with pytest.raises(ParseError, match=r"^line 2: unknown region 'rX'$"):
+        load_affinities(bad, graph, ("r0", "r1"), ignore_unknown_users=True)
 
 
 def test_affinity_loader_never_builds_the_users_by_regions_arrays(tmp_path):
@@ -400,3 +412,14 @@ def test_profile_loader(tmp_path):
     bad.write_text("a,-5.0,2.0\n")
     with pytest.raises(ValidationError):
         load_profiles(bad, graph)
+
+    # as for affinities: an unknown user's row is dropped with the flag
+    # whatever else it breaks, and is refused as an unknown user without it
+    bad.write_text("nobody,abc,-1,rX\n")
+    vol, blend, home = load_profiles(bad, graph, ("r0", "r1"), ignore_unknown_users=True)
+    assert (vol.tolist(), blend.tolist(), home.tolist()) == ([1.0, 0.0], [1.0, 1.0], [-1, -1])
+    with pytest.raises(ParseError, match=r"^line 1: unknown user 'nobody'$"):
+        load_profiles(bad, graph, ("r0", "r1"))
+    bad.write_text("nobody,abc,-1,rX\na,5.0,2.0,rX\n")
+    with pytest.raises(ParseError, match=r"^line 2: unknown region 'rX'$"):
+        load_profiles(bad, graph, ("r0", "r1"), ignore_unknown_users=True)
