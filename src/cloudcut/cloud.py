@@ -101,6 +101,8 @@ class PricingMatrix:
                     m[lineno - 2, j] = float(cell)
                 except ValueError:
                     raise ParseError(f"bad price {cell!r}", lineno) from None
+            if not np.all((m[lineno - 2] >= 0) & (m[lineno - 2] < math.inf)):
+                raise ParseError("prices must be finite and non-negative", lineno)
         if row_labels != header:
             raise ParseError("pricing row labels must match header order", len(rows))
         return tuple(header), cls(m)

@@ -274,17 +274,19 @@ def build_dataset(config):
     return graph, model
 
 
-def solve(graph, model, config, algorithm=None, alpha=None, telemetry=None):
-    """Run one algorithm and return its Assignment."""
+def solve(graph, model, config, algorithm=None, alpha=None, telemetry=None, *, psi=None):
+    """Run one algorithm and return its Assignment.  psi, when given, is the
+    raw preference_matrix(graph, model), which the solvers then share."""
     algorithm = algorithm or config.algorithm
     if algorithm == "heuristic":
-        return run_heuristic(graph, model, config.heuristic_params(alpha), telemetry=telemetry)
+        return run_heuristic(graph, model, config.heuristic_params(alpha), telemetry=telemetry,
+                             psi=psi)
     if algorithm == "random":
         return baseline_random(graph, model, rng_seed=config.rng_seed)
     if algorithm == "min_propagation":
-        return baseline_min_propagation(graph, model)
+        return baseline_min_propagation(graph, model, psi=psi)
     if algorithm == "max_preference":
-        return baseline_max_preference(graph, model)
+        return baseline_max_preference(graph, model, psi=psi)
     raise ValidationError(f"unknown algorithm {algorithm!r}")
 
 
@@ -303,9 +305,10 @@ def _outdir(config):
 def cmd_partition(config):
     """Partition the dataset once; writes assignment.csv and report.json."""
     graph, model = build_dataset(config)
+    psi = cloudmod.preference_matrix(graph, model)
     telemetry = io.StringIO() if config.telemetry and config.algorithm == "heuristic" else None
-    assignment = solve(graph, model, config, telemetry=telemetry)
-    report = evaluate(assignment, graph, model, config.objective_params())
+    assignment = solve(graph, model, config, telemetry=telemetry, psi=psi)
+    report = evaluate(assignment, graph, model, config.objective_params(), psi=psi)
     out = _outdir(config)
     if telemetry is not None:
         (out / "telemetry.jsonl").write_text(telemetry.getvalue(), encoding="utf-8", newline="")
@@ -362,10 +365,11 @@ def _sweep(config, name, alphas, default_grid):
     rows = []
     for k in map(int, grid):
         sub = model.restrict(k)
+        psi = cloudmod.preference_matrix(graph, sub)
         for algorithm in config.algorithms:
             for alpha in alphas:
-                assignment = solve(graph, sub, config, algorithm=algorithm, alpha=alpha)
-                report = evaluate(assignment, graph, sub, config.objective_params(alpha))
+                assignment = solve(graph, sub, config, algorithm=algorithm, alpha=alpha, psi=psi)
+                report = evaluate(assignment, graph, sub, config.objective_params(alpha), psi=psi)
                 rows.append((float(alpha), k, algorithm,
                              report.objective_value,
                              report.preference_satisfaction,
@@ -434,13 +438,12 @@ def cmd_oracle_compare(config):
     for n_edges in config.oracle_edge_grid:
         for instance in range(config.oracle_instances):
             graph, model = make_oracle_instance(config, int(n_edges), instance)
-            params = oracle_heuristic_params(config)
-            heur = run_heuristic(graph, model, params)
-            opt = brute_force_optimal(graph, model, config.objective_params(),
-                                      cap=config.brute_force_cap)
+            psi = cloudmod.preference_matrix(graph, model)
+            heur = run_heuristic(graph, model, oracle_heuristic_params(config), psi=psi)
             obj = config.objective_params()
-            h_val = total_objective(heur, graph, model, obj)
-            o_val = total_objective(opt, graph, model, obj)
+            opt = brute_force_optimal(graph, model, obj, cap=config.brute_force_cap, psi=psi)
+            h_val = total_objective(heur, graph, model, obj, psi=psi)
+            o_val = total_objective(opt, graph, model, obj, psi=psi)
             if o_val == 0.0:
                 ratio = 1.0 if abs(h_val) < 1e-12 else math.nan
             else:

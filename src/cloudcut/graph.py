@@ -9,6 +9,14 @@ taken as given and every downstream quantity inherits their unit.
 The structure is immutable after construction.  Duplicate edge records are
 summed, self-loops are rejected, and users that appear only as labels are kept
 as isolated nodes.
+
+The build sorts once.  Each edge record is keyed as row * n_users + col in
+both directions, and the 2m keys are sorted together with their record
+indices, packed as one uint64 word per record: the key in the high bits, the
+index in the low ones.  A key takes 2 * log2(n_users) bits and an index
+log2(2m), so up to 64 bits (3e4 users and 3e5 edges take 50) the sort is one
+np.sort in place.  Past 64 bits (1e6 users and 1e7 edges take 65) the key's
+top bits pick a bucket and each bucket sorts on its own, by the same code.
 """
 
 from __future__ import annotations
@@ -21,6 +29,9 @@ import numpy as np
 from ._table import RowTable, ids_of, read_table, refuse, write_table
 from .errors import ValidationError
 
+# the width in bits of the graph build's packed sort word (see _sort_records)
+_WORD_BITS = 64
+
 
 class SocialGraph:
     """Directed weighted social graph with dense user ids.
@@ -29,12 +40,15 @@ class SocialGraph:
     (src, dst), plus the merged "friend" CSR (union of both directions, with
     per-direction weights aligned), and nothing derived from them.  There is
     no cache: connection_arrays() derives the connections on each call.
+
+    Both come from one packed sort of the records' two-way keys (see the
+    module docstring for its bit budget).  Equal keys come out in record
+    order, so one bincount over the sorted records sums each slot's
+    duplicates in record order, and no record is scattered back.
     """
 
     def __init__(self, labels, src, dst, weight):
         labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise ValidationError("user labels must be unique")
         if not _loadable(labels):
             raise ValidationError("user labels must be non-empty strings with no "
                                   "surrounding whitespace")
@@ -55,47 +69,49 @@ class SocialGraph:
                 raise ValidationError("edge weights must be finite and non-negative")
 
         # one sort: every record is keyed in both directions, and the
-        # distinct keys, in (row, col) order, are the friend CSR's slots.
-        # Duplicate records sum into their slot in input order; the slots
-        # some record fills in its own direction are the edges, in canonical
-        # (src, dst) order.
+        # distinct keys, in (row, col) order, are the friend CSR's slots
         m = src.size
-        key = np.concatenate([src * n + dst, dst * n + src])
-        order = np.argsort(key)
-        key = key[order]
+        key, rec = _sort_records(np.concatenate([src * n + dst, dst * n + src]), n * n)
         new = np.empty(key.size, dtype=bool)
         new[:1] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
-        slot_key = key[new]
+        first = np.flatnonzero(new)
+        slot_key = key[first]
         del key
-        # each record's slot, spread back to record order
-        slot = np.cumsum(new)
-        slot -= 1
-        inv = np.empty_like(slot)
-        inv[order] = slot
-        del order, new, slot
-
-        def slot_sums(records):
-            # bincount of no records returns integers
-            sums = np.bincount(records, weights=weight, minlength=slot_key.size)
-            return sums.astype(np.float64, copy=False)
-
-        wout = slot_sums(inv[:m])
-        win = slot_sums(inv[m:])
-        edge = np.zeros(slot_key.size, dtype=bool)
-        edge[inv[:m]] = True
-        del inv
-        row = slot_key // n
+        # ties come out in record order, so a slot's first record is its
+        # least: the slot is an edge when that record keys its own direction
+        is_edge = rec[first] < m
+        del first
+        # one bincount over the sorted records sums each slot's records in
+        # record order: bin s takes slot s's own direction, bin S + s the other
+        S = slot_key.size
+        w = np.take(weight, rec, mode="wrap")  # record m + e is edge e reversed
+        other = rec >= m
+        bins = np.cumsum(new, out=rec)
+        del rec, new
+        bins -= 1
+        bins += other * S
+        del other
+        # bincount of no records returns integers
+        sums = np.bincount(bins, weights=w, minlength=2 * S).astype(np.float64, copy=False)
+        del bins, w
+        wout, win = sums[:S], sums[S:]
+        edge = np.flatnonzero(is_edge)
+        del is_edge
+        off = np.searchsorted(slot_key, np.arange(n + 1) * n)
+        self._src = slot_key[edge]
+        self._src //= n
         col = np.remainder(slot_key, n, out=slot_key)
-        off = _offsets(n, row)
-        self._src = row[edge]
-        del row
-
-        self._labels = labels
-        self._ids = {lab: i for i, lab in enumerate(labels)}
         self._dst = col[edge]
         self._w = wout[edge]
+        del edge
         self._friends = (off, col, wout, win)
+        # the label dict is made last, so that the build does not hold it;
+        # its size finds duplicate labels
+        self._ids = {lab: i for i, lab in enumerate(labels)}
+        if len(self._ids) != n:
+            raise ValidationError("user labels must be unique")
+        self._labels = labels
         for arr in (self._src, self._dst, self._w, *self._friends):
             arr.setflags(write=False)
 
@@ -180,11 +196,38 @@ def _loadable(labels):
         return False
 
 
-def _offsets(n, row):
-    """CSR offsets of a row array sorted ascending."""
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=n), out=off[1:])
-    return off
+def _sort_records(key, n_keys):
+    """key's entries, keys in [0, n_keys), sorted by (key, index): returns
+    the sorted keys and each one's index in key.
+
+    Each record sorts as one word of _WORD_BITS bits that holds its key's
+    low bits above its index, so that equal keys come out in record order.
+    The key's bits that do not fit beside the index name its bucket: an
+    argsort on them groups the records by bucket, and each bucket sorts on
+    its own.  While a key and an index fit in one word together, that is
+    for n_keys up to 2**_WORD_BITS / len(key), there is one bucket.
+    """
+    rec_bits = max(1, (key.size - 1).bit_length())
+    low_bits = _WORD_BITS - rec_bits
+    n_buckets = ((max(n_keys, 1) - 1) >> low_bits) + 1
+    high = (key >> low_bits).astype(np.min_scalar_type(n_buckets - 1))
+    order = np.argsort(high, kind="stable")  # a radix sort up to 2**16 buckets
+    bounds = np.searchsorted(high[order], np.arange(n_buckets + 1)).tolist()
+    del high
+    word = key[order].view(np.uint64)
+    del key
+    word &= (1 << low_bits) - 1
+    word <<= rec_bits
+    word |= order.view(np.uint64)
+    del order
+    records = np.empty(word.size, dtype=np.int64)
+    for h, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        part = word[start:stop]
+        part.sort()
+        np.bitwise_and(part, (1 << rec_bits) - 1, out=records[start:stop].view(np.uint64))
+        part >>= rec_bits
+        part |= h << low_bits
+    return word.view(np.int64), records
 
 
 def load_graph(source):

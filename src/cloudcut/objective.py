@@ -103,9 +103,9 @@ class Assignment:
         return cls(host)
 
 
-def total_objective(assignment, graph, model, params):
+def total_objective(assignment, graph, model, params, *, psi=None):
     """Score of a full assignment under the given trade-off parameters."""
-    return evaluate(assignment, graph, model, params).objective_value
+    return evaluate(assignment, graph, model, params, psi=psi).objective_value
 
 
 @dataclass
@@ -130,14 +130,15 @@ class EvaluationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def evaluate(assignment, graph, model, params):
+def evaluate(assignment, graph, model, params, *, psi=None):
     """Full metric sweep of an assignment, and the only scorer.
 
     One gather of the directed edges' prices gives both the score's cost
     term and inter_cloud_cost, which sums priced traffic on cross-cloud
     directed edges only (each directed edge counted once, no halving).
     inter_cloud_edge_count counts cross-cloud unordered connections off the
-    friend CSR, where each connection fills two slots.
+    friend CSR, where each connection fills two slots.  psi, when given, is
+    the raw preference_matrix(graph, model); otherwise it is built here.
     """
     assignment.validate(graph.n_users, model.n_clouds)
     h = assignment.host
@@ -149,7 +150,7 @@ def evaluate(assignment, graph, model, params):
     del hs, hd, price
     off, nbr, _, _ = graph.friend_csr()
     edge_count = int(np.count_nonzero(np.repeat(h, np.diff(off)) != h[nbr])) // 2
-    psi = preference_matrix(graph, model)
+    psi = preference_matrix(graph, model) if psi is None else psi
     psi_norm = normalize_rows(psi)
     users = np.arange(graph.n_users)
     pref_sat = float(psi_norm[users, h].sum())

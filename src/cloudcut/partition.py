@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import preference_matrix
+from .cloud import normalize_rows, preference_matrix
 from .errors import SearchSpaceError, ValidationError
 from .objective import Assignment, ObjectiveParams
 
@@ -129,23 +129,28 @@ def _batch_gains(us, vs, e_uv, e_vu, host, psi, friends, P, alpha, cost_scale):
     return gain[:B], gain[B:], joint
 
 
-def initial_hosting(graph, model):
-    """Host every user on its most-preferred cloud (lowest id wins ties)."""
-    psi = preference_matrix(graph, model, normalized=False)
+def initial_hosting(graph, model, *, psi=None):
+    """Host every user on its most-preferred cloud (lowest id wins ties).
+
+    psi, when given, is the raw preference_matrix(graph, model); otherwise
+    it is built here, as in every function that takes it.
+    """
+    psi = preference_matrix(graph, model) if psi is None else psi
     return Assignment(np.argmax(psi, axis=1))
 
 
-def run_heuristic(graph, model, params, telemetry=None):
+def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     """Preference-first hosting followed by one cost-aware re-hosting walk.
 
     Walks the cross-cloud connections of the initial hosting once, in
     non-increasing combined-weight order, applying the best-gain move per
     pair.  telemetry, when given, is a writable text stream receiving one
-    JSON line per examined connection and a final summary line.
+    JSON line per examined connection and a final summary line.  psi, when
+    given, is the raw preference table (see initial_hosting).
     """
-    if model.n_users != graph.n_users:
-        raise ValidationError("model and graph disagree on user count")
-    psi = preference_matrix(graph, model, normalized=params.objective.use_normalized)
+    psi = preference_matrix(graph, model) if psi is None else psi
+    if params.objective.use_normalized:
+        psi = normalize_rows(psi)
     host = np.argmax(psi, axis=1)
     P = model.pricing.matrix
     alpha = params.objective.alpha
@@ -239,11 +244,12 @@ def run_heuristic(graph, model, params, telemetry=None):
     return Assignment(host)
 
 
-def brute_force_optimal(graph, model, params, cap=10_000_000):
+def brute_force_optimal(graph, model, params, cap=10_000_000, *, psi=None):
     """Exhaustive search over all cloud assignments.
 
     Refuses instances whose search space n_clouds ** n_users exceeds cap.
-    Ties return the lexicographically smallest assignment vector.
+    Ties return the lexicographically smallest assignment vector.  psi, when
+    given, is the raw preference table (see initial_hosting).
     """
     n = graph.n_users
     C = model.n_clouds
@@ -254,7 +260,9 @@ def brute_force_optimal(graph, model, params, cap=10_000_000):
         raise SearchSpaceError(
             f"search space {C}^{n} = {space} exceeds cap {cap}"
         )
-    psi = preference_matrix(graph, model, normalized=params.use_normalized)
+    psi = preference_matrix(graph, model) if psi is None else psi
+    if params.use_normalized:
+        psi = normalize_rows(psi)
     src, dst, w = graph.edge_arrays()
     P = model.pricing.matrix
     alpha = params.alpha
@@ -286,21 +294,22 @@ def baseline_random(graph, model, rng_seed):
     return Assignment(rng.integers(0, model.n_clouds, size=graph.n_users, dtype=np.int64))
 
 
-def baseline_max_preference(graph, model):
+def baseline_max_preference(graph, model, *, psi=None):
     """Every user on its most-preferred cloud, replication cost ignored."""
-    return initial_hosting(graph, model)
+    return initial_hosting(graph, model, psi=psi)
 
 
-def baseline_min_propagation(graph, model):
+def baseline_min_propagation(graph, model, *, psi=None):
     """Zero cross-cloud traffic: co-host each connected social component.
 
     Every component lands on the cloud with the largest summed normalized
     preference of its members (lowest cloud id on ties), so no connection
-    ever crosses clouds.
+    ever crosses clouds.  psi, when given, is the raw preference table (see
+    initial_hosting).
     """
     a, b, _, _ = graph.connection_arrays()
     comp = _least_member(graph.n_users, a, b)
-    psi = preference_matrix(graph, model, normalized=True)
+    psi = normalize_rows(preference_matrix(graph, model) if psi is None else psi)
     totals = np.zeros_like(psi)
     np.add.at(totals, comp, psi)
     return Assignment(np.argmax(totals, axis=1)[comp])

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudcut import AffinityTable, ExperimentConfig, ValidationError, build_dataset
+from cloudcut import cloud as cloudmod
+from cloudcut import objective, partition
 from cloudcut.cli import main
 from cloudcut.experiments import (
     ALGORITHMS,
@@ -282,6 +284,29 @@ def test_cli_partition_smoke(tmp_path, capsys):
     assert {"objective_value", "preference_satisfaction", "inter_cloud_cost",
             "assignment", "report"} <= set(doc)
     assert (out / "assignment.csv").exists()
+
+
+@pytest.mark.parametrize("command, tables", [
+    ("partition", 1), ("evaluate", 1), ("sweep-alpha", 1), ("sweep-providers", 3),
+])
+def test_each_command_builds_one_preference_table_per_cloud_count(tmp_path, capsys, monkeypatch,
+                                                                   command, tables):
+    # SMALL has 3 clouds: sweep-providers runs at 1, 2 and 3 of them
+    assert run_cli(["partition", *SMALL, "--output-dir", str(tmp_path / "p")], capsys)[0] == 0
+    calls = []
+    built = cloudmod.preference_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].n_clouds)
+        return built(*args, **kwargs)
+
+    # every module that binds the name, so that no build goes uncounted
+    for module in (cloudmod, partition, objective):
+        monkeypatch.setattr(module, "preference_matrix", counted)
+    extra = [str(tmp_path / "p" / "assignment.csv")] if command == "evaluate" else []
+    argv = [command, *extra, *SMALL, "--output-dir", str(tmp_path / "o")]
+    assert run_cli(argv, capsys)[0] == 0
+    assert sorted(calls) == list(range(4 - tables, 4))
 
 
 def test_cli_reads_config_document(tmp_path, capsys):
@@ -583,7 +608,14 @@ def test_cli_pricing_with_extra_row_exits_2(tmp_path, capsys):
      "line 2: unknown user 'zz'"),
     (["evaluate"], "a,c0\nzz,c1\n", "ValidationError", "line 2: unknown user label 'zz'"),
     (["evaluate"], "a,c0\nb,cX\n", "ValidationError", "line 2: unknown cloud label 'cX'"),
-], ids=["affinities", "profiles", "assignment-user", "assignment-cloud"])
+    (["partition", "--pricing"], "cloud,c0,c1\nc0,0.0,nan\nc1,1.0,0.0\n", "ParseError",
+     "line 2: prices must be finite and non-negative"),
+    (["partition", "--pricing"], "cloud,c0,c1\nc0,0.0,1.0\nc1,inf,0.0\n", "ParseError",
+     "line 3: prices must be finite and non-negative"),
+    (["partition", "--pricing"], "cloud,c0,c1\nc0,0.0,-1\nc1,1.0,0.0\n", "ParseError",
+     "line 2: prices must be finite and non-negative"),
+], ids=["affinities", "profiles", "assignment-user", "assignment-cloud", "price-nan",
+        "price-inf", "price-negative"])
 def test_cli_bad_row_in_a_side_table_exits_2_naming_its_line(tmp_path, capsys, argv, text,
                                                               error, message):
     for name, body in (("edges", "a,b,1.0\nb,a,2.0\n"), ("table", text),

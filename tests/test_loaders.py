@@ -28,6 +28,7 @@ from cloudcut import (
     ValidationError,
 )
 from cloudcut import _table
+from cloudcut import graph as graph_module
 from cloudcut._table import ByteTable, RowTable, read_table, write_table
 from cloudcut.cloud import load_affinities, load_profiles, load_regions
 from cloudcut.graph import load_graph
@@ -228,24 +229,59 @@ def test_bad_row_deep_in_a_large_file_is_reported_by_its_line(tmp_path, bad_row,
     assert info.value.line == 50_000
 
 
-def test_graph_arrays_match_the_loop_oracle_on_repeated_float_pairs():
-    rng = np.random.default_rng(11)
-    n = 40
-    src = rng.integers(0, n, size=3000)
-    dst = (src + rng.integers(1, n, size=3000)) % n  # no self-loops
-    weight = rng.random(3000) * 10.0 ** rng.integers(-3, 4, size=3000)
+def assert_graph_arrays_match_the_loop_oracle(n, src, dst, weight):
+    """Build the graph of these records and hold every array it derives,
+    values and dtype, to naive_graph_arrays; returns the oracle's arrays."""
     g = SocialGraph([f"u{i}" for i in range(n)], src, dst, weight)
-    want = naive_graph_arrays(n, src.tolist(), dst.tolist(), weight.tolist())
+    want = naive_graph_arrays(n, list(src), list(dst), list(weight))
     s, d, w = g.edge_arrays()
     off, col, wout, win = g.friend_csr()
     ca, cb, w_ab, w_ba = g.connection_arrays()
     got = {"src": s, "dst": d, "weight": w, "friend_offsets": off, "friend_col": col,
            "friend_out": wout, "friend_in": win, "conn_a": ca, "conn_b": cb,
            "conn_ab": w_ab, "conn_ba": w_ba}
+    floats = {"weight", "friend_out", "friend_in", "conn_ab", "conn_ba"}
     for key, arr in got.items():
+        assert arr.dtype == (np.float64 if key in floats else np.int64), key
         assert same_arrays(arr, np.array(want[key], dtype=arr.dtype)), key
-        assert arr.dtype == (np.float64 if isinstance(want[key][0], float) else np.int64)
+    return want
+
+
+def test_graph_arrays_match_the_loop_oracle_on_repeated_float_pairs():
+    rng = np.random.default_rng(11)
+    n = 40
+    src = rng.integers(0, n, size=3000)
+    dst = (src + rng.integers(1, n, size=3000)) % n  # no self-loops
+    weight = rng.random(3000) * 10.0 ** rng.integers(-3, 4, size=3000)
+    want = assert_graph_arrays_match_the_loop_oracle(n, src.tolist(), dst.tolist(),
+                                                     weight.tolist())
     assert len(want["src"]) < 3000  # pairs did repeat
+
+
+# weights whose sum depends on the order they are added in: 0.1 + 0.2 + 0.3
+# differs from 0.3 + 0.2 + 0.1, and 1e16 absorbs a 1.0 added after it
+ORDERED_WEIGHT = st.sampled_from((0.0, 0.1, 0.2, 0.3, 1.0, 1e16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(6, 12), data=st.data())
+def test_a_graph_too_wide_for_one_sort_word_is_built_alike_in_buckets(n, data):
+    # records draw their pairs, either way round, from a few: keys repeat
+    # within a direction and tie across the two
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % n))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=4))
+    records = data.draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans(),
+                                           ORDERED_WEIGHT), max_size=16))
+    src = [d if flip else s for (s, d), flip, _ in records]
+    dst = [s if flip else d for (s, d), flip, _ in records]
+    weight = [w for _, _, w in records]
+    # a word of 6 bits: the 2 * 16 records' indices take up to 5 of them, so
+    # the keys of 6 users or more (36 and up) span several buckets; a 64-bit
+    # word needs them only for graphs far larger than a test's
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_WORD_BITS", 6)
+        assert_graph_arrays_match_the_loop_oracle(n, src, dst, weight)
 
 
 @pytest.mark.parametrize("load", [
