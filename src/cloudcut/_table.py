@@ -12,21 +12,24 @@ to one label share its code.
 read_table reads a file's bytes once, into a buffer with room for a
 ByteTable's padding, so that they are never held twice.  When the only
 special bytes in them are ',' and '\\n' (no '"', '\\r' or NUL), a ByteTable
-splits them with numpy, a block at a time, and keeps each field as a (begin,
-end) span into the buffer, with no Python object per field.  Spans and row
-starts are int32 when the padded buffer is under 2 GiB, so that they index
-every byte of it, and int64 otherwise; sums over spans are int64.  It
+splits them with numpy, a block at a time, in two passes: the first counts
+each block's separators, so that the second writes every field's end into
+one array, and no mask is longer than a block.  It keeps each field as a
+(begin, end) span into the buffer, with no Python object per field.  Spans
+and row starts are int32 when the padded buffer is under 2 GiB, so that they
+index every byte of it, and int64 otherwise; sums over spans are int64.  It
 interns fields by a 64-bit key, gathered in one read per field: a field of
 up to 8 bytes is its own key, and a longer one is keyed by a hash of its
 bytes and checked byte for byte against the first field with its key; the
 few that differ (hash collisions) are interned through a dict.  It parses numbers
 with numpy's bytes to float64 cast, which calls float() without making a
-str per field, a chunk of fields at a time: a field the cast rejects sends
-only its chunk through float() of each str.  A file with a quote, CR or
-NUL, and every in-memory record sequence (load_graph of records), goes
-through csv.reader instead, into a RowTable that keeps the fields as
-Python objects in one flat list.  Both read text as Python's default csv
-dialect does, with the same tables.
+str per field, a chunk of fields at a time: the chunk's fields are gathered
+as items of one width, the bytes past each field multiplied by zero, and a
+field the cast rejects sends only its chunk through float() of each str.
+A file with a quote, CR or NUL, and every in-memory record sequence
+(load_graph of records), goes through csv.reader instead, into a RowTable
+that keeps the fields as Python objects in one flat list.  Both read text
+as Python's default csv dialect does, with the same tables.
 
 Text that is not UTF-8 raises ParseError naming its first undecodable line,
 and so does a field longer than csv.field_size_limit(), as csv reports it.
@@ -62,7 +65,8 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 # copied into an array as wide as its longest field
 _FLOAT_WIDTH = 32
 # number fields cast at a time: a field the cast rejects costs its chunk a
-# parse field by field
+# parse field by field.  Chunks of up to 1 << 16 fields cast no faster, so
+# the chunk stays small
 _FLOAT_CHUNK = 1 << 12
 # the characters that make write_table quote a str field
 _SPECIAL = re.compile(r'[,"\r\n]')
@@ -186,10 +190,6 @@ class ByteTable(Table):
 
     def __init__(self, data):
         size = len(data)
-        # each field ends at a separator, or at the end of a last line that
-        # lacks its newline
-        ragged = size > 0 and data[-1] != _NEWLINE
-        n_fields = data.count(b",") + data.count(b"\n") + ragged
         # padded with NULs, so that a number field or a word read at any
         # offset stays inside the buffer; a bytearray, as read_table reads,
         # is padded in place rather than copied
@@ -198,10 +198,17 @@ class ByteTable(Table):
         self._bytes = np.frombuffer(data, dtype=np.uint8)
         self._words = np.ndarray((size + 1,), dtype="<u8", buffer=data, strides=(1,))
         dtype = np.int32 if len(data) < _INT32_SPANS else np.int64
+        # the last block may reach into the padding, which holds no separator
+        blocks = [(start, self._bytes[start:start + _SPLIT]) for start in range(0, size, _SPLIT)]
+        # each field ends at a separator, or at the end of a last line that
+        # lacks its newline; a first pass counts them, so that the second
+        # writes the field ends into one array
+        n_fields = int(size > 0 and data[size - 1] != _NEWLINE)
+        for _, text in blocks:
+            n_fields += np.count_nonzero(text == _COMMA) + np.count_nonzero(text == _NEWLINE)
         end = np.empty(n_fields, dtype=dtype)
         at = 0
-        for start in range(0, size, _SPLIT):
-            text = self._bytes[start:start + _SPLIT]  # the padding holds no separator
+        for start, text in blocks:
             hits = np.flatnonzero((text == _COMMA) | (text == _NEWLINE))
             end[at:at + hits.size] = hits + start
             at += hits.size
@@ -263,10 +270,11 @@ class ByteTable(Table):
         # whole chunk, whose fields are then parsed one at a time
         slow = [np.flatnonzero(~fast)]
         fast = np.flatnonzero(fast)
+        offsets = np.arange(width, dtype=length.dtype)
         for at in range(0, fast.size, _FLOAT_CHUNK):
             chunk = fast[at:at + _FLOAT_CHUNK]
             items = chars[begin[chunk]]
-            items[np.arange(width) >= length[chunk, None]] = 0
+            items *= offsets < length[chunk, None]  # zero the bytes past each span
             try:
                 values[chunk] = items.view(f"S{width}").ravel().astype(np.float64)
             except ValueError:

@@ -269,8 +269,6 @@ def build_dataset(config):
 
     model = CloudModel(cloud_labels, region_labels, region_cloud, pricing,
                        affinity, vol, blend, home)
-    if model.n_users != graph.n_users:
-        raise ValidationError("model user universe does not match the graph")
     return graph, model
 
 

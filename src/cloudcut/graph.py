@@ -108,7 +108,7 @@ class SocialGraph:
         self._friends = (off, col, wout, win)
         # the label dict is made last, so that the build does not hold it;
         # its size finds duplicate labels
-        self._ids = {lab: i for i, lab in enumerate(labels)}
+        self._ids = dict(zip(labels, range(n)))
         if len(self._ids) != n:
             raise ValidationError("user labels must be unique")
         self._labels = labels

@@ -5,13 +5,18 @@ from hypothesis import strategies as st
 
 from cloudcut import (
     AffinityTable,
+    Assignment,
     CloudModel,
     ExperimentConfig,
+    HeuristicParams,
+    ObjectiveParams,
     PricingMatrix,
     SocialGraph,
     ValidationError,
     build_dataset,
     default_profiles,
+    evaluate,
+    run_heuristic,
 )
 from cloudcut.cloud import load_affinities, load_profiles, load_regions, preference_matrix
 from cloudcut.errors import ParseError
@@ -303,6 +308,19 @@ def test_model_rejects_shape_mismatches():
     with pytest.raises(ValidationError):  # home region r2 does not exist
         CloudModel(["c0", "c1"], ["r0", "r1"], [0, 1],
                    PricingMatrix.uniform(2), aff, [1.0, 1.0], [1.0, 1.0], [0, 2])
+
+
+@pytest.mark.parametrize("n_model_users", [6, 10])
+def test_a_model_of_another_user_count_is_refused_when_no_table_is_given(n_model_users):
+    graph, _ = make_instance(0, n_users=8)
+    _, model = make_instance(0, n_users=n_model_users)
+    host = Assignment(np.zeros(graph.n_users, dtype=np.int64))
+    params = ObjectiveParams(alpha=0.5)
+    for call in (lambda: preference_matrix(graph, model),
+                 lambda: run_heuristic(graph, model, HeuristicParams(params)),
+                 lambda: evaluate(host, graph, model, params)):
+        with pytest.raises(ValidationError, match="^model and graph disagree on user count$"):
+            call()
 
 
 def test_restrict_drops_trailing_clouds():

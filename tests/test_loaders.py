@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudcut import (
@@ -373,6 +373,24 @@ def test_the_byte_path_reads_text_as_csv_reader_does(tmp_path_factory, text):
     pairs = np.flatnonzero(want.widths >= 2)
     for a, b in zip(got.intern((0, 1), pairs), want.intern((0, 1), pairs), strict=True):
         assert same_arrays(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=PLAIN_TEXT)
+@example(text="")
+@example(text="a,1.5\n\nbc,,2\nd,3")  # a blank line, and no final newline
+def test_a_table_split_in_blocks_of_any_size_reads_as_csv_reader_does(text):
+    # a table splits its bytes a block at a time; blocks of a few bytes put
+    # separators on each side of every block boundary
+    want = RowTable(csv.reader(io.StringIO(text, newline="")))
+    for split in (1, 2, 3, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_table, "_SPLIT", split)
+            got = ByteTable(text.encode())
+        assert same_arrays(got.widths, want.widths)
+        assert list(got.rows()) == list(want.rows())
+        for k in range(int(want.widths.max(initial=0))):
+            same_columns(got, want, k)
 
 
 @settings(max_examples=150, deadline=None)
