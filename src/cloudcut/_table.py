@@ -22,10 +22,17 @@ interns fields by a 64-bit key, gathered in one read per field: a field of
 up to 8 bytes is its own key, and a longer one is keyed by a hash of its
 bytes and checked byte for byte against the first field with its key; the
 few that differ (hash collisions) are interned through a dict.  It parses numbers
-with numpy's bytes to float64 cast, which calls float() without making a
-str per field, a chunk of fields at a time: the chunk's fields are gathered
-as items of one width, the bytes past each field multiplied by zero, and a
-field the cast rejects sends only its chunk through float() of each str.
+a chunk of fields at a time.  A plain decimal (an optional sign, then 1 to
+19 digits and at most one dot) takes the word path: its bytes are gathered
+as three little-endian words, checked and converted eight digits per word
+with byte-parallel masks and multiplies, and its integer m over 10^f rounded
+exactly, by one float64 division when m <= 2^53 (Clinger's fast path) and
+otherwise by integer long division of m by 5^f.  Every other field takes
+numpy's bytes to float64 cast, which calls float() without making a str per
+field: the chunk's other fields are gathered as items of one width, the
+bytes past each field multiplied by zero, and a field the cast rejects sends
+only its chunk's cast fields through float() of each str.  Both give
+float()'s value bit for bit.
 A file with a quote, CR or NUL, and every in-memory record sequence
 (load_graph of records), goes through csv.reader instead, into a RowTable
 that keeps the fields as Python objects in one flat list.  Both read text
@@ -64,10 +71,23 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 # longer number fields are parsed one at a time, so that no column is
 # copied into an array as wide as its longest field
 _FLOAT_WIDTH = 32
-# number fields cast at a time: a field the cast rejects costs its chunk a
-# parse field by field.  Chunks of up to 1 << 16 fields cast no faster, so
-# the chunk stays small
-_FLOAT_CHUNK = 1 << 12
+# number fields read at a time, so that a chunk's words and masks stay small.
+# The plain decimals among them take the word path; the rest (exponents,
+# space, underscores, non-ASCII digits, inf and nan, 20 digits or more, junk)
+# take the cast, and a field the cast rejects costs the chunk's cast fields a
+# parse field by field
+_FLOAT_CHUNK = 1 << 14
+# the word path reads a field's first 24 bytes as three little-endian words
+_STEPS = np.array([0, 8, 16])
+_HI = np.uint64(0x8080808080808080)  # the top bit of each byte
+_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
+_ONES = np.uint64(0x0101010101010101)
+_ZEROS = np.uint64(0x3030303030303030)  # b"0" in each byte
+_DOTS = np.uint64(0x2E2E2E2E2E2E2E2E)  # b"." in each byte
+_POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
+_POW10F = _POW10.astype(np.float64)
+_POW5 = np.array([5 ** k for k in range(20)], dtype=np.uint64)
+_SHIFT = np.array([8 * (8 - r) for r in range(9)], dtype=np.uint64)  # r digits to the top
 # the characters that make write_table quote a str field
 _SPECIAL = re.compile(r'[,"\r\n]')
 _BLOCK = 1 << 16  # rows write_table renders at a time, so no file's whole text is kept
@@ -196,7 +216,7 @@ class ByteTable(Table):
         data += bytes(_FLOAT_WIDTH)
         self._data = data
         self._bytes = np.frombuffer(data, dtype=np.uint8)
-        self._words = np.ndarray((size + 1,), dtype="<u8", buffer=data, strides=(1,))
+        self._words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
         dtype = np.int32 if len(data) < _INT32_SPANS else np.int64
         # the last block may reach into the padding, which holds no separator
         blocks = [(start, self._bytes[start:start + _SPLIT]) for start in range(0, size, _SPLIT)]
@@ -261,20 +281,26 @@ class ByteTable(Table):
         begin, length = self._spans((k,), rows)
         values = np.zeros(begin.size)
         bad = np.zeros(begin.size, dtype=bool)
-        fast = length <= _FLOAT_WIDTH
-        width = int(length[fast].max(initial=1))
-        chars = as_strided(self._bytes, (self._words.size, width), (1, 1))
-        # the cast is float() of each item's bytes (trailing NULs end an
-        # item, and no field holds one); a field that only float() of its
-        # str reads, with non-ASCII digits or space, fails the cast of its
-        # whole chunk, whose fields are then parsed one at a time
-        slow = [np.flatnonzero(~fast)]
-        fast = np.flatnonzero(fast)
-        offsets = np.arange(width, dtype=length.dtype)
-        for at in range(0, fast.size, _FLOAT_CHUNK):
-            chunk = fast[at:at + _FLOAT_CHUNK]
-            items = chars[begin[chunk]]
-            items *= offsets < length[chunk, None]  # zero the bytes past each span
+        cast = length <= _FLOAT_WIDTH
+        slow = [np.flatnonzero(~cast)]
+        for at in range(0, begin.size, _FLOAT_CHUNK):
+            part = slice(at, at + _FLOAT_CHUNK)
+            read, value = self._decimals(begin[part], length[part])
+            values[part][read] = value
+            # the cast is float() of each item's bytes (trailing NULs end an
+            # item, and no field holds one); a field that only float() of
+            # its str reads, with non-ASCII digits or space, fails the cast
+            # of its whole chunk, whose cast fields are then parsed one at a
+            # time
+            chunk = np.flatnonzero(cast[part] & ~read)
+            if not chunk.size:
+                continue
+            chunk += at
+            width = int(length[chunk].max(initial=1))
+            items = as_strided(self._bytes, (self._bytes.size - width + 1, width), (1, 1))[
+                begin[chunk]]
+            # zero the bytes past each span
+            items *= np.arange(width, dtype=length.dtype) < length[chunk, None]
             try:
                 values[chunk] = items.view(f"S{width}").ravel().astype(np.float64)
             except ValueError:
@@ -285,6 +311,69 @@ class ByteTable(Table):
             except ValueError:
                 bad[i] = True
         return values, bad
+
+    def _decimals(self, begin, length):
+        """(mask of the spans that are plain decimals, float() of each of them).
+
+        A plain decimal is an optional sign, then 1 to 19 digits and at most
+        one dot.  Its body, past the sign, is read as up to three words,
+        zeroed past its end.  The bytes before the dot, then those after it,
+        are its digit string, whose integer m is found eight digits per word,
+        and its value is m / 10^f, f the digits after the dot.
+        """
+        lead = self._bytes[begin]
+        neg = lead == ord("-")
+        signed = neg | (lead == ord("+"))
+        n = length - signed
+        # a word per 8 bytes of the longest body, up to three
+        steps = _STEPS[:max(1, min(3, (int(n.max(initial=0)) + 7) // 8)), None]
+        word = self._words[begin + signed + steps]
+        keep = _MASK[np.clip(n - steps, 0, 8)]
+        word &= keep
+        stray = _over(word ^ _ZEROS, 9)  # not a digit
+        stray &= keep
+        del keep
+        dot = _over(word ^ _DOTS, 0)
+        dot ^= _HI
+        stray ^= dot  # neither a digit nor a dot
+        dot >>= 7
+        dots = _byte_count(dot)
+        digits = n - dots
+        read = (np.bitwise_or.reduce(stray) == 0) & (dots <= 1) & (digits >= 1) & (digits <= 19)
+        del stray
+        # below: the bytes before the dot, or every byte if there is none; the
+        # dot's bit across the words less one, borrowing from word to word
+        below = dot
+        borrow = np.ones(n.size, dtype=bool)
+        for j in range(len(steps)):
+            was = below[j] == 0
+            below[j] -= borrow
+            borrow &= was
+        # f, the digits after the dot: the digits less the bytes below it;
+        # with no dot, every byte of every word is below, and none is after
+        places = np.maximum(digits - _byte_count(below & _ONES), 0)
+        # the digit string: from the dot on, each byte takes the next one's
+        after = word >> 8
+        after[:-1] |= word[1:] << 56
+        after ^= word
+        np.invert(below, out=below)
+        after &= below
+        word ^= after
+        del after, below
+        r = np.clip(digits - steps, 0, 8)  # each word's digits, moved to its top
+        word <<= _SHIFT[r]
+        part = _eight_digits(word)
+        m = part[0]
+        for j in range(1, len(steps)):
+            m = m * _POW10[r[j]] + part[j]
+        m, places, neg = m[read], places[read], neg[read]
+        # Clinger's fast path: m and 10^f are exact, and so is one division
+        value = m.astype(np.float64)
+        value /= _POW10F[places]
+        big = np.flatnonzero(m > 2 ** 53)
+        value[big] = _quotient(m[big], places[big])
+        value[neg] *= -1
+        return read, value
 
     def _distinct(self, ks, rows):
         """(int64 code of each of fields ks of rows, row after row; the
@@ -366,6 +455,56 @@ def _hash(length, words):
     for sub, word in words:
         h[sub] = (h[sub] ^ word) * _MIX
     return h
+
+
+def _over(words, limit):
+    """The top bit of each byte of words that is over limit, a byte under 0x80."""
+    over = words & _LOW7
+    over += np.uint64((0x7F - limit) * 0x0101010101010101)
+    over |= words
+    over &= _HI
+    return over
+
+
+def _byte_count(ones):
+    """The number of bytes of value 1 in each column of words whose bytes
+    are 0 or 1, as int64."""
+    return (ones.sum(axis=0) * _ONES >> 56).view(np.int64)
+
+
+def _eight_digits(words):
+    """The integer of the eight ASCII digits of each word, the first in its
+    low byte, with zero bytes read as leading zeros; words is overwritten."""
+    for mask, scale, bits in ((0x0F0F0F0F0F0F0F0F, 2561, 8), (0x00FF00FF00FF00FF, 6553601, 16),
+                              (0x0000FFFF0000FFFF, 42949672960001, 32)):
+        words &= mask
+        words *= scale
+        words >>= bits
+    return words
+
+
+def _quotient(m, places):
+    """m / 10^places rounded to the nearest float64, ties to even.
+
+    m * 2^s / 5^places, in uint64 long division, has a quotient q of at
+    least 55 bits and under 64, and a remainder.  A sticky bit for a nonzero
+    remainder, set in q's last bit, lies below the bit that rounds q to the
+    53 of a float64, so q rounds to nearest even as the exact quotient does;
+    the ldexp by 2^(-s - places) is exact.
+    """
+    d = _POW5[places]
+    # the estimate's exponent is the quotient's, or one more; m > 2^53 and
+    # 5^places < 2^45 put the quotient over 2^8, so s is at most 48
+    shift = np.maximum(57 - np.frexp(m.astype(np.float64) / d)[1], 0)
+    q, rem = np.divmod(m, d)
+    left = shift.astype(np.uint64)
+    for _ in range(3):  # 16 bits a step keep rem << step below 2^61
+        step = np.minimum(left, 16)
+        part, rem = np.divmod(rem << step, d)
+        q = (q << step) | part
+        left -= step
+    q |= rem != 0
+    return np.ldexp(q.astype(np.float64), (-places - shift).astype(np.int32))
 
 
 def read_table(path):

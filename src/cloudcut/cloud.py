@@ -356,11 +356,9 @@ def default_profiles(graph, blend=1.0):
 
 # -- preference table ------------------------------------------------------
 
-def preference_matrix(graph, model, normalized=False):
-    """(n_users x n_clouds) preference table, optionally row-normalized.
-
-    Rows of all-zero preference normalize to the uniform row 1/n_clouds.
-    """
+def preference_matrix(graph, model):
+    """(n_users x n_clouds) raw preference table; normalize_rows gives its
+    row-normalized form."""
     if model.n_users != graph.n_users:
         raise ValidationError("model and graph disagree on user count")
     off, nbr, _, _ = graph.friend_csr()
@@ -372,8 +370,7 @@ def preference_matrix(graph, model, normalized=False):
     for c, best in enumerate(np.ascontiguousarray(model.best_download.T)):
         download[:, c] = np.bincount(row, weights=best[nbr], minlength=n)
     upload = model.best_upload * model.upload_volume[:, None]
-    psi = download + model.blend_weight[:, None] * upload
-    return normalize_rows(psi) if normalized else psi
+    return download + model.blend_weight[:, None] * upload
 
 
 def normalize_rows(psi):

@@ -30,7 +30,7 @@ from cloudcut import (
     default_profiles,
 )
 from cloudcut import partition
-from cloudcut.cloud import preference_matrix
+from cloudcut.cloud import normalize_rows, preference_matrix
 from cloudcut.graph import load_graph
 
 
@@ -200,7 +200,9 @@ def naive_move_cost_delta(move, host, graph, model):
 def kernel_pair_gains(u, v, host, graph, model, alpha, cost_weight=1.0, normalized=True):
     """(move_u, move_v, move_both row over clouds) of one pair: not an oracle,
     but the walk's own kernel, partition._batch_gains, with a batch of one."""
-    psi = preference_matrix(graph, model, normalized=normalized)
+    psi = preference_matrix(graph, model)
+    if normalized:
+        psi = normalize_rows(psi)
     gain_u, gain_v, joint = partition._batch_gains(
         np.array([u]), np.array([v]),
         np.array([edge_weight(graph, u, v)]), np.array([edge_weight(graph, v, u)]),
@@ -308,7 +310,9 @@ def naive_pair_gains(u, v, host, psi, graph, P, alpha, cost_scale):
 def naive_walk(graph, model, params, telemetry=None):
     """The re-hosting walk one pair at a time: every examined pair is scored
     from scratch, and each telemetry line is written as soon as it is known."""
-    psi = preference_matrix(graph, model, normalized=params.objective.use_normalized)
+    psi = preference_matrix(graph, model)
+    if params.objective.use_normalized:
+        psi = normalize_rows(psi)
     host = np.argmax(psi, axis=1)
     P = model.pricing.matrix
     alpha = params.objective.alpha

@@ -18,7 +18,13 @@ from cloudcut import (
     evaluate,
     run_heuristic,
 )
-from cloudcut.cloud import load_affinities, load_profiles, load_regions, preference_matrix
+from cloudcut.cloud import (
+    load_affinities,
+    load_profiles,
+    load_regions,
+    normalize_rows,
+    preference_matrix,
+)
 from cloudcut.errors import ParseError
 from cloudcut.graph import load_graph, synth_graph
 from oracles import (
@@ -69,7 +75,7 @@ def test_preference_blends_download_and_upload():
     graph, model = frozen_model()
     # 1.6 + 2*4 and 0.8 + 2*1.5
     assert preference_matrix(graph, model)[0].tolist() == pytest.approx([9.6, 3.8])
-    norm = preference_matrix(graph, model, normalized=True)
+    norm = normalize_rows(preference_matrix(graph, model))
     assert norm[0, 0] == pytest.approx(9.6 / 13.4)
 
 
@@ -82,7 +88,7 @@ def test_normalized_rows_sum_to_one():
         upload_volume=[1.0, 1.0],
         blend_weight=[1.0, 1.0],
     )
-    psi = preference_matrix(graph, model, normalized=True)
+    psi = normalize_rows(preference_matrix(graph, model))
     assert psi[0].tolist() == pytest.approx([0.5, 0.25, 0.25])
     # user b has zero preference everywhere: uniform fallback
     assert psi[1].tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
@@ -120,7 +126,7 @@ def test_preference_matrix_matches_scalar_definitions():
         graph, model = make_instance(seed, n_users=12, n_clouds=4, n_edges=30,
                                      pricing="random", regions_per_cloud=2)
         psi = preference_matrix(graph, model)
-        norm = preference_matrix(graph, model, normalized=True)
+        norm = normalize_rows(preference_matrix(graph, model))
         for u in range(graph.n_users):
             assert psi[u].tolist() == pytest.approx(
                 naive_preference_row(u, graph, model, normalized=False))
@@ -151,8 +157,8 @@ def test_normalized_preference_is_scale_invariant():
         AffinityTable(2 * model.affinity.download, 2 * model.affinity.upload),
         model.upload_volume, model.blend_weight,
     )
-    assert preference_matrix(graph, doubled, normalized=True)[0].tolist() == pytest.approx(
-        preference_matrix(graph, model, normalized=True)[0].tolist())
+    assert normalize_rows(preference_matrix(graph, doubled))[0].tolist() == pytest.approx(
+        normalize_rows(preference_matrix(graph, model))[0].tolist())
 
 
 def test_default_profiles_use_mean_outgoing_weight():

@@ -438,8 +438,9 @@ def test_the_byte_path_reads_a_long_column_with_a_few_uncast_numbers_as_csv_read
 
 def test_a_number_the_cast_rejects_is_parsed_again_only_with_its_chunk(tmp_path,
                                                                         monkeypatch):
+    # 5e-1 takes the cast; a plain decimal such as 0.5 never reaches float()
     path = tmp_path / "table.csv"
-    path.write_text("".join(f"u{i},0.5\n" for i in range(10)) + "nobody,x\n")
+    path.write_text("".join(f"u{i},5e-1\n" for i in range(10)) + "nobody,x\n")
     parsed = []
 
     def counted(text):
@@ -451,7 +452,60 @@ def test_a_number_the_cast_rejects_is_parsed_again_only_with_its_chunk(tmp_path,
     values, bad = read_table(path).floats(1, 11)
     assert values.tolist() == [0.5] * 10 + [0.0]
     assert bad.tolist() == [False] * 10 + [True]
-    assert parsed == ["0.5", "0.5", "x"]  # fields 8 to 10, the last chunk
+    assert parsed == ["5e-1", "5e-1", "x"]  # fields 8 to 10, the last chunk
+
+
+@st.composite
+def decimal_literals(draw):
+    """A sign, 0 to 21 digits with a dot at any place, and now and then two
+    dots, an exponent, a space or an underscore."""
+    text = draw(st.text("0123456789", max_size=21))
+    for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2)))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "." + text[at:]
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(("e5", "E-3", " ", "_"))) + text[at:]
+    return draw(st.sampled_from(("", "+", "-"))) + text
+
+
+# ties to even on each side of 2^53, a 17-digit repr, a 20-digit mantissa,
+# and fields float() reads or rejects at the edges of the plain-decimal form
+NUMBER_FIELDS = ["9007199254740993", "9007199254740995", "0.17424576215237397",
+                 "12345678901234567890", "1234567890123456789", ".5", "5.", "-0", "+.5",
+                 "-.", "..", "1.2.3", "1_0", "1e5", "١٢", "12١", ""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(numbers=st.lists(st.one_of(decimal_literals(), st.floats().map(repr)), min_size=1,
+                        max_size=30))
+@example(numbers=NUMBER_FIELDS)
+def test_byte_table_floats_read_each_number_as_float_does(numbers):
+    want = []
+    for x in numbers:
+        try:
+            want.append((float(x), False))
+        except ValueError:
+            want.append((0.0, True))
+    text = "".join(f"u,{x}\n" for x in numbers).encode()
+    for chunk in (1, 2, 3, _table._FLOAT_CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_table, "_FLOAT_CHUNK", chunk)
+            values, bad = ByteTable(text).floats(1, len(numbers))
+        assert same_arrays(values, [v for v, _ in want])
+        assert bad.tolist() == [b for _, b in want]
+
+
+def test_only_plain_decimals_take_the_word_path():
+    read = ["3", "+3.00", "0003.0", "-0", ".5", "5.", "0.17424576215237397",
+            "9999999999999999999", "0.30000000000000004"]
+    cast = ["3e0", " 3.0", "3.0 ", "1_0", "99999999999999999999", "١", "inf", "-", ".", "1.2.3"]
+    fields = read + cast
+    table = ByteTable("".join(f"{x}\n" for x in fields).encode())
+    begin, length = table._spans((0,), len(fields))
+    got, values = table._decimals(begin, length)
+    assert got.tolist() == [True] * len(read) + [False] * len(cast)
+    assert same_arrays(values, list(map(float, read)))
 
 
 @pytest.mark.parametrize("text", ['a,"b"\n', "a,b\r\n", "a,b\rc,d\n", "a\x00,b\n"])

@@ -26,7 +26,7 @@ from cloudcut import (
     run_heuristic,
     total_objective,
 )
-from cloudcut.cloud import preference_matrix
+from cloudcut.cloud import normalize_rows, preference_matrix
 from cloudcut.partition import _least_member
 from oracles import (
     RehostMove,
@@ -145,7 +145,7 @@ def test_gains_equal_score_deltas_in_exact_mode():
 def test_gains_at_alpha_one_are_pure_preference_deltas():
     graph, model = make_instance(2, n_users=10, n_clouds=3, n_edges=30)
     assign = initial_hosting(graph, model)
-    psi = preference_matrix(graph, model, normalized=True)
+    psi = normalize_rows(preference_matrix(graph, model))
     host = assign.host
     ca, cb, _, _ = graph.connection_arrays()
     pair = next((int(u), int(v)) for u, v in zip(ca, cb) if host[u] != host[v])

@@ -27,7 +27,7 @@ from cloudcut import (
     run_heuristic,
 )
 from cloudcut import partition
-from cloudcut.cloud import preference_matrix
+from cloudcut.cloud import normalize_rows, preference_matrix
 from oracles import make_instance, naive_walk
 
 
@@ -98,7 +98,7 @@ def test_budget_cuts_a_run_of_tied_weights():
     s = summary(windowed[1])
     assert s["stop_reason"] == "budget"
     # the last pair touched and the first pair left out weigh the same
-    host = np.argmax(preference_matrix(graph, model, normalized=True), axis=1)
+    host = np.argmax(normalize_rows(preference_matrix(graph, model)), axis=1)
     ca, cb, e_ab, e_ba = graph.connection_arrays()
     cross = host[ca] != host[cb]
     weights = np.sort(e_ab[cross] + e_ba[cross])[::-1]
