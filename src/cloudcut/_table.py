@@ -1,13 +1,14 @@
 """Column-at-a-time reading and writing of CSV tables.
 
-The loaders check and convert whole columns with numpy instead of walking
-the rows in Python.  A Table knows each row's width and hands out columns:
-floats(k, rows) parses field k of the given rows as float() does, and
-intern(ks, rows) gives each distinct stripped label among fields ks of those
-rows a code, in order of first appearance, so that Python code runs once per
-distinct label rather than once per row.  Both tables intern the fields as
-they are; str.strip then runs once per distinct field, and fields that strip
-to one label share its code.
+Every loader checks and converts whole columns with numpy instead of
+walking the rows in Python.  A Table knows each row's width and hands out
+columns: floats(ks, rows) parses fields ks of the given rows as float() does,
+one field's column after another, and intern(ks, rows) gives each distinct
+stripped label among fields ks of those rows a code, in order of first
+appearance row after row, so that Python code runs once per distinct label
+rather than once per row.  Both tables intern the fields as they are;
+str.strip then runs once per distinct field, and fields that strip to one
+label share its code.
 
 read_table reads a file's bytes once, into a buffer with room for a
 ByteTable's padding, so that they are never held twice.  When the only
@@ -118,9 +119,6 @@ class Table:
         start = int(self._row_first[i])
         return [self._field(f) for f in range(start, start + int(self.widths[i]))]
 
-    def rows(self):
-        return map(self.row, range(self.n_rows))
-
     def ids(self, k, rows, lookup):
         """lookup(labels) -> int64 ids, applied to the distinct stripped
         labels of field k of rows and spread back over those rows."""
@@ -140,6 +138,19 @@ class Table:
         ids = _Interner()
         remap = np.fromiter(map(ids.__getitem__, texts), dtype=np.int64, count=len(texts))
         return remap[codes], list(ids)
+
+    def floats(self, ks, rows):
+        """(float() of fields ks of rows, mask of the fields float() rejects),
+        each of shape (len(ks), number of rows): row j holds field ks[j].
+
+        Rejected fields read 0.0.
+        """
+        if isinstance(rows, (int, np.integer)):
+            rows = slice(rows)
+        first = self._row_first[rows]
+        index = first[None, :] + np.asarray(ks, dtype=first.dtype)[:, None]
+        values, bad = self._floats(index.ravel())
+        return values.reshape(index.shape), bad.reshape(index.shape)
 
     def _index(self, ks, rows):
         """Flat indices of fields ks of the first `rows` rows, or of the rows
@@ -170,15 +181,13 @@ class RowTable(Table):
     def _field(self, f):
         return self._fields[f]
 
-    def _column(self, ks, rows):
-        return list(map(self._fields.__getitem__, self._index(ks, rows).tolist()))
+    def _column(self, index):
+        return list(map(self._fields.__getitem__, index.tolist()))
 
-    def floats(self, k, rows):
-        """(float() of field k of rows, mask of the fields float() rejects).
-
-        Rejected fields read 0.0.
-        """
-        column = self._column((k,), rows)
+    def _floats(self, index):
+        """(float() of the fields at flat indices, mask of those float()
+        rejects, which read 0.0)."""
+        column = self._column(index)
         try:
             values = np.fromiter(map(float, column), dtype=np.float64, count=len(column))
             return values, np.zeros(len(column), dtype=bool)
@@ -198,7 +207,7 @@ class RowTable(Table):
         distinct fields in order of first appearance, None for a field that
         is not a str)."""
         ids = _Interner()
-        column = self._column(ks, rows)
+        column = self._column(self._index(ks, rows))
         if not all(map(isinstance, column, repeat(str))):
             column = [x if isinstance(x, str) else None for x in column]
         codes = np.fromiter(map(ids.__getitem__, column), dtype=np.int64, count=len(column))
@@ -265,20 +274,17 @@ class ByteTable(Table):
         word &= _MASK[np.minimum(length - 8 * j, 8)]
         return word
 
-    def _spans(self, ks, rows):
-        """(begin, length) of fields ks of rows, row after row."""
-        index = self._index(ks, rows)
+    def _spans(self, index):
+        """(begin, length) of the fields at flat indices."""
         begin = self._begin[index]
         length = self._end[index]
         length -= begin
         return begin, length
 
-    def floats(self, k, rows):
-        """(float() of field k of rows, mask of the fields float() rejects).
-
-        Rejected fields read 0.0.
-        """
-        begin, length = self._spans((k,), rows)
+    def _floats(self, index):
+        """(float() of the fields at flat indices, mask of those float()
+        rejects, which read 0.0)."""
+        begin, length = self._spans(index)
         values = np.zeros(begin.size)
         bad = np.zeros(begin.size, dtype=bool)
         cast = length <= _FLOAT_WIDTH
@@ -378,7 +384,7 @@ class ByteTable(Table):
     def _distinct(self, ks, rows):
         """(int64 code of each of fields ks of rows, row after row; the
         distinct fields in order of first appearance)."""
-        begin, length = self._spans(ks, rows)
+        begin, length = self._spans(self._index(ks, rows))
         n = begin.size
         # a label of up to 8 bytes is its own key, since it holds no NUL; a
         # longer one is keyed by its hash and checked byte for byte below

@@ -35,12 +35,11 @@ best-per-cloud tables in one pass, and AffinityTable.download / .upload, the
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import numpy as np
 
-from ._table import ids_of, last_of_each, read_table, refuse, write_table
+from ._table import ids_of, last_of_each, read_table, refuse, repeats, write_table
 from .errors import ParseError, ValidationError
 
 
@@ -80,32 +79,32 @@ class PricingMatrix:
         Returns (cloud_labels, PricingMatrix); row label order defines cloud
         id order.
         """
-        rows = list(read_table(path).rows())
-        if not rows or len(rows[0]) < 2:
+        table = read_table(path)
+        if not table.n_rows or table.widths[0] < 2:
             raise ParseError("pricing matrix needs a header row of cloud labels", 1)
-        header = [c.strip() for c in rows[0][1:]]
+        header = [c.strip() for c in table.row(0)[1:]]
         n = len(header)
         if len(set(header)) != n:
             raise ParseError("duplicate cloud label in pricing header", 1)
-        if len(rows) - 1 != n:
+        if table.n_rows - 1 != n:
             raise ParseError(f"expected {n} price rows, one per header cloud, "
-                             f"got {len(rows) - 1}", len(rows))
-        m = np.zeros((n, n))
-        row_labels = []
-        for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != n + 1:
-                raise ParseError(f"expected {n + 1} fields, got {len(row)}", lineno)
-            row_labels.append(row[0].strip())
-            for j, cell in enumerate(row[1:]):
-                try:
-                    m[lineno - 2, j] = float(cell)
-                except ValueError:
-                    raise ParseError(f"bad price {cell!r}", lineno) from None
-            if not np.all((m[lineno - 2] >= 0) & (m[lineno - 2] < math.inf)):
-                raise ParseError("prices must be finite and non-negative", lineno)
-        if row_labels != header:
-            raise ParseError("pricing row labels must match header order", len(rows))
-        return tuple(header), cls(m)
+                             f"got {table.n_rows - 1}", table.n_rows)
+        # the header, row 0, has n + 1 fields and breaks no rule; a rule per
+        # price column, in column order, names a row's first bad price
+        k = table.prefix(n + 1)
+        rows = np.arange(1, k)
+        prices, bad = table.floats(range(1, n + 1), rows)
+        broken = np.zeros((n + 1, k), dtype=bool)
+        broken[:n, 1:] = bad
+        broken[n, 1:] = ~((prices >= 0) & (prices < np.inf)).all(axis=0)
+        messages = [lambda row, j=j: f"bad price {row[j]!r}" for j in range(1, n + 1)]
+        messages.append(lambda row: "prices must be finite and non-negative")
+        refuse(table, k, list(zip(broken, messages)),
+               lambda row: f"expected {n + 1} fields, got {len(row)}")
+        order = table.ids(0, rows, partial(ids_of, dict(zip(header, range(n)))))
+        if not np.array_equal(order, np.arange(n)):
+            raise ParseError("pricing row labels must match header order", table.n_rows)
+        return tuple(header), cls(prices.T.copy())
 
     def to_csv(self, path, cloud_labels):
         write_table(path, [cloud_labels, *self._m.T], header=("cloud", *cloud_labels))
@@ -391,36 +390,30 @@ def load_regions(path):
     Returns (cloud_labels, region_labels, region_cloud, region_xy or None).
     Cloud ids follow first appearance; coordinates must be all-or-none.
     """
-    cloud_labels, region_labels, region_cloud, coords = [], [], [], []
-    cloud_index, region_index = {}, {}
-    for lineno, row in enumerate(read_table(path).rows(), start=1):
-        if len(row) not in (2, 4):
-            raise ParseError(f"expected 2 or 4 fields, got {len(row)}", lineno)
-        region, cloud = row[0].strip(), row[1].strip()
-        if not region or not cloud:
-            raise ParseError("empty label", lineno)
-        if region in region_index:
-            raise ParseError(f"duplicate region {region!r}", lineno)
-        if cloud not in cloud_index:
-            cloud_index[cloud] = len(cloud_labels)
-            cloud_labels.append(cloud)
-        region_index[region] = len(region_labels)
-        region_labels.append(region)
-        region_cloud.append(cloud_index[cloud])
-        if len(row) == 4:
-            try:
-                x, y = float(row[2]), float(row[3])
-            except ValueError:
-                raise ParseError("bad coordinate", lineno) from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ParseError(f"coordinates must be finite, got {x}, {y}", lineno)
-            coords.append((x, y))
-    if not region_labels:
+    table = read_table(path)
+    n = table.prefix(2, 4)
+    region, region_labels = table.intern((0,), n)
+    cloud, cloud_labels = table.intern((1,), n)
+    with_xy = np.flatnonzero(table.widths[:n] == 4)
+    xy, bad = table.floats((2, 3), with_xy)
+    blank = [np.array([not lab for lab in labels], dtype=bool)
+             for labels in (region_labels, cloud_labels)]
+    bad_xy, unfit_xy = np.zeros((2, n), dtype=bool)
+    bad_xy[with_xy] = bad.any(axis=0)
+    unfit_xy[with_xy] = ~np.isfinite(xy).all(axis=0)
+    refuse(table, n, [
+        (blank[0][region] | blank[1][cloud], lambda row: "empty label"),
+        (repeats(region), lambda row: f"duplicate region {row[0].strip()!r}"),
+        (bad_xy, lambda row: "bad coordinate"),
+        (unfit_xy, lambda row: ("coordinates must be finite, "
+                                f"got {float(row[2])}, {float(row[3])}")),
+    ], lambda row: f"expected 2 or 4 fields, got {len(row)}")
+    if not n:
         raise ParseError("region file has no rows")
-    if coords and len(coords) != len(region_labels):
+    if with_xy.size not in (0, n):
         raise ParseError("coordinates must be given for all regions or none")
-    xy = np.array(coords) if coords else None
-    return tuple(cloud_labels), tuple(region_labels), np.array(region_cloud, dtype=np.int64), xy
+    xy = xy.T.copy() if with_xy.size else None
+    return tuple(cloud_labels), tuple(region_labels), cloud, xy
 
 
 def load_affinities(path, graph, region_labels, ignore_unknown_users=False):
@@ -437,8 +430,7 @@ def load_affinities(path, graph, region_labels, ignore_unknown_users=False):
     n = table.prefix(4)
     user = table.ids(0, n, graph.user_ids)
     region = table.ids(1, n, partial(ids_of, region_ids))
-    download, bad_download = table.floats(2, n)
-    upload, bad_upload = table.floats(3, n)
+    (download, upload), (bad_download, bad_upload) = table.floats((2, 3), n)
     known = user >= 0
     refuse(table, n, _user_rules(known, [
         (region < 0, lambda row: f"unknown region {row[1].strip()!r}"),
@@ -471,8 +463,7 @@ def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
     table = read_table(path)
     n = table.prefix(3, 4)
     user = table.ids(0, n, graph.user_ids)
-    volume, bad_volume = table.floats(1, n)
-    weight, bad_weight = table.floats(2, n)
+    (volume, weight), (bad_volume, bad_weight) = table.floats((1, 2), n)
     with_region = np.flatnonzero(table.widths[:n] == 4)
     region = np.zeros(n, dtype=np.int64)
     region[with_region] = table.ids(3, with_region, partial(ids_of, region_ids))

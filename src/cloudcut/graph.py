@@ -244,7 +244,7 @@ def load_graph(source):
     n = table.prefix(3)
     ends, labels = table.intern((0, 1), n)
     src, dst = ends[0::2], ends[1::2]
-    weight, bad_weight = table.floats(2, n)
+    (weight,), (bad_weight,) = table.floats((2,), n)
     blank = np.array([not lab for lab in labels], dtype=bool)
     refuse(table, n, [
         (blank[src] | blank[dst], lambda row: "user label must be a non-empty string"),

@@ -491,6 +491,68 @@ def naive_load_profiles(path, graph, region_labels=None, ignore_unknown_users=Fa
     return vol, blend, home
 
 
+def naive_load_regions(path):
+    cloud_labels, region_labels, region_cloud, coords = [], [], [], []
+    cloud_index, region_index = {}, {}
+    for lineno, row in enumerate(naive_csv_rows(path), start=1):
+        if len(row) not in (2, 4):
+            raise ParseError(f"expected 2 or 4 fields, got {len(row)}", lineno)
+        region, cloud = row[0].strip(), row[1].strip()
+        if not region or not cloud:
+            raise ParseError("empty label", lineno)
+        if region in region_index:
+            raise ParseError(f"duplicate region {region!r}", lineno)
+        if cloud not in cloud_index:
+            cloud_index[cloud] = len(cloud_labels)
+            cloud_labels.append(cloud)
+        region_index[region] = len(region_labels)
+        region_labels.append(region)
+        region_cloud.append(cloud_index[cloud])
+        if len(row) == 4:
+            try:
+                x, y = float(row[2]), float(row[3])
+            except ValueError:
+                raise ParseError("bad coordinate", lineno) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"coordinates must be finite, got {x}, {y}", lineno)
+            coords.append((x, y))
+    if not region_labels:
+        raise ParseError("region file has no rows")
+    if coords and len(coords) != len(region_labels):
+        raise ParseError("coordinates must be given for all regions or none")
+    xy = np.array(coords) if coords else None
+    return tuple(cloud_labels), tuple(region_labels), np.array(region_cloud, dtype=np.int64), xy
+
+
+def naive_load_pricing(path):
+    rows = naive_csv_rows(path)
+    if not rows or len(rows[0]) < 2:
+        raise ParseError("pricing matrix needs a header row of cloud labels", 1)
+    header = [c.strip() for c in rows[0][1:]]
+    n = len(header)
+    if len(set(header)) != n:
+        raise ParseError("duplicate cloud label in pricing header", 1)
+    if len(rows) - 1 != n:
+        raise ParseError(f"expected {n} price rows, one per header cloud, "
+                         f"got {len(rows) - 1}", len(rows))
+    m = np.zeros((n, n))
+    row_labels = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != n + 1:
+            raise ParseError(f"expected {n + 1} fields, got {len(row)}", lineno)
+        row_labels.append(row[0].strip())
+        for j, cell in enumerate(row[1:]):
+            try:
+                m[lineno - 2, j] = float(cell)
+            except ValueError:
+                raise ParseError(f"bad price {cell!r}", lineno) from None
+        if not np.all((m[lineno - 2] >= 0) & (m[lineno - 2] < math.inf)):
+            raise ParseError("prices must be finite and non-negative", lineno)
+    if row_labels != header:
+        raise ParseError("pricing row labels must match header order", len(rows))
+    return tuple(header), PricingMatrix(m)
+
+
 def naive_read_assignment(path, graph, model):
     host = np.full(graph.n_users, -1, dtype=np.int64)
     user_ids = {lab: i for i, lab in enumerate(graph.labels)}

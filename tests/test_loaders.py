@@ -36,7 +36,9 @@ from oracles import (
     naive_graph_arrays,
     naive_load_affinities,
     naive_load_graph,
+    naive_load_pricing,
     naive_load_profiles,
+    naive_load_regions,
     naive_read_assignment,
 )
 
@@ -213,6 +215,103 @@ def test_read_assignment_matches_the_per_row_loader(tmp_path_factory, data, orde
                 lambda a: (a.host,))
 
 
+# region labels repeat now and then, and some are longer than a word;
+# blank ones strip to nothing
+REGION_NAME, BLANK_REGION = labels(("r0", "r1", "r2", "r3", "r4", "long-region-0",
+                                    "long-region-1"), ("", " ", "\u3000"))
+CLOUD_NAME, BLANK_CLOUD = labels(("c0", "c1", "c2"), ("", "\t"))
+NARROW_REGION_ROWS = rows((REGION_NAME, BLANK_REGION), (CLOUD_NAME, BLANK_CLOUD))
+WIDE_REGION_ROWS = rows((REGION_NAME, BLANK_REGION), (CLOUD_NAME, BLANK_CLOUD),
+                        (NUMBER, BAD_NUMBER), (NUMBER, BAD_NUMBER))
+REGION_ROWS = st.one_of(NARROW_REGION_ROWS, WIDE_REGION_ROWS)
+# files of rows without coordinates, rows with them, or both
+REGION_LINES = st.one_of(*(st.lists(rows, max_size=8)
+                           for rows in (NARROW_REGION_ROWS, WIDE_REGION_ROWS, REGION_ROWS)))
+
+
+def region_arrays(regions):
+    clouds, labels, region_cloud, xy = regions
+    return clouds, labels, region_cloud, np.zeros((0, 0)) if xy is None else xy
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), lines=REGION_LINES)
+def test_load_regions_matches_the_per_row_loader(tmp_path_factory, data, lines):
+    path = tmp_path_factory.mktemp("regions") / "regions.csv"
+    path.write_text(data.draw(csv_text(lines)), encoding="utf-8", newline="")
+    assert_same(outcome(load_regions, path), outcome(naive_load_regions, path), region_arrays)
+
+
+CLOUD_NAMES = ("c0", "c1", "c2")
+# junk, one that csv quotes, and numbers that are not finite and non-negative
+BAD_PRICE = st.sampled_from(("x", "", "1,5", "-1", "inf", "nan", "1e400"))
+
+
+@st.composite
+def pricing_lines(draw):
+    """The rows of a pricing matrix: a header of up to three cloud labels,
+    now and then with a repeat, and a row per header cloud, with now and then
+    a row too few or too many, a row label out of header order, bad prices
+    (in some files half of them), or a row cut short or padded; now and then
+    cut to a few rows."""
+    pad = st.sampled_from(("",) + SPACE)
+    n = draw(st.sampled_from((1, 2, 3, 3, 0)))
+    one_in = draw(st.sampled_from((8, 8, 8, 2)))  # a price is bad one time in this many
+    header = list(draw(st.permutations(CLOUD_NAMES)))[:n]
+    if n and draw(st.integers(0, 4)) == 0:
+        header[draw(st.integers(0, n - 1))] = draw(st.sampled_from(CLOUD_NAMES))
+    lines = [["cloud", *(draw(pad) + label for label in header)]]
+    for i in range(max(n + draw(st.sampled_from((0,) * 8 + (-1, 1))), 0)):
+        label = header[i] if i < n and draw(st.integers(0, 4)) else draw(
+            st.sampled_from(CLOUD_NAMES))
+        line = [label + draw(pad)] + [
+            draw(NUMBER if draw(st.integers(1, one_in)) > 1 else BAD_PRICE) for _ in range(n)]
+        if draw(st.integers(0, 5)) == 0:
+            line = (line + ["1", "x"])[:draw(st.integers(0, n + 3))]
+        lines.append(line)
+    if draw(st.integers(0, 9)) == 0:
+        lines = lines[:draw(st.integers(0, len(lines)))]
+    return lines
+
+
+def pricing_arrays(pricing):
+    labels, matrix = pricing
+    return labels, matrix.matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), lines=pricing_lines())
+def test_load_pricing_matches_the_per_row_loader(tmp_path_factory, data, lines):
+    path = tmp_path_factory.mktemp("pricing") / "pricing.csv"
+    path.write_text(data.draw(csv_text(lines)), encoding="utf-8", newline="")
+    assert_same(outcome(PricingMatrix.from_csv, path), outcome(naive_load_pricing, path),
+                pricing_arrays)
+
+
+@pytest.mark.parametrize("load, naive, arrays, text", [
+    (load_regions, naive_load_regions, region_arrays, ""),
+    (load_regions, naive_load_regions, region_arrays, "r0,c0\n r0 ,c1\n"),
+    (load_regions, naive_load_regions, region_arrays, "r0,c0,1,2\nr1, ,nan,x\n"),
+    (load_regions, naive_load_regions, region_arrays, "r0,c0,1,2\nr1,c1,-1,1e400\n"),
+    (load_regions, naive_load_regions, region_arrays, "r0,c0,1,2\nr1,c0\n"),
+    # a good price, then two bad ones: the first bad one is named
+    (PricingMatrix.from_csv, naive_load_pricing, pricing_arrays,
+     "cloud,c0,c1,c2\nc0,0,1,2\nc1,1,x,\nc2,2,1,0\n"),
+    (PricingMatrix.from_csv, naive_load_pricing, pricing_arrays,
+     "cloud,c0,c1\nc0,0,nan\nc1,1,x\n"),
+    (PricingMatrix.from_csv, naive_load_pricing, pricing_arrays,
+     "cloud,c0,c1\nc1,0,1\nc0,1,0\n"),
+], ids=["regions-empty", "regions-duplicate", "regions-blank-cloud", "regions-infinite",
+        "regions-partial", "pricing-two-bad-cells", "pricing-nan", "pricing-order"])
+def test_small_loaders_match_the_per_row_loaders_on_chosen_files(tmp_path, load, naive,
+                                                                  arrays, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = outcome(naive, path)
+    assert want[0] == "error"
+    assert_same(outcome(load, path), want, arrays)
+
+
 @pytest.mark.parametrize("bad_row, message", [
     ("u7,u8", "expected 3 fields, got 2"),
     ("u7,u8,heavy", "bad weight 'heavy'"),
@@ -316,15 +415,20 @@ def spoiled_bytes(text):
 AFFINITY_ROWS = rows((USER, BAD_USER), (REGION, BAD_REGION), (NUMBER, BAD_NUMBER),
                      (NUMBER, BAD_NUMBER))
 ASSIGNMENT_ROWS = rows((USER, BAD_USER), (CLOUD, BAD_CLOUD))
+# each loader's lines, loader, per-row loader, and the arrays it returns
 LOADERS = {
-    "edges": (EDGE_ROWS, load_graph, naive_load_graph, graph_arrays),
-    "affinities": (AFFINITY_ROWS, lambda p: load_affinities(p, graph(), REGIONS),
+    "edges": (st.lists(EDGE_ROWS, max_size=8), load_graph, naive_load_graph, graph_arrays),
+    "affinities": (st.lists(AFFINITY_ROWS, max_size=8),
+                   lambda p: load_affinities(p, graph(), REGIONS),
                    lambda p: naive_load_affinities(p, graph(), REGIONS),
                    lambda table: (table.download, table.upload)),
-    "profiles": (PROFILE_ROWS, lambda p: load_profiles(p, graph(), REGIONS),
+    "profiles": (st.lists(PROFILE_ROWS, max_size=8), lambda p: load_profiles(p, graph(), REGIONS),
                  lambda p: naive_load_profiles(p, graph(), REGIONS), lambda arrays: arrays),
-    "assignment": (ASSIGNMENT_ROWS, lambda p: Assignment.from_csv(p, graph(), model()),
+    "assignment": (st.lists(ASSIGNMENT_ROWS, max_size=8),
+                   lambda p: Assignment.from_csv(p, graph(), model()),
                    lambda p: naive_read_assignment(p, graph(), model()), lambda a: (a.host,)),
+    "regions": (REGION_LINES, load_regions, naive_load_regions, region_arrays),
+    "pricing": (pricing_lines(), PricingMatrix.from_csv, naive_load_pricing, pricing_arrays),
 }
 
 
@@ -333,8 +437,8 @@ LOADERS = {
 @given(data=st.data())
 def test_loaders_match_the_per_row_loaders_on_text_that_may_not_be_utf8(tmp_path_factory,
                                                                         kind, data):
-    strategy, load, naive, arrays = LOADERS[kind]
-    text = data.draw(csv_text(data.draw(st.lists(strategy, max_size=8))))
+    lines, load, naive, arrays = LOADERS[kind]
+    text = data.draw(csv_text(data.draw(lines)))
     path = tmp_path_factory.mktemp(kind) / "table.csv"
     path.write_bytes(data.draw(spoiled_bytes(text)))
     assert_same(outcome(load, path), outcome(naive, path), arrays)
@@ -347,12 +451,16 @@ PLAIN_TEXT = st.lists(st.sampled_from(
     max_size=40).map("".join)
 
 
+def table_rows(table):
+    return [table.row(i) for i in range(table.n_rows)]
+
+
 def same_columns(got, want, k):
     """Assert that two tables give field k of each row that has it alike."""
     rows = np.flatnonzero(want.widths > k)
     assert same_arrays(got.intern((k,), rows)[0], want.intern((k,), rows)[0])
     assert got.intern((k,), rows)[1] == want.intern((k,), rows)[1]
-    for a, b in zip(got.floats(k, rows), want.floats(k, rows), strict=True):
+    for a, b in zip(got.floats((k,), rows), want.floats((k,), rows), strict=True):
         assert same_arrays(a, b)
 
 
@@ -365,7 +473,7 @@ def test_the_byte_path_reads_text_as_csv_reader_does(tmp_path_factory, text):
     want = RowTable(csv.reader(io.StringIO(text, newline="")))
     assert isinstance(got, ByteTable)
     assert same_arrays(got.widths, want.widths)
-    assert list(got.rows()) == list(want.rows())
+    assert table_rows(got) == table_rows(want)
     for allowed in ((0,), (1,), (2,), (1, 2), (3, 4)):
         assert got.prefix(*allowed) == want.prefix(*allowed)
     for k in range(int(want.widths.max(initial=0))):
@@ -373,6 +481,12 @@ def test_the_byte_path_reads_text_as_csv_reader_does(tmp_path_factory, text):
     pairs = np.flatnonzero(want.widths >= 2)
     for a, b in zip(got.intern((0, 1), pairs), want.intern((0, 1), pairs), strict=True):
         assert same_arrays(a, b) if isinstance(a, np.ndarray) else a == b
+    # several fields at once: row j of each array is field ks[j]
+    values, bad = got.floats((1, 0), pairs)
+    assert values.flags.c_contiguous and bad.flags.c_contiguous
+    for j, k in enumerate((1, 0)):
+        (one,), (one_bad,) = want.floats((k,), pairs)
+        assert same_arrays(values[j], one) and same_arrays(bad[j], one_bad)
 
 
 @settings(max_examples=150, deadline=None)
@@ -388,7 +502,7 @@ def test_a_table_split_in_blocks_of_any_size_reads_as_csv_reader_does(text):
             patch.setattr(_table, "_SPLIT", split)
             got = ByteTable(text.encode())
         assert same_arrays(got.widths, want.widths)
-        assert list(got.rows()) == list(want.rows())
+        assert table_rows(got) == table_rows(want)
         for k in range(int(want.widths.max(initial=0))):
             same_columns(got, want, k)
 
@@ -405,7 +519,7 @@ def test_int32_and_int64_spans_read_a_table_alike(text):
     assert narrow._begin.dtype == narrow._end.dtype == narrow._row_first.dtype == np.int32
     assert wide._begin.dtype == wide._end.dtype == wide._row_first.dtype == np.int64
     assert same_arrays(narrow.widths, wide.widths)
-    assert list(narrow.rows()) == list(wide.rows())
+    assert table_rows(narrow) == table_rows(wide)
     for k in range(int(wide.widths.max(initial=0))):
         same_columns(narrow, wide, k)
     pairs = np.flatnonzero(wide.widths >= 2)
@@ -449,7 +563,7 @@ def test_a_number_the_cast_rejects_is_parsed_again_only_with_its_chunk(tmp_path,
 
     monkeypatch.setattr(_table, "_FLOAT_CHUNK", 4)
     monkeypatch.setattr(_table, "float", counted, raising=False)
-    values, bad = read_table(path).floats(1, 11)
+    (values,), (bad,) = read_table(path).floats((1,), 11)
     assert values.tolist() == [0.5] * 10 + [0.0]
     assert bad.tolist() == [False] * 10 + [True]
     assert parsed == ["5e-1", "5e-1", "x"]  # fields 8 to 10, the last chunk
@@ -491,7 +605,7 @@ def test_byte_table_floats_read_each_number_as_float_does(numbers):
     for chunk in (1, 2, 3, _table._FLOAT_CHUNK):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_table, "_FLOAT_CHUNK", chunk)
-            values, bad = ByteTable(text).floats(1, len(numbers))
+            (values,), (bad,) = ByteTable(text).floats((1,), len(numbers))
         assert same_arrays(values, [v for v, _ in want])
         assert bad.tolist() == [b for _, b in want]
 
@@ -502,7 +616,7 @@ def test_only_plain_decimals_take_the_word_path():
     cast = ["3e0", " 3.0", "3.0 ", "1_0", "99999999999999999999", "١", "inf", "-", ".", "1.2.3"]
     fields = read + cast
     table = ByteTable("".join(f"{x}\n" for x in fields).encode())
-    begin, length = table._spans((0,), len(fields))
+    begin, length = table._spans(table._index((0,), len(fields)))
     got, values = table._decimals(begin, length)
     assert got.tolist() == [True] * len(read) + [False] * len(cast)
     assert same_arrays(values, list(map(float, read)))
@@ -591,7 +705,7 @@ def test_write_table_reads_back_as_the_rows_written(tmp_path_factory, rows, head
         write_table(path, zip(*rows[1:]), header=rows[0])
     else:
         write_table(path, zip(*rows))
-    assert list(read_table(path).rows()) == rows
+    assert table_rows(read_table(path)) == rows
 
 
 @settings(max_examples=300, deadline=None)
@@ -614,7 +728,7 @@ def test_write_table_writes_the_same_bytes_in_blocks_of_any_size(tmp_path, monke
     monkeypatch.setattr(_table, "_BLOCK", 2)
     write_table(tmp_path / "blocks.csv", columns, header=("a", "b", "c", "d"))
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-    assert list(read_table(tmp_path / "blocks.csv").rows())[4] == ["u3", "a,b", "1.0", "3"]
+    assert read_table(tmp_path / "blocks.csv").row(4) == ["u3", "a,b", "1.0", "3"]
 
 
 def test_write_table_renders_numbers_by_repr_and_str(tmp_path):
