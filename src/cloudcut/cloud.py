@@ -360,14 +360,16 @@ def preference_matrix(graph, model):
     row-normalized form."""
     if model.n_users != graph.n_users:
         raise ValidationError("model and graph disagree on user count")
-    off, nbr, _, _ = graph.friend_csr()
-    n = graph.n_users
-    # each user's friends' best download rows, summed in neighbor order: one
-    # bincount per cloud over the friend CSR's row index
-    row = np.repeat(np.arange(n), np.diff(off))
+    nbr = graph.friend_csr()[1]
+    # each user's friends' best download rows, summed in neighbor order from
+    # 0.0: one bincount per cloud per block of the friend CSR's rows
+    per_cloud = np.ascontiguousarray(model.best_download.T)
     download = np.empty_like(model.best_download)
-    for c, best in enumerate(np.ascontiguousarray(model.best_download.T)):
-        download[:, c] = np.bincount(row, weights=best[nbr], minlength=n)
+    for rows, slots, row in graph.row_blocks():
+        friends = nbr[slots]
+        for c, best in enumerate(per_cloud):
+            download[rows, c] = np.bincount(row, weights=best[friends],
+                                            minlength=rows.stop - rows.start)
     upload = model.best_upload * model.upload_volume[:, None]
     return download + model.blend_weight[:, None] * upload
 

@@ -31,6 +31,9 @@ from .errors import ValidationError
 
 # the width in bits of the graph build's packed sort word (see _sort_records)
 _WORD_BITS = 64
+# friend-CSR slots per block of rows in the passes over the whole CSR (see
+# SocialGraph.row_blocks)
+_BLOCK = 1 << 16
 
 
 class SocialGraph:
@@ -149,6 +152,24 @@ class SocialGraph:
     def friend_csr(self):
         """Raw merged-adjacency arrays (offsets, neighbors, w_out, w_in)."""
         return self._friends
+
+    def row_blocks(self):
+        """The friend CSR in blocks of whole rows, for passes over every slot
+        that hold no temporary longer than a block: yields (rows, slots, row),
+        a block's slices of users and of slots, and each slot's user less
+        rows.start.  A block takes as many rows as fit in _BLOCK slots, and at
+        least one; a graph with no users is one empty block."""
+        off = self._friends[0]
+        n = self.n_users
+        lo = 0
+        while True:
+            hi = int(np.searchsorted(off, off[lo] + _BLOCK, side="right")) - 1
+            hi = min(max(hi, lo + 1), n)
+            row = np.repeat(np.arange(hi - lo), np.diff(off[lo:hi + 1]))
+            yield slice(lo, hi), slice(int(off[lo]), int(off[hi])), row
+            if hi == n:
+                return
+            lo = hi
 
     # -- connections -------------------------------------------------------
 

@@ -142,14 +142,19 @@ def evaluate(assignment, graph, model, params, *, psi=None):
     """
     assignment.validate(graph.n_users, model.n_clouds)
     h = assignment.host
+    # the clouds in the narrowest dtype that holds them, so that the gathers
+    # below are a fraction of the edge list's size
+    cloud = h.astype(np.min_scalar_type(model.n_clouds - 1))
     src, dst, w = graph.edge_arrays()
-    hs, hd = h[src], h[dst]
+    hs, hd = cloud[src], cloud[dst]
     price = model.pricing.matrix[hs, hd]
     cost = float(np.dot(price, w))
-    inter_cost = float(np.dot(price * (hs != hd), w))
+    price *= hs != hd
+    inter_cost = float(np.dot(price, w))
     del hs, hd, price
-    off, nbr, _, _ = graph.friend_csr()
-    edge_count = int(np.count_nonzero(np.repeat(h, np.diff(off)) != h[nbr])) // 2
+    nbr = graph.friend_csr()[1]
+    edge_count = sum(int(np.count_nonzero(cloud[rows][row] != cloud[nbr[slots]]))
+                     for rows, slots, row in graph.row_blocks()) // 2
     psi = preference_matrix(graph, model) if psi is None else psi
     psi_norm = normalize_rows(psi)
     users = np.arange(graph.n_users)

@@ -18,10 +18,12 @@ the best gain falls below a threshold, whichever comes first.
 
 The walk reads at most a budget's worth of cross pairs, so only those are
 ordered: np.partition finds the weight of the last pair it can reach, and
-one stable sort orders the pairs at least that heavy.  connection_arrays()
-lists pairs by (a, b), so equal weights keep that order, and a run of equal
-weights at the cut comes in whole, so the prefix is exactly that of a full
-sort by (-weight, a, b).
+one stable sort orders the pairs at least that heavy.  The cross pairs are
+read in place off the friend CSR, a block of rows at a time, as the slots
+(a, b) with a < b, and slot order is (a, b) order.  So equal weights keep
+that order, and a run of equal weights at the cut comes in whole, so the
+prefix is exactly that of a full sort by (-weight, a, b).  Only the pairs of
+that prefix have their endpoints and weights gathered.
 
 The walk is windowed.  It takes the next _WINDOW pairs of that order,
 scores every pair of the window that is still cross-cloud in one batched
@@ -156,22 +158,27 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     alpha = params.objective.alpha
     cost_scale = (1.0 - alpha) * params.objective.cost_weight
 
-    ca, cb, e_ab, e_ba = graph.connection_arrays()
-    cw = e_ab + e_ba
     friends = graph.friend_csr()
-    total_connections = ca.size
-    # the cross pairs in (a, b) order; every pair the walk reaches is
-    # touched, so the budget caps the prefix it can read
-    cross = np.flatnonzero(host[ca] != host[cb])
+    off, nbr, wout, win = friends
+    total_connections = graph.n_connections
+    # every pair the walk reaches is touched, so the budget caps the prefix
+    # of the cross pairs it can read
+    cross = _cross_slots(graph, host)
     n_cross = cross.size
     end = min(n_cross, math.ceil(params.touched_budget * total_connections))
     # sort only the pairs at least as heavy as the end-th heaviest, stably,
     # so equal weights keep (a, b) order (see the module docstring)
-    key = -cw[cross]
+    key = -(wout[cross] + win[cross])
     if 0 < end < n_cross:
         heavy = key <= np.partition(key, end - 1)[end - 1]
         cross, key = cross[heavy], key[heavy]
     cross = cross[np.argsort(key, kind="stable")[:end]]
+    del key
+    # the walk's pairs, heaviest first: the endpoints and both directions'
+    # weights of each slot of the sorted prefix
+    ca = np.searchsorted(off, cross, side="right") - 1
+    cb, e_ab, e_ba = nbr[cross], wout[cross], win[cross]
+    cw = e_ab + e_ba
 
     def score(idx):
         """[(move_u, move_v, move_both, third cloud)] per connection in idx."""
@@ -181,7 +188,7 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
         both = joint[np.arange(idx.size), f]
         return list(zip(gain_u.tolist(), gain_v.tolist(), both.tolist(), f.tolist()))
 
-    off, nbr = friends[0].tolist(), friends[1]
+    off = off.tolist()
     hosts = host.tolist()  # scalar reads; host stays the array the kernel reads
     # movers and their friends since the last scoring; only the marks of the
     # window's endpoints are read, and these are cleared whenever scored
@@ -191,7 +198,7 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     touched = examined = moves = 0
     stop_reason = "exhausted"
     while touched < end and stop_reason == "exhausted":
-        window = cross[touched:min(touched + _WINDOW, end)]
+        window = np.arange(touched, min(touched + _WINDOW, end))
         wa, wb = ca[window], cb[window]
         mark[wa] = mark[wb] = False
         live = window[host[wa] != host[wb]]
@@ -242,6 +249,20 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
             "total_connections": int(total_connections),
         }) + "\n")
     return Assignment(host)
+
+
+def _cross_slots(graph, host):
+    """The cross-cloud pairs (a, b), a < b, under host, as the friend CSR's
+    slots in row a, in slot order, which is (a, b) order."""
+    nbr = graph.friend_csr()[1]
+    picks = []
+    for rows, slots, row in graph.row_blocks():
+        b = nbr[slots]
+        cross = host[rows][row] != host[b]
+        row += rows.start
+        cross &= row < b
+        picks.append(np.flatnonzero(cross) + slots.start)
+    return np.concatenate(picks)
 
 
 def brute_force_optimal(graph, model, params, cap=10_000_000, *, psi=None):

@@ -229,6 +229,7 @@ def two_user_instance(pricing=None):
                        AffinityTable(download, upload), vol, blend)
     return graph, model
 
+
 def make_instance(seed, n_users=10, n_clouds=3, n_edges=20, pricing="uniform",
                   weight_scale=1.0, regions_per_cloud=1, weight_levels=None):
     """Random small instance with exact directed edge count.
@@ -247,7 +248,13 @@ def make_instance(seed, n_users=10, n_clouds=3, n_edges=20, pricing="uniform",
     if weight_levels is not None:
         w = rng.choice(np.asarray(weight_levels, dtype=np.float64), size=n_edges)
     graph = SocialGraph([f"u{i}" for i in range(n_users)], src, dst, w)
+    return graph, random_model(graph, rng, n_clouds, pricing, regions_per_cloud)
 
+
+def random_model(graph, rng, n_clouds=3, pricing="uniform", regions_per_cloud=1):
+    """A CloudModel for graph with random affinities and, as make_instance
+    describes, pricing drawn from the numpy Generator rng."""
+    n_users = graph.n_users
     R = n_clouds * regions_per_cloud
     affinity = AffinityTable(rng.uniform(0, 1, (n_users, R)),
                              rng.uniform(0, 1, (n_users, R)))
@@ -259,13 +266,12 @@ def make_instance(seed, n_users=10, n_clouds=3, n_edges=20, pricing="uniform",
             np.fill_diagonal(m, 0.0)
         pm = PricingMatrix(m)
     vol, blend = default_profiles(graph)
-    model = CloudModel(
+    return CloudModel(
         [f"c{k}" for k in range(n_clouds)],
         [f"r{j}" for j in range(R)],
         np.arange(R, dtype=np.int64) % n_clouds,
         pm, affinity, vol, blend,
     )
-    return graph, model
 
 
 # -- the per-pair re-hosting walk --------------------------------------------
