@@ -344,7 +344,9 @@ class CloudModel:
 def default_profiles(graph, blend=1.0):
     """Default per-user profile arrays: upload volume is the mean outgoing
     edge weight (a proxy for how much of u's content propagates per follower),
-    blend weight is constant."""
+    blend weight is constant.  A zero-weight edge counts towards the mean:
+    the edges are graph.edge_arrays(), the friend CSR's slots whose own
+    direction has a record of any weight."""
     n = graph.n_users
     src, _, w = graph.edge_arrays()
     total = np.bincount(src, weights=w, minlength=n)

@@ -10,6 +10,13 @@ The structure is immutable after construction.  Duplicate edge records are
 summed, self-loops are rejected, and users that appear only as labels are kept
 as isolated nodes.
 
+The graph is one adjacency structure, the friend CSR: a row per user, with a
+slot for each user that shares a record with it in either direction, sorted by
+neighbour and holding both directions' weights, and a mask of the slots whose
+own direction (row to neighbour) has a record.  The edge list is the masked
+slots in slot order, which is (src, dst) order; edge_arrays() derives it on
+each call.
+
 The build sorts once.  Each edge record is keyed as row * n_users + col in
 both directions, and the 2m keys are sorted together with their record
 indices, packed as one uint64 word per record: the key in the high bits, the
@@ -39,10 +46,11 @@ _BLOCK = 1 << 16
 class SocialGraph:
     """Directed weighted social graph with dense user ids.
 
-    Immutable: it stores edges as parallel read-only numpy arrays sorted by
-    (src, dst), plus the merged "friend" CSR (union of both directions, with
-    per-direction weights aligned), and nothing derived from them.  There is
-    no cache: connection_arrays() derives the connections on each call.
+    Immutable: it stores the merged "friend" CSR (union of both directions,
+    with per-direction weights aligned) and its edge mask, one read-only bool
+    per slot that is True where the slot's own direction has at least one
+    record, zero-weight records included.  There is no cache: edge_arrays()
+    and connection_arrays() pick their slots anew on each call.
 
     Both come from one packed sort of the records' two-way keys (see the
     module docstring for its bit budget).  Equal keys come out in record
@@ -98,24 +106,17 @@ class SocialGraph:
         # bincount of no records returns integers
         sums = np.bincount(bins, weights=w, minlength=2 * S).astype(np.float64, copy=False)
         del bins, w
-        wout, win = sums[:S], sums[S:]
-        edge = np.flatnonzero(is_edge)
-        del is_edge
         off = np.searchsorted(slot_key, np.arange(n + 1) * n)
-        self._src = slot_key[edge]
-        self._src //= n
         col = np.remainder(slot_key, n, out=slot_key)
-        self._dst = col[edge]
-        self._w = wout[edge]
-        del edge
-        self._friends = (off, col, wout, win)
+        self._friends = (off, col, sums[:S], sums[S:])
+        self._is_edge = is_edge
         # the label dict is made last, so that the build does not hold it;
         # its size finds duplicate labels
         self._ids = dict(zip(labels, range(n)))
         if len(self._ids) != n:
             raise ValidationError("user labels must be unique")
         self._labels = labels
-        for arr in (self._src, self._dst, self._w, *self._friends):
+        for arr in (*self._friends, self._is_edge):
             arr.setflags(write=False)
 
     # -- basic accessors ---------------------------------------------------
@@ -126,7 +127,7 @@ class SocialGraph:
 
     @property
     def n_edges(self):
-        return int(self._src.size)
+        return int(np.count_nonzero(self._is_edge))
 
     @property
     def labels(self):
@@ -141,8 +142,11 @@ class SocialGraph:
         return self._labels[user]
 
     def edge_arrays(self):
-        """(src, dst, weight) arrays sorted by (src, dst); read-only views."""
-        return self._src, self._dst, self._w
+        """(src, dst, weight) arrays sorted by (src, dst): the friend CSR's
+        edge slots, with their own direction's weight.  Built anew on each
+        call; read-only."""
+        _, nbr, wout, _ = self._friends
+        return self._pick(self._is_edge, nbr, wout)
 
     def friends(self, u):
         """Users sharing at least one edge with u in either direction."""
@@ -152,6 +156,11 @@ class SocialGraph:
     def friend_csr(self):
         """Raw merged-adjacency arrays (offsets, neighbors, w_out, w_in)."""
         return self._friends
+
+    def edge_mask(self):
+        """Read-only bool per friend-CSR slot: True where the slot's own
+        direction (row to neighbour) is an edge, of any weight."""
+        return self._is_edge
 
     def row_blocks(self):
         """The friend CSR in blocks of whole rows, for passes over every slot
@@ -178,9 +187,18 @@ class SocialGraph:
         (a, b): the friend CSR's row < col entries, with the weight of each
         direction (0.0 where that edge is absent).  Built anew on each call."""
         off, nbr, wout, win = self._friends
-        row = np.repeat(np.arange(self.n_users), np.diff(off))
-        upper = row < nbr
-        return row[upper], nbr[upper], wout[upper], win[upper]
+        upper = np.repeat(np.arange(self.n_users), np.diff(off)) < nbr
+        return self._pick(upper, nbr, wout, win)
+
+    def _pick(self, mask, *per_slot):
+        """The CSR slots where mask holds, in slot order: each one's row,
+        then each per-slot array taken at them, all read-only."""
+        slots = np.flatnonzero(mask)
+        counts = np.diff(np.searchsorted(slots, self._friends[0]))
+        picked = (np.repeat(np.arange(self.n_users), counts), *(a.take(slots) for a in per_slot))
+        for arr in picked:
+            arr.setflags(write=False)
+        return picked
 
     @property
     def n_connections(self):
@@ -192,7 +210,8 @@ class SocialGraph:
     def to_csv(self, path):
         """Write headerless src_label,dst_label,weight rows (UTF-8, LF)."""
         labels = np.array(self._labels, dtype=object)
-        write_table(path, [labels[self._src], labels[self._dst], self._w])
+        src, dst, w = self.edge_arrays()
+        write_table(path, [labels[src], labels[dst], w])
 
     # -- derived graphs ----------------------------------------------------
 
@@ -203,9 +222,10 @@ class SocialGraph:
             raise ValidationError("subgraph user id out of range")
         remap = np.full(self.n_users, -1, dtype=np.int64)
         remap[keep] = np.arange(keep.size)
-        mask = (remap[self._src] >= 0) & (remap[self._dst] >= 0)
+        src, dst, w = self.edge_arrays()
+        mask = (remap[src] >= 0) & (remap[dst] >= 0)
         labels = [self._labels[i] for i in keep]
-        return SocialGraph(labels, remap[self._src[mask]], remap[self._dst[mask]], self._w[mask])
+        return SocialGraph(labels, remap[src[mask]], remap[dst[mask]], w[mask])
 
 
 def _loadable(labels):

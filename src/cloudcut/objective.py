@@ -18,8 +18,8 @@ request) and cost_weight calibrates propagation volume units against
 preference units.
 
 evaluate is the one scorer: it computes the score and every reported metric
-in one pass over the edge list and the friend CSR, and total_objective is
-its objective_value.
+in one pass over the friend CSR, a block of rows at a time, and
+total_objective is its objective_value.
 """
 
 from __future__ import annotations
@@ -133,28 +133,40 @@ class EvaluationReport:
 def evaluate(assignment, graph, model, params, *, psi=None):
     """Full metric sweep of an assignment, and the only scorer.
 
-    One gather of the directed edges' prices gives both the score's cost
-    term and inter_cloud_cost, which sums priced traffic on cross-cloud
-    directed edges only (each directed edge counted once, no halving).
-    inter_cloud_edge_count counts cross-cloud unordered connections off the
-    friend CSR, where each connection fills two slots.  psi, when given, is
-    the raw preference_matrix(graph, model); otherwise it is built here.
+    One pass over the friend CSR's blocks of rows gathers each directed
+    edge's price, weight and cross-cloud mark, in (src, dst) order, and
+    counts the cross-cloud slots.  The prices give both the score's cost term
+    and inter_cloud_cost, which sums priced traffic on cross-cloud directed
+    edges only (each directed edge counted once, no halving).
+    inter_cloud_edge_count counts cross-cloud unordered connections, each of
+    which fills two slots.  psi, when given, is the raw
+    preference_matrix(graph, model); otherwise it is built here.
     """
     assignment.validate(graph.n_users, model.n_clouds)
     h = assignment.host
     # the clouds in the narrowest dtype that holds them, so that the gathers
-    # below are a fraction of the edge list's size
+    # below are a fraction of a block's size
     cloud = h.astype(np.min_scalar_type(model.n_clouds - 1))
-    src, dst, w = graph.edge_arrays()
-    hs, hd = cloud[src], cloud[dst]
-    price = model.pricing.matrix[hs, hd]
+    _, nbr, wout, _ = graph.friend_csr()
+    is_edge = graph.edge_mask()
+    m = graph.n_edges
+    price, w, cross = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+    edge_count = e = 0
+    for rows, slots, row in graph.row_blocks():
+        hs, hd = cloud[rows][row], cloud[nbr[slots]]
+        differ = hs != hd
+        edge_count += int(np.count_nonzero(differ))
+        edges = np.flatnonzero(is_edge[slots])
+        span = slice(e, e + edges.size)
+        price[span] = model.pricing.matrix[hs.take(edges), hd.take(edges)]
+        w[span] = wout[slots].take(edges)
+        cross[span] = differ.take(edges)
+        e = span.stop
+    edge_count //= 2
     cost = float(np.dot(price, w))
-    price *= hs != hd
+    price *= cross
     inter_cost = float(np.dot(price, w))
-    del hs, hd, price
-    nbr = graph.friend_csr()[1]
-    edge_count = sum(int(np.count_nonzero(cloud[rows][row] != cloud[nbr[slots]]))
-                     for rows, slots, row in graph.row_blocks()) // 2
+    del price, w, cross
     psi = preference_matrix(graph, model) if psi is None else psi
     psi_norm = normalize_rows(psi)
     users = np.arange(graph.n_users)

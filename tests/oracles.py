@@ -583,7 +583,7 @@ def naive_read_assignment(path, graph, model):
 
 def naive_graph_arrays(n_users, src, dst, weight):
     """The arrays a SocialGraph derives from its edge records, by dict and
-    sort: (edges, friend CSR, connections).
+    sort: (edges, friend CSR and its edge mask, connections).
 
     Duplicate pairs are summed in record order starting from 0.0; friend
     slots and connections hold the weight of each direction (0.0 when
@@ -610,6 +610,7 @@ def naive_graph_arrays(n_users, src, dst, weight):
         "friend_col": [c for _, c in friend],
         "friend_out": [slots[k][0] for k in friend],
         "friend_in": [slots[k][1] for k in friend],
+        "friend_is_edge": [k in merged for k in friend],
         "conn_a": [a for a, _ in pairs],
         "conn_b": [b for _, b in pairs],
         "conn_ab": [merged.get((a, b), 0.0) for a, b in pairs],

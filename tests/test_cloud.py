@@ -166,6 +166,10 @@ def test_default_profiles_use_mean_outgoing_weight():
     vol, blend = default_profiles(graph, blend=0.5)
     assert vol.tolist() == pytest.approx([3.0, 1.0, 0.0])
     assert blend.tolist() == [0.5, 0.5, 0.5]
+    # a zero-weight edge is an edge: it counts towards its user's mean
+    graph = load_graph([("a", "b", 0.0), ("a", "c", 2.0), ("c", "a", 1.0)])
+    vol, _ = default_profiles(graph)
+    assert vol.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_default_profiles_match_the_loop_oracle():

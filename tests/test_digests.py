@@ -1,0 +1,95 @@
+"""Pinned output bytes on a dataset made by arithmetic.
+
+Integer edge weights and 0/1 prices make every sum the scorer and the walk
+hand to BLAS exact, so the outputs must not depend on which kernel OpenBLAS
+picks for the CPU.  Each command runs in a subprocess under a forced
+OPENBLAS_CORETYPE (a core type the CPU lacks is skipped), and the sha256 of
+each output file is compared with a digest committed here.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cloudcut
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
+N_USERS = 40
+N_REGIONS = 6
+N_CLOUDS = 3
+
+# the CPU features each forced OpenBLAS core type needs
+CORE_TYPES = {"Prescott": ("SSE3",), "Haswell": ("AVX2", "FMA3")}
+
+DIGESTS = {
+    "partition/assignment.csv":
+        "f01aff5e0a136a3e86dd1880e518284a1fb325ef620c4a4dabe224c3f029ad26",
+    "partition/report.json":
+        "a695cfddd6e8dc93ed95593d0ee242d12661c7a669e78660230159e38797d703",
+    "partition/telemetry.jsonl":
+        "69362b4bc5b9937ecbf1c2a3051c46af16d306440d1f90387fa4445730468751",
+    "evaluate/report.json":
+        "68169d9ad48f50f2dc70383480f7811a6de70552b48b585bca3c36d81ca3ce30",
+    "sweep/sweep_alpha.csv":
+        "41bafdb04e06908a1774b21fae550aefd4a9ae0225846ed2edf2abdcb8e49e64",
+}
+
+
+def write_dataset(root):
+    """Edges with integer weights (0 among them) and a duplicate pair, 0/1
+    prices, and plain-decimal affinities and profiles, all from i and r."""
+    users = [f"u{i}" for i in range(N_USERS)]
+    edges = [f"{users[i]},{users[j]},{(i + k) % 5}\n"
+             for i in range(N_USERS) for k in (1, 3, 7)
+             for j in [(i * k + k * k) % N_USERS] if j != i]
+    edges.append("u2,u3,4\n")
+    (root / "edges.csv").write_text("".join(edges), encoding="utf-8")
+    (root / "regions.csv").write_text(
+        "".join(f"r{r},c{r % N_CLOUDS}\n" for r in range(N_REGIONS)), encoding="utf-8")
+    clouds = [f"c{c}" for c in range(N_CLOUDS)]
+    (root / "pricing.csv").write_text(
+        "cloud," + ",".join(clouds) + "\n"
+        + "".join(f"{a}," + ",".join("0" if a == b else "1" for b in clouds) + "\n"
+                  for a in clouds), encoding="utf-8")
+    (root / "affinities.csv").write_text(
+        "".join(f"{u},r{r},0.{(3 * i + 5 * r) % 10},0.{(i + 2 * r) % 8}25\n"
+                for i, u in enumerate(users) for r in range(N_REGIONS)), encoding="utf-8")
+    (root / "profiles.csv").write_text(
+        "".join(f"{u},{i % 4}.5,0.{i % 3}5,r{i % N_REGIONS}\n" for i, u in enumerate(users)),
+        encoding="utf-8")
+
+
+def run_cli(root, core_type, *argv):
+    env = dict(os.environ, OPENBLAS_CORETYPE=core_type, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(cloudcut.__file__).parents[1]))
+    env.pop("CLOUDCUT_OUTPUT_DIR", None)
+    inputs = ["--edges", "edges.csv", "--regions", "regions.csv", "--pricing", "pricing.csv",
+              "--affinities", "affinities.csv", "--profiles", "profiles.csv"]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from cloudcut.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *argv, *inputs],
+        cwd=root, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("core_type", sorted(CORE_TYPES))
+def test_outputs_match_their_pinned_digests_on_each_blas_kernel(tmp_path, core_type):
+    if not all(__cpu_features__.get(f) for f in CORE_TYPES[core_type]):
+        pytest.skip(f"the CPU cannot run OpenBLAS's {core_type} kernels")
+    write_dataset(tmp_path)
+    run_cli(tmp_path, core_type, "partition", "--telemetry", "--touched-budget", "1",
+            "--alpha", "0.6", "--output-dir", "partition")
+    run_cli(tmp_path, core_type, "evaluate", "partition/assignment.csv", "--alpha", "0.3",
+            "--output-dir", "evaluate")
+    run_cli(tmp_path, core_type, "sweep-alpha", "--output-dir", "sweep")
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in DIGESTS}
+    assert got == DIGESTS

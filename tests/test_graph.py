@@ -143,6 +143,44 @@ def test_edge_arrays_are_write_protected():
         w[0] = 9.0
 
 
+def test_zero_weight_edges_stay_edges(tmp_path):
+    g = load_graph([("a", "b", 0.0), ("a", "c", 2.0), ("b", "c", 0.0), ("c", "b", 0.0)])
+    edges = [(0, 1, 0.0), (0, 2, 2.0), (1, 2, 0.0), (2, 1, 0.0)]
+    assert g.n_edges == 4
+    assert list(zip(*(a.tolist() for a in g.edge_arrays()))) == edges
+    # a pair recorded in one direction only: its reverse slot is no edge
+    off, col, _, _ = g.friend_csr()
+    row = np.repeat(np.arange(g.n_users), np.diff(off))
+    assert dict(zip(zip(row.tolist(), col.tolist()), g.edge_mask().tolist())) == {
+        (0, 1): True, (0, 2): True, (1, 0): False, (1, 2): True, (2, 0): False, (2, 1): True}
+    path = tmp_path / "edges.csv"
+    g.to_csv(path)
+    h = load_graph(path)
+    assert h.labels == g.labels and h.n_edges == 4
+    assert list(zip(*(a.tolist() for a in h.edge_arrays()))) == edges
+
+
+def test_the_graph_holds_the_friend_csr_and_its_edge_mask_alone(monkeypatch, tmp_path):
+    g = synth_graph(60, 3.0, 2.0, rng_seed=5)
+    held = [a for value in vars(g).values()
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)]
+    assert sorted(map(id, held)) == sorted(map(id, (*g.friend_csr(), g.edge_mask())))
+    # the edge list and the connections are derived, and read-only
+    for arr in (*g.edge_arrays(), *g.connection_arrays()):
+        assert not arr.flags.writeable
+    # deriving the edge list builds no connection arrays: the benchmark's
+    # trace of those reads 0 on jobs that read the edges
+    def refused(self):
+        raise AssertionError("the connection arrays were built")
+
+    monkeypatch.setattr(SocialGraph, "connection_arrays", refused)
+    g.edge_arrays()
+    g.to_csv(tmp_path / "edges.csv")
+    g.subgraph(range(30))
+    default_profiles(g)
+
+
 def test_subgraph_keeps_internal_edges_only():
     g = load_graph([("a", "b", 1.0), ("b", "c", 2.0), ("c", "a", 3.0), ("c", "d", 4.0)])
     s = g.subgraph([0, 1, 2])

@@ -337,11 +337,12 @@ def assert_graph_arrays_match_the_loop_oracle(n, src, dst, weight):
     off, col, wout, win = g.friend_csr()
     ca, cb, w_ab, w_ba = g.connection_arrays()
     got = {"src": s, "dst": d, "weight": w, "friend_offsets": off, "friend_col": col,
-           "friend_out": wout, "friend_in": win, "conn_a": ca, "conn_b": cb,
-           "conn_ab": w_ab, "conn_ba": w_ba}
+           "friend_out": wout, "friend_in": win, "friend_is_edge": g.edge_mask(),
+           "conn_a": ca, "conn_b": cb, "conn_ab": w_ab, "conn_ba": w_ba}
     floats = {"weight", "friend_out", "friend_in", "conn_ab", "conn_ba"}
     for key, arr in got.items():
-        assert arr.dtype == (np.float64 if key in floats else np.int64), key
+        dtype = bool if key == "friend_is_edge" else np.float64 if key in floats else np.int64
+        assert arr.dtype == dtype, key
         assert same_arrays(arr, np.array(want[key], dtype=arr.dtype)), key
     return want
 

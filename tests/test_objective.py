@@ -212,6 +212,19 @@ def test_evaluate_never_builds_the_connection_arrays(monkeypatch):
         assert total_objective(a, graph, model, params) == rep.objective_value
 
 
+def test_evaluate_never_derives_the_edge_list(monkeypatch):
+    # the edges' prices and weights are gathered off the friend CSR a block
+    # at a time; the derived edge list would hold three more arrays
+    def refused(self):
+        raise AssertionError("evaluate derived the edge list")
+
+    graph, model = make_instance(4, n_users=14, n_clouds=3, n_edges=40, pricing="random")
+    a = Assignment(np.arange(14) % 3)
+    expected = evaluate(a, graph, model, ObjectiveParams(alpha=0.3)).to_json()
+    monkeypatch.setattr(SocialGraph, "edge_arrays", refused)
+    assert evaluate(a, graph, model, ObjectiveParams(alpha=0.3)).to_json() == expected
+
+
 def test_evaluate_satisfaction_ignores_raw_preference_setting():
     graph, model = two_user_instance()
     raw = evaluate(Assignment([0, 0]), graph, model,
