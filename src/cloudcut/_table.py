@@ -28,12 +28,11 @@ a chunk of fields at a time.  A plain decimal (an optional sign, then 1 to
 as three little-endian words, checked and converted eight digits per word
 with byte-parallel masks and multiplies, and its integer m over 10^f rounded
 exactly, by one float64 division when m <= 2^53 (Clinger's fast path) and
-otherwise by integer long division of m by 5^f.  Every other field takes
-numpy's bytes to float64 cast, which calls float() without making a str per
-field: the chunk's other fields are gathered as items of one width, the
-bytes past each field multiplied by zero, and a field the cast rejects sends
-only its chunk's cast fields through float() of each str.  Both give
-float()'s value bit for bit.
+otherwise by integer long division of m by 5^f, which gives float()'s value
+bit for bit.  The chunk's other fields are decoded in one str and read by
+float() itself, as a RowTable's fields are; when float() rejects one of
+them, only that chunk's other fields are read once more, one at a time, to
+mark it.
 A file with a quote, CR or NUL, and every in-memory record sequence
 (load_graph of records), goes through csv.reader instead, into a RowTable
 that keeps the fields as Python objects in one flat list.  Both read text
@@ -60,7 +59,6 @@ import re
 from itertools import chain, repeat
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParseError
 
@@ -69,14 +67,14 @@ _NEWLINE = ord("\n")
 # _MASK[r] keeps the first r bytes of a little-endian word
 _MASK = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)
-# longer number fields are parsed one at a time, so that no column is
-# copied into an array as wide as its longest field
-_FLOAT_WIDTH = 32
+# NULs after a ByteTable's bytes, so that every read from a field's start stays
+# in the buffer: the word path's three words after a sign reach 25 bytes past it
+_PADDING = 32
 # number fields read at a time, so that a chunk's words and masks stay small.
 # The plain decimals among them take the word path; the rest (exponents,
 # space, underscores, non-ASCII digits, inf and nan, 20 digits or more, junk)
-# take the cast, and a field the cast rejects costs the chunk's cast fields a
-# parse field by field
+# are decoded in one str and read by float(), and a field float() rejects
+# costs only the chunk's other fields a second read
 _FLOAT_CHUNK = 1 << 14
 # the word path reads a field's first 24 bytes as three little-endian words
 _STEPS = np.array([0, 8, 16])
@@ -187,20 +185,7 @@ class RowTable(Table):
     def _floats(self, index):
         """(float() of the fields at flat indices, mask of those float()
         rejects, which read 0.0)."""
-        column = self._column(index)
-        try:
-            values = np.fromiter(map(float, column), dtype=np.float64, count=len(column))
-            return values, np.zeros(len(column), dtype=bool)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        values = np.zeros(len(column))
-        bad = np.zeros(len(column), dtype=bool)
-        for i, x in enumerate(column):
-            try:
-                values[i] = float(x)
-            except (TypeError, ValueError, OverflowError):
-                bad[i] = True
-        return values, bad
+        return _parsed(self._column(index))
 
     def _distinct(self, ks, rows):
         """(int64 code of each of fields ks of rows, row after row; the
@@ -219,10 +204,10 @@ class ByteTable(Table):
 
     def __init__(self, data):
         size = len(data)
-        # padded with NULs, so that a number field or a word read at any
-        # offset stays inside the buffer; a bytearray, as read_table reads,
-        # is padded in place rather than copied
-        data += bytes(_FLOAT_WIDTH)
+        # padded with NULs, so that a word read at or past a field's start
+        # stays inside the buffer; a bytearray, as read_table reads, is
+        # padded in place rather than copied
+        data += bytes(_PADDING)
         self._data = data
         self._bytes = np.frombuffer(data, dtype=np.uint8)
         self._words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
@@ -287,35 +272,14 @@ class ByteTable(Table):
         begin, length = self._spans(index)
         values = np.zeros(begin.size)
         bad = np.zeros(begin.size, dtype=bool)
-        cast = length <= _FLOAT_WIDTH
-        slow = [np.flatnonzero(~cast)]
         for at in range(0, begin.size, _FLOAT_CHUNK):
             part = slice(at, at + _FLOAT_CHUNK)
             read, value = self._decimals(begin[part], length[part])
             values[part][read] = value
-            # the cast is float() of each item's bytes (trailing NULs end an
-            # item, and no field holds one); a field that only float() of
-            # its str reads, with non-ASCII digits or space, fails the cast
-            # of its whole chunk, whose cast fields are then parsed one at a
-            # time
-            chunk = np.flatnonzero(cast[part] & ~read)
-            if not chunk.size:
-                continue
-            chunk += at
-            width = int(length[chunk].max(initial=1))
-            items = as_strided(self._bytes, (self._bytes.size - width + 1, width), (1, 1))[
-                begin[chunk]]
-            # zero the bytes past each span
-            items *= np.arange(width, dtype=length.dtype) < length[chunk, None]
-            try:
-                values[chunk] = items.view(f"S{width}").ravel().astype(np.float64)
-            except ValueError:
-                slow.append(chunk)
-        for i in np.concatenate(slow).tolist():
-            try:
-                values[i] = float(self._data[begin[i]:begin[i] + length[i]].decode("utf-8"))
-            except ValueError:
-                bad[i] = True
+            rest = np.flatnonzero(~read)
+            if rest.size:
+                rest += at
+                values[rest], bad[rest] = _parsed(self._texts(begin[rest], length[rest]))
         return values, bad
 
     def _decimals(self, begin, length):
@@ -440,6 +404,23 @@ class ByteTable(Table):
         return np.flatnonzero(unlike)
 
 
+def _parsed(column):
+    """(float() of each field, mask of those float() rejects, which read 0.0)."""
+    try:
+        values = np.fromiter(map(float, column), dtype=np.float64, count=len(column))
+        return values, np.zeros(len(column), dtype=bool)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    values = np.zeros(len(column))
+    bad = np.zeros(len(column), dtype=bool)
+    for i, x in enumerate(column):
+        try:
+            values[i] = float(x)
+        except (TypeError, ValueError, OverflowError):
+            bad[i] = True
+    return values, bad
+
+
 def _by_word(length, index):
     """(j, the spans of index longer than 8 j bytes) for each word position j.
 
@@ -521,7 +502,7 @@ def read_table(path):
     with open(path, "rb") as fh:
         # read into a buffer with room for a ByteTable's padding, so that the
         # file's bytes are never held twice
-        data = bytearray(os.fstat(fh.fileno()).st_size + _FLOAT_WIDTH)
+        data = bytearray(os.fstat(fh.fileno()).st_size + _PADDING)
         size = fh.readinto(data)
         if size == len(data):  # longer than its size said: a pipe, or a growing file
             data += fh.read()

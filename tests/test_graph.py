@@ -284,23 +284,25 @@ def test_synth_deterministic_and_minimum_size():
             synth_graph(10, degree, 2.0, rng_seed=0)
 
 
-def edge_file(path, n_users, seed=5):
+def edge_file(path, n_users, seed=5, spell=repr):
     """A generated edge file shaped like a benchmark one: ten edges per user,
-    labels u0.., heavy-tailed weights written with repr."""
+    labels u0.., heavy-tailed weights written with spell, repr by default."""
     rng = np.random.default_rng(seed)
     m = 10 * n_users
     src = rng.integers(0, n_users, m)
     dst = (src + rng.integers(1, n_users, m)) % n_users
     w = rng.zipf(3.0, m).astype(np.float64)
-    path.write_text("".join(map("u{},u{},{!r}\n".format, src.tolist(), dst.tolist(),
-                                w.tolist())))
+    path.write_text("".join(map("u{},u{},{}\n".format, src.tolist(), dst.tolist(),
+                                map(spell, w.tolist()))))
     return path
 
 
-def test_loading_an_edge_file_peaks_below_ten_times_its_size(tmp_path):
+@pytest.mark.parametrize("spell", [repr, "{:e}".format], ids=["repr", "exponent"])
+def test_loading_an_edge_file_peaks_below_ten_times_its_size(tmp_path, spell):
     # the table, the interned labels and the graph build's sort each take a
-    # few times the file's size; held at once they would near 16 times
-    path = edge_file(tmp_path / "edges.csv", 5000)
+    # few times the file's size; held at once they would near 16 times.
+    # Weights in exponent form are not plain decimals, and go through float()
+    path = edge_file(tmp_path / "edges.csv", 5000, spell=spell)
     graph, peak = traced_peak(load_graph, path)
     size = path.stat().st_size
     assert peak < 10 * size, f"loading peaked at {peak / size:.1f} times the file's size"

@@ -528,8 +528,9 @@ def test_int32_and_int64_spans_read_a_table_alike(text):
         assert same_arrays(a, b) if isinstance(a, np.ndarray) else a == b
 
 
-# numbers numpy's cast reads, and fields it rejects: some float() reads
-# (non-ASCII digits or space, or wider than the cast is given), some not
+# numbers float() reads, plain decimals among them, and rarer fields: some
+# float() rejects, so that their chunk is parsed again, and some it reads
+# (non-ASCII digits or space, or 40 digits)
 CAST_NUMBER = st.sampled_from(("0.5", "1", "-0.0", "0.17424576215237397", "1e-300", " 2 "))
 UNCAST_NUMBER = st.sampled_from(("x", "", "١", " 5", "1" * 40, "inf　"))
 
@@ -551,11 +552,11 @@ def test_the_byte_path_reads_a_long_column_with_a_few_uncast_numbers_as_csv_read
         same_columns(read_table(path), want, 1)
 
 
-def test_a_number_the_cast_rejects_is_parsed_again_only_with_its_chunk(tmp_path,
-                                                                        monkeypatch):
-    # 5e-1 takes the cast; a plain decimal such as 0.5 never reaches float()
+def test_a_number_float_rejects_is_parsed_again_only_with_its_chunk(tmp_path, monkeypatch):
+    # 5e-1 is not a plain decimal, so float() reads it; 0.5 is, and never
+    # reaches float()
     path = tmp_path / "table.csv"
-    path.write_text("".join(f"u{i},5e-1\n" for i in range(10)) + "nobody,x\n")
+    path.write_text("".join(f"u{i},5e-1,0.5\n" for i in range(10)) + "nobody,x,0.5\n")
     parsed = []
 
     def counted(text):
@@ -564,10 +565,13 @@ def test_a_number_the_cast_rejects_is_parsed_again_only_with_its_chunk(tmp_path,
 
     monkeypatch.setattr(_table, "_FLOAT_CHUNK", 4)
     monkeypatch.setattr(_table, "float", counted, raising=False)
-    (values,), (bad,) = read_table(path).floats((1,), 11)
+    (values, plain), (bad, plain_bad) = read_table(path).floats((1, 2), 11)
     assert values.tolist() == [0.5] * 10 + [0.0]
     assert bad.tolist() == [False] * 10 + [True]
-    assert parsed == ["5e-1", "5e-1", "x"]  # fields 8 to 10, the last chunk
+    assert plain.tolist() == [0.5] * 11 and not plain_bad.any()
+    # each chunk's other fields once; the last chunk's (fields 8 to 10)
+    # once more, one at a time, when float() rejects x
+    assert parsed == ["5e-1"] * 8 + ["5e-1", "5e-1", "x"] * 2
 
 
 @st.composite
@@ -614,12 +618,12 @@ def test_byte_table_floats_read_each_number_as_float_does(numbers):
 def test_only_plain_decimals_take_the_word_path():
     read = ["3", "+3.00", "0003.0", "-0", ".5", "5.", "0.17424576215237397",
             "9999999999999999999", "0.30000000000000004"]
-    cast = ["3e0", " 3.0", "3.0 ", "1_0", "99999999999999999999", "١", "inf", "-", ".", "1.2.3"]
-    fields = read + cast
+    other = ["3e0", " 3.0", "3.0 ", "1_0", "99999999999999999999", "١", "inf", "-", ".", "1.2.3"]
+    fields = read + other
     table = ByteTable("".join(f"{x}\n" for x in fields).encode())
     begin, length = table._spans(table._index((0,), len(fields)))
     got, values = table._decimals(begin, length)
-    assert got.tolist() == [True] * len(read) + [False] * len(cast)
+    assert got.tolist() == [True] * len(read) + [False] * len(other)
     assert same_arrays(values, list(map(float, read)))
 
 
