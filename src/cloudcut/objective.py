@@ -61,10 +61,6 @@ class Assignment:
         if self.host.ndim != 1:
             raise ValidationError("assignment must be a flat user->cloud array")
 
-    @property
-    def n_users(self):
-        return int(self.host.size)
-
     def validate(self, n_users, n_clouds):
         if self.host.size != n_users:
             raise ValidationError(f"assignment covers {self.host.size} users, expected {n_users}")
@@ -144,16 +140,13 @@ def evaluate(assignment, graph, model, params, *, psi=None):
     """
     assignment.validate(graph.n_users, model.n_clouds)
     h = assignment.host
-    # the clouds in the narrowest dtype that holds them, so that the gathers
-    # below are a fraction of a block's size
-    cloud = h.astype(np.min_scalar_type(model.n_clouds - 1))
     _, nbr, wout, _ = graph.friend_csr()
     is_edge = graph.edge_mask()
     m = graph.n_edges
     price, w, cross = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
     edge_count = e = 0
     for rows, slots, row in graph.row_blocks():
-        hs, hd = cloud[rows][row], cloud[nbr[slots]]
+        hs, hd = h[rows][row], h[nbr[slots]]
         differ = hs != hd
         edge_count += int(np.count_nonzero(differ))
         edges = np.flatnonzero(is_edge[slots])

@@ -16,30 +16,28 @@ the placement score.  The option with the largest gain is applied (ties keep
 users put), and the walk stops when a touched-connection budget is spent or
 the best gain falls below a threshold, whichever comes first.
 
-The walk reads at most a budget's worth of cross pairs, so only those are
-ordered: np.partition finds the weight of the last pair it can reach, and
-one stable sort orders the pairs at least that heavy.  The cross pairs are
-read in place off the friend CSR, a block of rows at a time, as the slots
-(a, b) with a < b, and slot order is (a, b) order.  So equal weights keep
-that order, and a run of equal weights at the cut comes in whole, so the
-prefix is exactly that of a full sort by (-weight, a, b).  Only the pairs of
-that prefix have their endpoints and weights gathered.
+The cross pairs are read in place off the friend CSR, a block of rows at a
+time, as the slots (a, b) with a < b, and slot order is (a, b) order.  One
+stable sort on combined weight orders them, so the walk's order is exactly a
+full sort by (-weight, a, b), and the walk reads the prefix its budget lets
+it touch.  Only the pairs of that prefix have their endpoints and weights
+gathered.
 
-The walk is windowed.  It takes the next _WINDOW pairs of that order,
-scores every pair of the window that is still cross-cloud in one batched
-kernel call, then visits the pairs one by one exactly as an unwindowed walk
-would.  A pair's gains depend only on the clouds of its two users and of
-their friends, so they go stale only when one of these users moves (the
-gain-locality argument of Fiduccia and Mattheyses, DAC 1982).  When a user
-moves, it and its friends are marked dirty.  At the first pair examined with
-a dirty endpoint, one round rescores, in one kernel call, every pair left in
-the window that is still cross-cloud and has a dirty endpoint, and clears
-the marks.  A pair rescored in a round is rescored again if a later move
-dirties it, and a pair that turns cross-cloud later has a mover as an
-endpoint, so no pair is decided on stale gains.  The kernel gives every
-element the same operations in the same order whatever the batch, so the
-walk makes the same choices, with bit-identical gains, as one that scores
-each pair just before it decides.
+The walk is windowed.  It takes the next _WINDOW pairs of that order and
+visits them one by one exactly as an unwindowed walk would.  A pair's gains
+depend only on the clouds of its two users and of their friends, so they go
+stale only when one of these users moves (the gain-locality argument of
+Fiduccia and Mattheyses, DAC 1982).  When a user moves, it and its friends
+are marked dirty, and every pair of a new window starts dirty.  At the first
+pair examined with a dirty endpoint, one round scores, in one batched kernel
+call, every pair left in the window that is still cross-cloud and has a
+dirty endpoint, and clears the marks; so the window's first examined pair
+scores all of its cross pairs from there on.  A pair scored in a round is
+rescored if a later move dirties it, and a pair that turns cross-cloud later
+has a mover as an endpoint, so no pair is decided on stale gains.  The
+kernel gives every element the same operations in the same order whatever
+the batch, so the walk makes the same choices, with bit-identical gains, as
+one that scores each pair just before it decides.
 """
 
 from __future__ import annotations
@@ -166,19 +164,12 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     cross = _cross_slots(graph, host)
     n_cross = cross.size
     end = min(n_cross, math.ceil(params.touched_budget * total_connections))
-    # sort only the pairs at least as heavy as the end-th heaviest, stably,
-    # so equal weights keep (a, b) order (see the module docstring)
-    key = -(wout[cross] + win[cross])
-    if 0 < end < n_cross:
-        heavy = key <= np.partition(key, end - 1)[end - 1]
-        cross, key = cross[heavy], key[heavy]
-    cross = cross[np.argsort(key, kind="stable")[:end]]
-    del key
-    # the walk's pairs, heaviest first: the endpoints and both directions'
-    # weights of each slot of the sorted prefix
+    # the walk's pairs, heaviest first, with equal weights kept in (a, b)
+    # order by the stable sort: the endpoints and both directions' weights
+    # of each slot of the sorted prefix
+    cross = cross[np.argsort(-(wout[cross] + win[cross]), kind="stable")[:end]]
     ca = np.searchsorted(off, cross, side="right") - 1
     cb, e_ab, e_ba = nbr[cross], wout[cross], win[cross]
-    cw = e_ab + e_ba
 
     def score(idx):
         """[(move_u, move_v, move_both, third cloud)] per connection in idx."""
@@ -190,8 +181,9 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
 
     off = off.tolist()
     hosts = host.tolist()  # scalar reads; host stays the array the kernel reads
-    # movers and their friends since the last scoring; only the marks of the
-    # window's endpoints are read, and these are cleared whenever scored
+    # movers and their friends since the last scoring, and the users of a new
+    # window; only the marks of the window's endpoints are read, and these
+    # are cleared whenever scored
     mark = np.zeros(graph.n_users, dtype=bool)
     dirty = memoryview(mark)  # scalar reads and writes of mark
     rows = []  # telemetry
@@ -200,9 +192,10 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     while touched < end and stop_reason == "exhausted":
         window = np.arange(touched, min(touched + _WINDOW, end))
         wa, wb = ca[window], cb[window]
-        mark[wa] = mark[wb] = False
-        live = window[host[wa] != host[wb]]
-        gains = dict(zip(live.tolist(), score(live)))
+        # every pair of a new window starts dirty, so its first examined pair
+        # scores all of the window's cross pairs from there on
+        mark[wa] = mark[wb] = True
+        gains = {}
         for i, (idx, u, v) in enumerate(zip(window.tolist(), wa.tolist(), wb.tolist())):
             touched += 1
             c, d = hosts[u], hosts[v]
@@ -210,7 +203,7 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
                 continue
             examined += 1
             if dirty[u] or dirty[v]:
-                # one round: rescore every pair left in the window, this one
+                # one round: score every pair left in the window, this one
                 # included, that is still cross-cloud and has a dirty endpoint
                 ra, rb = wa[i:], wb[i:]
                 stale = window[i:][(mark[ra] | mark[rb]) & (host[ra] != host[rb])]
@@ -232,7 +225,7 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
             if movers:
                 moves += 1
             if telemetry is not None:
-                rows.append((u, v, float(cw[idx]), case, gain, target))
+                rows.append((u, v, float(e_ab[idx] + e_ba[idx]), case, gain, target))
             if gain < params.min_gain:
                 stop_reason = "gain_threshold"
                 break

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +203,29 @@ def test_affinity_from_coordinates():
         AffinityTable.from_coordinates([[0.0, 0.0]], [[0.0, 0.0]], scale=0.0)
 
 
+@pytest.mark.parametrize("download, upload, message", [
+    ([[0.5, 0.5]], [[0.5]], "affinity arrays must share one (users x regions) shape"),
+    ([0.5, 0.5], [0.5, 0.5], "affinity arrays must share one (users x regions) shape"),
+    ([[0.5, float("nan")]], [[0.5, 0.5]], "affinities must be finite"),
+    ([[0.5, 0.5]], [[0.5, float("inf")]], "affinities must be finite"),
+    ([[0.5, -0.5]], [[0.5, 0.5]], "affinities must be non-negative"),
+], ids=["shapes-differ", "flat", "nan", "inf", "negative"])
+def test_affinity_table_refuses_bad_arrays(download, upload, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        AffinityTable(download, upload)
+
+
+@pytest.mark.parametrize("user_xy, region_xy", [
+    ([0.0, 0.0], [[0.0, 0.0]]),
+    ([[0.0, 0.0]], [0.0, 0.0]),
+    ([[0.0, 0.0]], [[0.0, 0.0, 0.0]]),
+], ids=["flat-users", "flat-regions", "widths-differ"])
+def test_affinity_from_coordinates_refuses_bad_shapes(user_xy, region_xy):
+    message = "coordinates must be (points x dims) arrays of one width"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        AffinityTable.from_coordinates(user_xy, region_xy, scale=1.0)
+
+
 def test_affinity_from_coordinates_rejects_distances_that_overflow():
     with pytest.raises(ValidationError, match="distances must be finite"):
         AffinityTable.from_coordinates([[0.0, 0.0]], [[1e308, -1e308]], scale=0.3)
@@ -318,6 +343,27 @@ def test_model_rejects_shape_mismatches():
     with pytest.raises(ValidationError):  # home region r2 does not exist
         CloudModel(["c0", "c1"], ["r0", "r1"], [0, 1],
                    PricingMatrix.uniform(2), aff, [1.0, 1.0], [1.0, 1.0], [0, 2])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"cloud_labels": ["c0", "c0"]}, "cloud labels must be unique"),
+    ({"region_labels": ["r0", "r0"]}, "region labels must be unique"),
+    ({"region_cloud": [0]}, "region_cloud must map every region"),
+    ({"affinity": AffinityTable(np.zeros((2, 3)), np.zeros((2, 3)))},
+     "affinity table region count mismatch"),
+    ({"upload_volume": [1.0, -1.0]}, "profile values must be non-negative"),
+    ({"blend_weight": [-1.0, 1.0]}, "profile values must be non-negative"),
+    ({"home_region": [0]}, "home_region must cover every user"),
+], ids=["cloud-labels", "region-labels", "region-cloud", "affinity-regions", "volume",
+        "blend", "home-region"])
+def test_model_refuses_bad_input(change, message):
+    args = {"cloud_labels": ["c0", "c1"], "region_labels": ["r0", "r1"], "region_cloud": [0, 1],
+            "pricing": PricingMatrix.uniform(2),
+            "affinity": AffinityTable(np.zeros((2, 2)), np.zeros((2, 2))),
+            "upload_volume": [1.0, 1.0], "blend_weight": [1.0, 1.0]}
+    CloudModel(**args)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        CloudModel(**{**args, **change})
 
 
 @pytest.mark.parametrize("n_model_users", [6, 10])

@@ -478,6 +478,17 @@ def test_cli_bad_objective_or_walk_parameter_exits_2_before_any_work(
     assert not out.exists()
 
 
+def test_cli_cost_weight_too_large_to_score_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, stdout, stderr = run_cli(
+        ["partition", "--users", "50", "--cost-weight", "1e308", "--output-dir", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    error = json.loads(stderr)
+    assert error["error"] == "ValidationError"
+    assert error["message"].startswith("input numbers too large to score (")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("regions, error, message", [
     ("r0,c0,0.1,0.1\nr1,c1,nan,0.9\n", "ParseError",
      "line 2: coordinates must be finite, got nan, 0.9"),

@@ -42,6 +42,21 @@ def test_labels_the_loader_would_refuse_or_change_are_rejected(labels):
         SocialGraph(labels, [0], [1], [1.0])
 
 
+@pytest.mark.parametrize("labels, src, dst, weight, message", [
+    (["a", "b"], [0, 1], [1], [1.0, 1.0], "edge arrays must have equal length"),
+    (["a", "b"], [-1], [1], [1.0], "edge endpoint out of range"),
+    (["a", "b"], [0], [2], [1.0], "edge endpoint out of range"),
+    (["a", "b"], [1], [1], [1.0], "self-loops are not allowed"),
+    (["a", "b"], [0], [1], [float("inf")], "edge weights must be finite and non-negative"),
+    (["a", "b"], [0], [1], [-1.0], "edge weights must be finite and non-negative"),
+    (["a", "a"], [0], [1], [1.0], "user labels must be unique"),
+], ids=["length", "negative-id", "id-past-end", "self-loop", "inf-weight", "negative-weight",
+        "duplicate-label"])
+def test_graph_refuses_bad_edge_arrays(labels, src, dst, weight, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        SocialGraph(labels, src, dst, weight)
+
+
 def test_self_loop_rejected_with_line_number():
     with pytest.raises(ParseError, match="line 2"):
         load_graph([("a", "b", 1.0), ("b", "b", 2.0)])
@@ -189,6 +204,13 @@ def test_subgraph_keeps_internal_edges_only():
     assert edge_weight(s, 2, 0) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("user_ids", [[-1, 0], [0, 4]], ids=["negative", "past-end"])
+def test_subgraph_refuses_ids_out_of_range(user_ids):
+    g = load_graph([("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 4.0)])
+    with pytest.raises(ValidationError, match="^subgraph user id out of range$"):
+        g.subgraph(user_ids)
+
+
 def test_mean_out_weight():  # the default upload volume
     g = load_graph([("a", "b", 2.0), ("a", "c", 4.0), ("b", "a", 9.0)])
     vol, _ = default_profiles(g)
@@ -248,6 +270,16 @@ def test_bfs_sample_argument_validation():
     g = star_graph(3)
     with pytest.raises(ValidationError):
         bfs_sample(g, 0, 2, rng_seed=0)
+
+
+@pytest.mark.parametrize("g, seed_count, target_size, message", [
+    (SocialGraph([], [], [], []), 1, 1, "cannot sample an empty graph"),
+    (star_graph(3), 2, 1, "target_size must be >= seed_count"),
+    (star_graph(3), 5, 5, "seed_count exceeds number of users"),
+], ids=["empty-graph", "target-below-seeds", "seeds-past-users"])
+def test_bfs_sample_refuses_bad_arguments(g, seed_count, target_size, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        bfs_sample(g, seed_count, target_size, rng_seed=0)
 
 
 # -- synthetic generator -----------------------------------------------------

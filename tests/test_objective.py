@@ -119,6 +119,13 @@ def test_objective_params_validation():
         ObjectiveParams(alpha=0.5, cost_weight=0.0)
 
 
+def test_evaluate_refuses_a_score_that_is_not_finite():
+    graph, model = make_instance(3, n_users=10, n_clouds=3, n_edges=25)
+    host = Assignment(np.arange(10) % 3)
+    with pytest.raises(ValidationError, match="^objective value -inf is not finite: "):
+        evaluate(host, graph, model, ObjectiveParams(0.5, cost_weight=1e308))
+
+
 # -- assignments --------------------------------------------------------------
 
 def test_assignment_validate():

@@ -314,6 +314,15 @@ def test_brute_force_breaks_ties_lexicographically():
     assert best.host.tolist() == [0, 0]
 
 
+def test_brute_force_on_no_users_returns_the_empty_assignment():
+    graph = SocialGraph([], [], [], [])
+    model = CloudModel(["c0", "c1"], ["r0", "r1"], [0, 1], PricingMatrix.uniform(2),
+                       AffinityTable(np.zeros((0, 2)), np.zeros((0, 2))), [], [])
+    best = brute_force_optimal(graph, model, ObjectiveParams(alpha=0.5))
+    assert best.host.dtype == np.int64
+    assert best.host.tolist() == []
+
+
 def test_brute_force_at_alpha_zero_co_hosts_everything():
     graph, model = make_instance(4, n_users=8, n_clouds=3, n_edges=25)
     best = brute_force_optimal(graph, model, ObjectiveParams(alpha=0.0))
