@@ -345,12 +345,19 @@ def default_profiles(graph, blend=1.0):
     """Default per-user profile arrays: upload volume is the mean outgoing
     edge weight (a proxy for how much of u's content propagates per follower),
     blend weight is constant.  A zero-weight edge counts towards the mean:
-    the edges are graph.edge_arrays(), the friend CSR's slots whose own
-    direction has a record of any weight."""
+    the edges are the friend CSR's slots whose own direction has a record of
+    any weight, summed in slot order from 0.0 a block of rows at a time."""
     n = graph.n_users
-    src, _, w = graph.edge_arrays()
-    total = np.bincount(src, weights=w, minlength=n)
-    count = np.bincount(src, minlength=n)
+    w_out = graph.friend_csr()[2]
+    is_edge = graph.edge_mask()
+    total = np.empty(n)
+    count = np.empty(n, dtype=np.int64)
+    for rows, slots, row in graph.row_blocks():
+        edges = np.flatnonzero(is_edge[slots])
+        src = row.take(edges)
+        size = rows.stop - rows.start
+        total[rows] = np.bincount(src, weights=w_out[slots].take(edges), minlength=size)
+        count[rows] = np.bincount(src, minlength=size)
     vol = np.divide(total, count, out=np.zeros(n), where=count > 0)
     return vol, np.full(n, float(blend))
 

@@ -18,12 +18,16 @@ slots in slot order, which is (src, dst) order; edge_arrays() derives it on
 each call.
 
 The build sorts once.  Each edge record is keyed as row * n_users + col in
-both directions, and the 2m keys are sorted together with their record
-indices, packed as one uint64 word per record: the key in the high bits, the
-index in the low ones.  A key takes 2 * log2(n_users) bits and an index
-log2(2m), so up to 64 bits (3e4 users and 3e5 edges take 50) the sort is one
-np.sort in place.  Past 64 bits (1e6 users and 1e7 edges take 65) the key's
-top bits pick a bucket and each bucket sorts on its own, by the same code.
+both directions, and the 2m keys are sorted together with their records,
+packed as one uint64 word per record: the key in the high bits, the record
+in the low ones.  A key takes 2 * log2(n_users) bits and a record log2(2m),
+so up to 64 bits (3e4 users and 3e5 edges take 50) the sort is one np.sort
+in place.  Past 64 bits (1e6 users and 1e7 edges take 65) the key's top bits
+pick a bucket and each bucket sorts on its own, by the same code.
+
+The sort words and one bool per record, marking where slots start, are the
+only arrays the build holds that span every record: it makes the words, and
+reads them back into the CSR, a block of records at a time.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ import numpy as np
 from ._table import RowTable, ids_of, read_table, refuse, write_table
 from .errors import ValidationError
 
-# the width in bits of the graph build's packed sort word (see _sort_records)
+# the width in bits of the graph build's packed sort word (see _sorted_words)
 _WORD_BITS = 64
+# records per block in the graph build's passes over its sort words
+_RECORDS = 1 << 14
 # friend-CSR slots per block of rows in the passes over the whole CSR (see
 # SocialGraph.row_blocks)
 _BLOCK = 1 << 16
@@ -54,8 +60,10 @@ class SocialGraph:
 
     Both come from one packed sort of the records' two-way keys (see the
     module docstring for its bit budget).  Equal keys come out in record
-    order, so one bincount over the sorted records sums each slot's
-    duplicates in record order, and no record is scattered back.
+    order, so a bincount over each block of sorted records sums each of its
+    slots' duplicates in record order from 0.0, and no record is scattered
+    back: the build holds the sort words, a bool per record and its outputs,
+    and no other array longer than a block.
     """
 
     def __init__(self, labels, src, dst, weight):
@@ -81,35 +89,9 @@ class SocialGraph:
 
         # one sort: every record is keyed in both directions, and the
         # distinct keys, in (row, col) order, are the friend CSR's slots
-        m = src.size
-        key, rec = _sort_records(np.concatenate([src * n + dst, dst * n + src]), n * n)
-        new = np.empty(key.size, dtype=bool)
-        new[:1] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        first = np.flatnonzero(new)
-        slot_key = key[first]
-        del key
-        # ties come out in record order, so a slot's first record is its
-        # least: the slot is an edge when that record keys its own direction
-        is_edge = rec[first] < m
-        del first
-        # one bincount over the sorted records sums each slot's records in
-        # record order: bin s takes slot s's own direction, bin S + s the other
-        S = slot_key.size
-        w = np.take(weight, rec, mode="wrap")  # record m + e is edge e reversed
-        other = rec >= m
-        bins = np.cumsum(new, out=rec)
-        del rec, new
-        bins -= 1
-        bins += other * S
-        del other
-        # bincount of no records returns integers
-        sums = np.bincount(bins, weights=w, minlength=2 * S).astype(np.float64, copy=False)
-        del bins, w
-        off = np.searchsorted(slot_key, np.arange(n + 1) * n)
-        col = np.remainder(slot_key, n, out=slot_key)
-        self._friends = (off, col, sums[:S], sums[S:])
-        self._is_edge = is_edge
+        word, bounds, edge_bits = _sorted_words(src, dst, n)
+        self._friends, self._is_edge = _slots(word, bounds, edge_bits, n, weight)
+        del word
         # the label dict is made last, so that the build does not hold it;
         # its size finds duplicate labels
         self._ids = dict(zip(labels, range(n)))
@@ -237,38 +219,112 @@ def _loadable(labels):
         return False
 
 
-def _sort_records(key, n_keys):
-    """key's entries, keys in [0, n_keys), sorted by (key, index): returns
-    the sorted keys and each one's index in key.
+def _sorted_words(src, dst, n):
+    """The 2m two-way records of the m edges src -> dst among n users, as
+    sort words (see the module docstring): returns (word, bounds, edge_bits),
+    bucket h's words being word[bounds[h]:bounds[h + 1]], each sorted.
 
-    Each record sorts as one word of _WORD_BITS bits that holds its key's
-    low bits above its index, so that equal keys come out in record order.
-    The key's bits that do not fit beside the index name its bucket: an
-    argsort on them groups the records by bucket, and each bucket sorts on
-    its own.  While a key and an index fit in one word together, that is
-    for n_keys up to 2**_WORD_BITS / len(key), there is one bucket.
+    Record e keys edge e as src * n + dst, and record 2**edge_bits + e keys
+    it reversed, so that a key's records sort own direction first, each in
+    edge order.  The words are made _RECORDS edges at a time: in place with
+    one bucket, and with several through a stable argsort of the block's
+    bucket ids, which puts each record at its bucket's end so far.
     """
-    rec_bits = max(1, (key.size - 1).bit_length())
+    m = src.size
+    edge_bits = max(m - 1, 0).bit_length()
+    rec_bits = edge_bits + 1
     low_bits = _WORD_BITS - rec_bits
-    n_buckets = ((max(n_keys, 1) - 1) >> low_bits) + 1
-    high = (key >> low_bits).astype(np.min_scalar_type(n_buckets - 1))
-    order = np.argsort(high, kind="stable")  # a radix sort up to 2**16 buckets
-    bounds = np.searchsorted(high[order], np.arange(n_buckets + 1)).tolist()
-    del high
-    word = key[order].view(np.uint64)
-    del key
-    word &= (1 << low_bits) - 1
-    word <<= rec_bits
-    word |= order.view(np.uint64)
-    del order
-    records = np.empty(word.size, dtype=np.int64)
+    n_buckets = ((max(n * n, 1) - 1) >> low_bits) + 1
+    # (first word, first record, key rows, key columns) of each block
+    blocks = [(at + i, rec + i, a[i:i + _RECORDS], b[i:i + _RECORDS])
+              for at, rec, a, b in ((0, 0, src, dst), (m, 1 << edge_bits, dst, src))
+              for i in range(0, m, _RECORDS)]
+    counts = [2 * m]
+    if n_buckets > 1:
+        counts = sum(np.bincount((a * n + b) >> low_bits, minlength=n_buckets)
+                     for _, _, a, b in blocks)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    end = bounds[:-1].copy()
+    word = np.empty(2 * m, dtype=np.uint64)
+    for at, rec, a, b in blocks:
+        key = word[at:at + a.size].view(np.int64) if n_buckets == 1 else np.empty(a.size, np.int64)
+        np.multiply(a, n, out=key)
+        key += b
+        if n_buckets > 1:
+            high = (key >> low_bits).astype(np.min_scalar_type(n_buckets - 1))
+            order = np.argsort(high, kind="stable")  # a radix sort up to 2**16 buckets
+            high = high[order]
+        part = key.view(np.uint64)
+        part &= (1 << low_bits) - 1
+        part <<= rec_bits
+        part |= np.arange(rec, rec + part.size, dtype=np.uint64)
+        if n_buckets > 1:
+            first = np.searchsorted(high, np.arange(n_buckets))
+            word[(end - first)[high] + np.arange(part.size)] = part[order]
+            end += np.diff(first, append=part.size)
+    bounds = bounds.tolist()
+    for start, stop in zip(bounds, bounds[1:]):
+        word[start:stop].sort()
+    return word, bounds, edge_bits
+
+
+def _slots(word, bounds, edge_bits, n, weight):
+    """The friend CSR (off, col, w_out, w_in) and its edge mask, from the
+    output of _sorted_words.
+
+    One bool per word marks where a slot starts.  The words are then read in
+    blocks of about _RECORDS that end where a slot starts, so that one
+    bincount per block sums each of its k slots whole, in edge order from
+    0.0: bin s for slot s's own direction, bin k + s for the other.  A slot
+    is an edge when its least record keys its own direction.
+    """
+    rec_bits = edge_bits + 1
+    low_bits = _WORD_BITS - rec_bits
+    new = np.empty(len(word), dtype=bool)
+    for start, stop in zip(bounds, bounds[1:]):
+        new[start:start + 1] = True  # an empty bucket's start is the next one's
+        for i in range(start + 1, stop, _RECORDS):
+            key = word[i - 1:min(i + _RECORDS, stop)] >> rec_bits
+            np.not_equal(key[1:], key[:-1], out=new[i:i + key.size - 1])
+    n_slots = int(np.count_nonzero(new))
+    off = np.zeros(n + 1, dtype=np.int64)
+    col = np.empty(n_slots, dtype=np.int64)
+    w_out = np.empty(n_slots)
+    w_in = np.empty(n_slots)
+    is_edge = np.empty(n_slots, dtype=bool)
+    s = 0
     for h, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        part = word[start:stop]
-        part.sort()
-        np.bitwise_and(part, (1 << rec_bits) - 1, out=records[start:stop].view(np.uint64))
-        part >>= rec_bits
-        part |= h << low_bits
-    return word.view(np.int64), records
+        i = start
+        while i < stop:
+            j = min(i + _RECORDS, stop)
+            ahead = new[j:stop]
+            if ahead.size:
+                k = int(ahead.argmax())
+                j = j + k if ahead[k] else stop
+            part = word[i:j]
+            starts = np.flatnonzero(new[i:j])
+            k = starts.size
+            key = part[starts]
+            is_edge[s:s + k] = (key & (1 << edge_bits)) == 0
+            key >>= rec_bits
+            key |= h << low_bits
+            key = key.view(np.int64)
+            row = key // n
+            np.subtract(key, row * n, out=col[s:s + k])
+            off[row[0] + 1:row[-1] + 2] += np.bincount(row - row[0])
+            bins = np.cumsum(new[i:j])
+            bins -= 1
+            other = ((part >> edge_bits) & 1).view(np.int64)
+            other *= k
+            bins += other
+            edge = (part & ((1 << edge_bits) - 1)).view(np.int64)
+            sums = np.bincount(bins, weights=weight.take(edge), minlength=2 * k)
+            w_out[s:s + k] = sums[:k]
+            w_in[s:s + k] = sums[k:]
+            s += k
+            i = j
+    np.cumsum(off, out=off)
+    return (off, col, w_out, w_in), is_edge
 
 
 def load_graph(source):

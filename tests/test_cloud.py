@@ -20,6 +20,7 @@ from cloudcut import (
     evaluate,
     run_heuristic,
 )
+from cloudcut import graph as graph_module
 from cloudcut.cloud import (
     load_affinities,
     load_profiles,
@@ -190,6 +191,26 @@ def test_default_profiles_match_the_loop_oracle():
     vol, _ = default_profiles(graph)
     assert vol[40] == 0.0
     np.testing.assert_allclose(vol, naive_upload_volumes(graph), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 9), data=st.data())
+def test_default_profiles_match_the_loop_oracle_on_zero_weights_and_idle_users(block, n, data):
+    # 0.0 and small integers sum exactly in any order; users may have only
+    # zero-weight out-edges, a mean of 0.0 over a count above 0, or no
+    # out-edge at all; blocks of a few friend-CSR slots cut rows apart
+    records = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1),
+                                           st.sampled_from((0.0, 0.0, 1.0, 2.0, 5.0))),
+                                 max_size=20))
+    src = [s for s, _, _ in records]
+    dst = [(s + k) % n for s, k, _ in records]
+    graph = SocialGraph([f"u{i}" for i in range(n)], src, dst, [w for *_, w in records])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_BLOCK", block)
+        vol, _ = default_profiles(graph)
+    assert vol.dtype == np.float64 and vol.shape == (n,)
+    assert vol.tolist() == naive_upload_volumes(graph)
 
 
 def test_affinity_from_coordinates():

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudcut import ParseError, SocialGraph, ValidationError, default_profiles
+from cloudcut import graph as graph_module
 from cloudcut._table import ByteTable
 from cloudcut.graph import bfs_sample, load_graph, synth_graph
-from oracles import edge_weight, friend_arrays, traced_peak
+from oracles import edge_weight, friend_arrays, naive_graph_arrays, traced_peak
 
 
 def test_duplicate_directed_edges_are_summed():
@@ -124,6 +126,61 @@ def test_connection_arrays_are_sorted_by_pair(tmp_path_factory, seed, n_users, n
     rows = [f"u{s},u{d},{x!r}\n" for s, d, x in zip(src.tolist(), dst.tolist(), w.tolist())]
     path.write_text("".join(rows[i] for i in rng.permutation(n_edges)), encoding="utf-8")
     assert_connections_sorted(load_graph(path))
+
+
+def assert_blocked_build_matches_the_loop_oracle(n, src, dst, weight, word_bits, block):
+    """Build the graph of these records with sort words of word_bits bits
+    and blocks of block records, and hold its friend CSR and edge mask to
+    naive_graph_arrays: equal dtypes and values, and equal signs of zero."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_WORD_BITS", word_bits)
+        patch.setattr(graph_module, "_RECORDS", block)
+        g = SocialGraph([f"u{i}" for i in range(n)], src, dst, weight)
+    want = naive_graph_arrays(n, list(src), list(dst), list(weight))
+    got = dict(zip(("friend_offsets", "friend_col", "friend_out", "friend_in"), g.friend_csr()),
+               friend_is_edge=g.edge_mask())
+    dtypes = {"friend_out": np.float64, "friend_in": np.float64, "friend_is_edge": bool}
+    for key, arr in got.items():
+        expected = np.array(want[key], dtype=dtypes.get(key, np.int64))
+        assert arr.dtype == expected.dtype, key
+        assert np.array_equal(arr, expected), key
+        assert np.array_equal(np.signbit(arr), np.signbit(expected)), key
+
+
+# weights whose sum depends on the order they are added in, and -0.0, which
+# a sum from 0.0 turns into 0.0
+BLOCK_WEIGHT = st.sampled_from((0.0, -0.0, 0.1, 0.2, 0.3, 1.0, 1e16))
+
+
+@pytest.mark.parametrize("word_bits", [64, 6])
+@pytest.mark.parametrize("block", [1, 2, 3, 4])
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_the_blocked_build_matches_the_loop_oracle(word_bits, block, n, data):
+    # records draw their pairs, either way round, from a few, so that runs of
+    # one key outlast a block and keys tie across the two directions; at 6
+    # bits the 2 * 16 records' indices take 5, so most keys span buckets
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % n))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=3))
+    records = data.draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans(),
+                                           BLOCK_WEIGHT), max_size=16))
+    src = [d if flip else s for (s, d), flip, _ in records]
+    dst = [s if flip else d for (s, d), flip, _ in records]
+    assert_blocked_build_matches_the_loop_oracle(n, src, dst, [w for *_, w in records],
+                                                 word_bits, block)
+
+
+@pytest.mark.parametrize("word_bits", [64, 6])
+@pytest.mark.parametrize("block", [1, 2, 3, 4])
+@pytest.mark.parametrize("src, dst, weight", [
+    ([], [], []),
+    ([0] * 9 + [1], [1] * 9 + [0], [0.1, 0.2, 0.3, 1e16, 1.0, 0.0, -0.0, 0.3, 0.1, 0.0]),
+    ([2, 0, 2, 0, 3, 3], [0, 2, 0, 2, 1, 1], [0.0, -0.0, 1e16, 1.0, -0.0, -0.0]),
+], ids=["no-edges", "long-run-and-tie", "ties-and-zeros"])
+def test_the_blocked_build_matches_the_loop_oracle_on_chosen_records(word_bits, block, src,
+                                                                       dst, weight):
+    assert_blocked_build_matches_the_loop_oracle(5, src, dst, weight, word_bits, block)
 
 
 def test_friend_arrays_align_directed_weights():
@@ -339,6 +396,31 @@ def test_loading_an_edge_file_peaks_below_ten_times_its_size(tmp_path, spell):
     size = path.stat().st_size
     assert peak < 10 * size, f"loading peaked at {peak / size:.1f} times the file's size"
     assert graph.n_users == 5000
+
+
+def test_the_graph_build_peaks_below_its_graph_plus_nine_bytes_a_record():
+    # the benchmark's graph, 3e4 users and about 3e5 synthetic edges, drawn
+    # as synth_graph draws them; the build may hold a uint64 sort word and a
+    # slot-start bool per two-way record beside the graph it returns, and
+    # blocks of temporaries within 1 MiB
+    n = 30_000
+    rng = np.random.default_rng(101)
+    src = rng.integers(0, n, size=10 * n, dtype=np.int64)
+    dst = rng.integers(0, n, size=10 * n, dtype=np.int64)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    weight = rng.zipf(2.0, size=src.size).astype(np.float64)
+    labels = [f"u{i}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        graph = SocialGraph(labels, src, dst, weight)
+        # what the call leaves allocated is the graph: its arrays and labels
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.n_users == n
+    bound = size + 9 * 2 * src.size + 2**20
+    assert peak < bound, f"the build peaked at {peak / 2**20:.2f} MiB, over {bound / 2**20:.2f}"
 
 
 def test_the_edge_table_is_freed_before_the_graph_is_built(tmp_path, monkeypatch):
