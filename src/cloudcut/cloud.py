@@ -376,20 +376,28 @@ def preference_matrix(graph, model):
     download = np.empty_like(model.best_download)
     for rows, slots, row in graph.row_blocks():
         friends = nbr[slots]
-        for c, best in enumerate(per_cloud):
-            download[rows, c] = np.bincount(row, weights=best[friends],
+        for c in range(len(per_cloud)):
+            download[rows, c] = np.bincount(row, weights=per_cloud[c][friends],
                                             minlength=rows.stop - rows.start)
+    del per_cloud
+    # in place, with no table-sized sum temporary; the products commute, so
+    # the bits are those of download + blend * upload
     upload = model.best_upload * model.upload_volume[:, None]
-    return download + model.blend_weight[:, None] * upload
+    upload *= model.blend_weight[:, None]
+    download += upload
+    return download
 
 
 def normalize_rows(psi):
     """Preference table rescaled so each row sums to 1; rows of all-zero
     preference become uniform."""
     totals = psi.sum(axis=1)
-    out = np.full_like(psi, 1.0 / psi.shape[1])
-    pos = totals > 0
-    out[pos] = psi[pos] / totals[pos, None]
+    # one table-sized array: every row is divided, a row of no preference by
+    # 1.0, and then made uniform
+    flat = ~(totals > 0)
+    totals[flat] = 1.0
+    out = psi / totals[:, None]
+    out[flat] = 1.0 / psi.shape[1]
     return out
 
 
@@ -468,7 +476,6 @@ def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
     ignore_unknown_users, rows for users outside the graph are dropped
     unchecked; an unknown region in any other row is still refused.
     """
-    vol, blend = default_profiles(graph)
     home = np.full(graph.n_users, -1, dtype=np.int64)
     region_ids = {lab: i for i, lab in enumerate(region_labels or ())}
     table = read_table(path)
@@ -487,6 +494,12 @@ def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
     ], ignore_unknown_users), lambda row: f"expected 3 or 4 fields, got {len(row)}")
     rows = np.flatnonzero(known)
     rows = rows[last_of_each(user[rows])]
+    # the defaults take a pass over the friend CSR, needed only when some
+    # user has no row
+    if rows.size < graph.n_users:
+        vol, blend = default_profiles(graph)
+    else:
+        vol, blend = np.empty(graph.n_users), np.empty(graph.n_users)
     vol[user[rows]] = volume[rows]
     blend[user[rows]] = weight[rows]
     rows = with_region[known[with_region]]

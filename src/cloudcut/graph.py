@@ -27,7 +27,9 @@ pick a bucket and each bucket sorts on its own, by the same code.
 
 The sort words and one bool per record, marking where slots start, are the
 only arrays the build holds that span every record: it makes the words, and
-reads them back into the CSR, a block of records at a time.
+reads them back into the CSR, a block of records at a time.  The loaders hand
+their endpoint arrays over to the build, which frees them once the words are
+made, and the label dict is built on the first user_ids call.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ from .errors import ValidationError
 # the width in bits of the graph build's packed sort word (see _sorted_words)
 _WORD_BITS = 64
 # records per block in the graph build's passes over its sort words
-_RECORDS = 1 << 14
+_RECORDS = 1 << 13
 # friend-CSR slots per block of rows in the passes over the whole CSR (see
 # SocialGraph.row_blocks)
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 
 class SocialGraph:
@@ -72,8 +74,11 @@ class SocialGraph:
             raise ValidationError("user labels must be non-empty strings with no "
                                   "surrounding whitespace")
         n = len(labels)
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        # the loaders hand their endpoints over in an _Ends, which the build
+        # empties; a caller that passes src and dst keeps its own references
+        ends = src if isinstance(src, _Ends) else _Ends((src, dst))
+        ends[:] = [np.asarray(a, dtype=np.int64) for a in ends]
+        src, dst = ends
         weight = np.asarray(weight, dtype=np.float64)
         if not (src.shape == dst.shape == weight.shape):
             raise ValidationError("edge arrays must have equal length")
@@ -86,18 +91,19 @@ class SocialGraph:
                 raise ValidationError("self-loops are not allowed")
             if not np.all(np.isfinite(weight)) or np.any(weight < 0):
                 raise ValidationError("edge weights must be finite and non-negative")
+        del src, dst
 
         # one sort: every record is keyed in both directions, and the
         # distinct keys, in (row, col) order, are the friend CSR's slots
-        word, bounds, edge_bits = _sorted_words(src, dst, n)
+        word, bounds, edge_bits = _sorted_words(ends, n)
         self._friends, self._is_edge = _slots(word, bounds, edge_bits, n, weight)
         del word
-        # the label dict is made last, so that the build does not hold it;
-        # its size finds duplicate labels
-        self._ids = dict(zip(labels, range(n)))
-        if len(self._ids) != n:
+        # checked once the build's arrays are freed, so that it does not
+        # hold the set; the label dict waits for the first user_ids call
+        if len(set(labels)) != n:
             raise ValidationError("user labels must be unique")
         self._labels = labels
+        self._ids = None
         for arr in (*self._friends, self._is_edge):
             arr.setflags(write=False)
 
@@ -118,6 +124,8 @@ class SocialGraph:
     def user_ids(self, labels):
         """int64 array of the ids of a sequence of labels, -1 for a label
         not in the graph."""
+        if self._ids is None:
+            self._ids = dict(zip(self._labels, range(self.n_users)))
         return ids_of(self._ids, labels)
 
     def label_of(self, user):
@@ -219,10 +227,29 @@ def _loadable(labels):
         return False
 
 
-def _sorted_words(src, dst, n):
+class _Ends(list):
+    """[src, dst], handed to SocialGraph in place of src (dst None) by a
+    caller that keeps no other reference to them: the build takes both out
+    and frees them once it has made its sort words."""
+
+
+def _sorted_words(ends, n):
     """The 2m two-way records of the m edges src -> dst among n users, as
     sort words (see the module docstring): returns (word, bounds, edge_bits),
     bucket h's words being word[bounds[h]:bounds[h + 1]], each sorted.
+
+    src and dst are taken out of ends, the list [src, dst], and no longer
+    held once the words are made: the sort and the CSR need only the words.
+    """
+    word, bounds, edge_bits = _words(ends, n)
+    for start, stop in zip(bounds, bounds[1:]):
+        word[start:stop].sort()
+    return word, bounds, edge_bits
+
+
+def _words(ends, n):
+    """_sorted_words' words, each in its bucket but not yet sorted; empties
+    ends.
 
     Record e keys edge e as src * n + dst, and record 2**edge_bits + e keys
     it reversed, so that a key's records sort own direction first, each in
@@ -230,6 +257,8 @@ def _sorted_words(src, dst, n):
     one bucket, and with several through a stable argsort of the block's
     bucket ids, which puts each record at its bucket's end so far.
     """
+    src, dst = ends
+    ends.clear()
     m = src.size
     edge_bits = max(m - 1, 0).bit_length()
     rec_bits = edge_bits + 1
@@ -262,10 +291,7 @@ def _sorted_words(src, dst, n):
             first = np.searchsorted(high, np.arange(n_buckets))
             word[(end - first)[high] + np.arange(part.size)] = part[order]
             end += np.diff(first, append=part.size)
-    bounds = bounds.tolist()
-    for start, stop in zip(bounds, bounds[1:]):
-        word[start:stop].sort()
-    return word, bounds, edge_bits
+    return word, bounds.tolist(), edge_bits
 
 
 def _slots(word, bounds, edge_bits, n, weight):
@@ -302,16 +328,17 @@ def _slots(word, bounds, edge_bits, n, weight):
                 k = int(ahead.argmax())
                 j = j + k if ahead[k] else stop
             part = word[i:j]
-            starts = np.flatnonzero(new[i:j])
-            k = starts.size
-            key = part[starts]
+            key = part[np.flatnonzero(new[i:j])]
+            k = key.size
             is_edge[s:s + k] = (key & (1 << edge_bits)) == 0
             key >>= rec_bits
             key |= h << low_bits
             key = key.view(np.int64)
             row = key // n
-            np.subtract(key, row * n, out=col[s:s + k])
+            np.multiply(row, n, out=col[s:s + k])
+            np.subtract(key, col[s:s + k], out=col[s:s + k])
             off[row[0] + 1:row[-1] + 2] += np.bincount(row - row[0])
+            del key, row
             bins = np.cumsum(new[i:j])
             bins -= 1
             other = ((part >> edge_bits) & 1).view(np.int64)
@@ -321,6 +348,7 @@ def _slots(word, bounds, edge_bits, n, weight):
             sums = np.bincount(bins, weights=weight.take(edge), minlength=2 * k)
             w_out[s:s + k] = sums[:k]
             w_in[s:s + k] = sums[k:]
+            del bins, other, edge, sums
             s += k
             i = j
     np.cumsum(off, out=off)
@@ -335,12 +363,13 @@ def load_graph(source):
     Labels are stripped of surrounding whitespace.  Duplicate ordered pairs
     are summed; self-loops and negative weights raise ParseError with the
     offending line number.  The edge table is freed before the graph is
-    built, so that the two are never held at once.
+    built, so that the two are never held at once, and the endpoint arrays
+    once the build has made its sort words.
     """
     table = read_table(source) if isinstance(source, (str, Path)) else RowTable(source)
     n = table.prefix(3)
-    ends, labels = table.intern((0, 1), n)
-    src, dst = ends[0::2], ends[1::2]
+    codes, labels = table.intern((0, 1), n)
+    src, dst = codes[0::2], codes[1::2]
     (weight,), (bad_weight,) = table.floats((2,), n)
     blank = np.array([not lab for lab in labels], dtype=bool)
     refuse(table, n, [
@@ -350,8 +379,15 @@ def load_graph(source):
         (~(np.isfinite(weight) & (weight >= 0)),
          lambda row: f"weight must be finite and non-negative, got {float(row[2])}"),
     ], lambda row: f"expected 3 fields, got {len(row)}")
-    del table, bad_weight, blank
-    return SocialGraph(labels, src, dst, weight)
+    # the endpoints are views of codes, which the build frees with them
+    ends = _Ends((src, dst))
+    del table, bad_weight, blank, codes, src, dst
+    graph = SocialGraph(labels, ends, None, weight)
+    # the side tables and assignments of a loaded graph name its users by
+    # label: its label dict is made now, where the build's duplicate check
+    # has just freed its set, and not on top of the first side table's ingest
+    graph.user_ids(())
+    return graph
 
 
 def bfs_sample(graph, seed_count, target_size, rng_seed):
@@ -422,7 +458,8 @@ def synth_graph(n_users, mean_degree, weight_exponent, rng_seed):
     src = rng.integers(0, n_users, size=m, dtype=np.int64)
     dst = rng.integers(0, n_users, size=m, dtype=np.int64)
     keep = src != dst
-    src, dst = src[keep], dst[keep]
-    w = rng.zipf(weight_exponent, size=src.size).astype(np.float64)
+    ends = _Ends((src[keep], dst[keep]))
+    del src, dst, keep
+    w = rng.zipf(weight_exponent, size=ends[0].size).astype(np.float64)
     labels = [f"u{i}" for i in range(n_users)]
-    return SocialGraph(labels, src, dst, w)
+    return SocialGraph(labels, ends, None, w)

@@ -129,11 +129,12 @@ class EvaluationReport:
 def evaluate(assignment, graph, model, params, *, psi=None):
     """Full metric sweep of an assignment, and the only scorer.
 
-    One pass over the friend CSR's blocks of rows gathers each directed
-    edge's price, weight and cross-cloud mark, in (src, dst) order, and
-    counts the cross-cloud slots.  The prices give both the score's cost term
-    and inter_cloud_cost, which sums priced traffic on cross-cloud directed
-    edges only (each directed edge counted once, no halving).
+    One pass over the friend CSR's blocks of rows writes each directed
+    edge's priced traffic, price times weight, and its cross-cloud mark, in
+    (src, dst) order, and counts the cross-cloud slots.  The priced traffic
+    sums to the score's cost term and, masked, to inter_cloud_cost, which
+    sums priced traffic on cross-cloud directed edges only (each directed
+    edge counted once, no halving).
     inter_cloud_edge_count counts cross-cloud unordered connections, each of
     which fills two slots.  psi, when given, is the raw
     preference_matrix(graph, model); otherwise it is built here.
@@ -143,7 +144,7 @@ def evaluate(assignment, graph, model, params, *, psi=None):
     _, nbr, wout, _ = graph.friend_csr()
     is_edge = graph.edge_mask()
     m = graph.n_edges
-    price, w, cross = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+    priced, cross = np.empty(m), np.empty(m, dtype=bool)
     edge_count = e = 0
     for rows, slots, row in graph.row_blocks():
         hs, hd = h[rows][row], h[nbr[slots]]
@@ -151,15 +152,17 @@ def evaluate(assignment, graph, model, params, *, psi=None):
         edge_count += int(np.count_nonzero(differ))
         edges = np.flatnonzero(is_edge[slots])
         span = slice(e, e + edges.size)
-        price[span] = model.pricing.matrix[hs.take(edges), hd.take(edges)]
-        w[span] = wout[slots].take(edges)
+        np.multiply(model.pricing.matrix[hs.take(edges), hd.take(edges)],
+                    wout[slots].take(edges), out=priced[span])
         cross[span] = differ.take(edges)
         e = span.stop
     edge_count //= 2
-    cost = float(np.dot(price, w))
-    price *= cross
-    inter_cost = float(np.dot(price, w))
-    del price, w, cross
+    # np.sum adds in numpy's pairwise order, the same whatever the BLAS
+    # kernel and the block size
+    cost = float(np.sum(priced))
+    priced *= cross
+    inter_cost = float(np.sum(priced))
+    del priced, cross
     psi = preference_matrix(graph, model) if psi is None else psi
     psi_norm = normalize_rows(psi)
     users = np.arange(graph.n_users)

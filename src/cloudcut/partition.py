@@ -17,11 +17,13 @@ users put), and the walk stops when a touched-connection budget is spent or
 the best gain falls below a threshold, whichever comes first.
 
 The cross pairs are read in place off the friend CSR, a block of rows at a
-time, as the slots (a, b) with a < b, and slot order is (a, b) order.  One
-stable sort on combined weight orders them, so the walk's order is exactly a
-full sort by (-weight, a, b), and the walk reads the prefix its budget lets
-it touch.  Only the pairs of that prefix have their endpoints and weights
-gathered.
+time, as the slots (a, b) with a < b, and slot order is (a, b) order.  The
+walk reads the prefix its budget lets it touch of their full sort by
+(-weight, a, b).  Two passes select that prefix without sorting the rest: the
+first partitions one weight per pair in place to find the prefix's cut
+weight, the second keeps the heavier pairs and the first pairs of the cut
+weight, and one stable sort on weight orders them.  Only the pairs of that
+prefix have their endpoints and weights gathered.
 
 The walk is windowed.  It takes the next _WINDOW pairs of that order and
 visits them one by one exactly as an unwindowed walk would.  A pair's gains
@@ -149,9 +151,10 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     given, is the raw preference table (see initial_hosting).
     """
     psi = preference_matrix(graph, model) if psi is None else psi
-    if params.objective.use_normalized:
-        psi = normalize_rows(psi)
-    host = np.argmax(psi, axis=1)
+    table = normalize_rows if params.objective.use_normalized else np.asarray
+    # the kernel's table is made again once the prefix is chosen, so that
+    # the choice does not hold it
+    host = np.argmax(table(psi), axis=1)
     P = model.pricing.matrix
     alpha = params.objective.alpha
     cost_scale = (1.0 - alpha) * params.objective.cost_weight
@@ -160,26 +163,21 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     off, nbr, wout, win = friends
     total_connections = graph.n_connections
     # every pair the walk reaches is touched, so the budget caps the prefix
-    # of the cross pairs it can read
-    cross = _cross_slots(graph, host)
-    n_cross = cross.size
-    end = min(n_cross, math.ceil(params.touched_budget * total_connections))
-    # the walk's pairs, heaviest first, with equal weights kept in (a, b)
-    # order by the stable sort: the endpoints and both directions' weights
-    # of each slot of the sorted prefix
-    cross = cross[np.argsort(-(wout[cross] + win[cross]), kind="stable")[:end]]
-    ca = np.searchsorted(off, cross, side="right") - 1
-    cb, e_ab, e_ba = nbr[cross], wout[cross], win[cross]
+    # of the cross pairs it can read; each window gathers the endpoints and
+    # both directions' weights of its pairs
+    n_cross, cross = _walk_prefix(graph, host, math.ceil(params.touched_budget * total_connections))
+    end = cross.size
+    psi = table(psi)
 
-    def score(idx):
-        """[(move_u, move_v, move_both, third cloud)] per connection in idx."""
-        gain_u, gain_v, joint = _batch_gains(ca[idx], cb[idx], e_ab[idx], e_ba[idx], host,
+    def score(a, b, e_ab, e_ba):
+        """[(move_u, move_v, move_both, third cloud)] per pair (a[i], b[i])."""
+        gain_u, gain_v, joint = _batch_gains(a, b, e_ab, e_ba, host,
                                              psi, friends, P, alpha, cost_scale)
         f = np.argmax(joint, axis=1)
-        both = joint[np.arange(idx.size), f]
+        both = joint[np.arange(f.size), f]
         return list(zip(gain_u.tolist(), gain_v.tolist(), both.tolist(), f.tolist()))
 
-    off = off.tolist()
+    row_start = memoryview(off)  # scalar reads
     hosts = host.tolist()  # scalar reads; host stays the array the kernel reads
     # movers and their friends since the last scoring, and the users of a new
     # window; only the marks of the window's endpoints are read, and these
@@ -190,13 +188,14 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     touched = examined = moves = 0
     stop_reason = "exhausted"
     while touched < end and stop_reason == "exhausted":
-        window = np.arange(touched, min(touched + _WINDOW, end))
-        wa, wb = ca[window], cb[window]
+        slots = cross[touched:touched + _WINDOW]
+        wa = np.searchsorted(off, slots, side="right") - 1
+        wb, we_ab, we_ba = nbr[slots], wout[slots], win[slots]
         # every pair of a new window starts dirty, so its first examined pair
         # scores all of the window's cross pairs from there on
         mark[wa] = mark[wb] = True
         gains = {}
-        for i, (idx, u, v) in enumerate(zip(window.tolist(), wa.tolist(), wb.tolist())):
+        for i, (u, v) in enumerate(zip(wa.tolist(), wb.tolist())):
             touched += 1
             c, d = hosts[u], hosts[v]
             if c == d:
@@ -206,10 +205,11 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
                 # one round: score every pair left in the window, this one
                 # included, that is still cross-cloud and has a dirty endpoint
                 ra, rb = wa[i:], wb[i:]
-                stale = window[i:][(mark[ra] | mark[rb]) & (host[ra] != host[rb])]
+                stale = np.flatnonzero((mark[ra] | mark[rb]) & (host[ra] != host[rb])) + i
                 mark[ra] = mark[rb] = False
-                gains.update(zip(stale.tolist(), score(stale)))
-            gain_u, gain_v, gain_both, f = gains[idx]
+                gains.update(zip(stale.tolist(), score(wa[stale], wb[stale],
+                                                       we_ab[stale], we_ba[stale])))
+            gain_u, gain_v, gain_both, f = gains[i]
             # strict > from keep = 0.0: ties keep users put
             case, gain, target, movers = "keep", 0.0, None, ()
             if gain_u > gain:
@@ -221,11 +221,11 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
             for w in movers:
                 host[w] = hosts[w] = target
                 dirty[w] = True
-                mark[nbr[off[w]:off[w + 1]]] = True
+                mark[nbr[row_start[w]:row_start[w + 1]]] = True
             if movers:
                 moves += 1
             if telemetry is not None:
-                rows.append((u, v, float(e_ab[idx] + e_ba[idx]), case, gain, target))
+                rows.append((u, v, float(we_ab[i] + we_ba[i]), case, gain, target))
             if gain < params.min_gain:
                 stop_reason = "gain_threshold"
                 break
@@ -244,18 +244,58 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     return Assignment(host)
 
 
-def _cross_slots(graph, host):
-    """The cross-cloud pairs (a, b), a < b, under host, as the friend CSR's
-    slots in row a, in slot order, which is (a, b) order."""
-    nbr = graph.friend_csr()[1]
-    picks = []
+def _walk_prefix(graph, host, limit):
+    """(the number of cross-cloud pairs under host, the slots of the first
+    min(limit, that number) of them in walk order).
+
+    Walk order is non-increasing combined weight, equal weights in (a, b)
+    order, as one stable sort of all the pairs would give.  One pass writes
+    every pair's weight to one array, whose in-place partition finds the
+    cut weight t of the prefix and how many pairs weigh more; a second pass
+    keeps those pairs and the first of the pairs weighing t, in slot order,
+    and only the kept pairs are sorted.
+    """
+    weight = np.empty(graph.n_connections)
+    n_cross = 0
+    for _, w in _cross_pairs(graph, host):
+        weight[n_cross:n_cross + w.size] = w
+        n_cross += w.size
+    end = min(n_cross, limit)
+    if end == 0:
+        return n_cross, np.empty(0, dtype=np.int64)
+    weight = weight[:n_cross]
+    weight.partition(n_cross - end)
+    t = weight[n_cross - end]
+    ties = end - int(np.count_nonzero(weight[n_cross - end:] > t))
+    del weight
+    slots, weight = np.empty(end, dtype=np.int64), np.empty(end)
+    k = 0
+    for picks, w in _cross_pairs(graph, host):
+        keep = w > t
+        tied = np.flatnonzero(w == t)[:ties]
+        keep[tied] = True
+        ties -= tied.size
+        picks, w = picks[keep], w[keep]
+        slots[k:k + picks.size] = picks
+        weight[k:k + picks.size] = w
+        k += picks.size
+    order = np.argsort(np.negative(weight, out=weight), kind="stable")
+    del weight
+    return n_cross, slots[order]
+
+
+def _cross_pairs(graph, host):
+    """Per block of the friend CSR's rows: the slots of the cross-cloud pairs
+    (a, b), a < b, under host, in slot order, which is (a, b) order, and
+    their combined weights."""
+    _, nbr, wout, win = graph.friend_csr()
     for rows, slots, row in graph.row_blocks():
         b = nbr[slots]
         cross = host[rows][row] != host[b]
         row += rows.start
         cross &= row < b
-        picks.append(np.flatnonzero(cross) + slots.start)
-    return np.concatenate(picks)
+        picks = np.flatnonzero(cross) + slots.start
+        yield picks, wout[picks] + win[picks]
 
 
 def brute_force_optimal(graph, model, params, cap=10_000_000, *, psi=None):

@@ -1,10 +1,12 @@
-"""Pinned output bytes on a dataset made by arithmetic.
+"""Pinned output bytes on datasets made by arithmetic.
 
 Integer edge weights and 0/1 prices make every sum the scorer and the walk
 hand to BLAS exact, so the outputs must not depend on which kernel OpenBLAS
-picks for the CPU.  Each command runs in a subprocess under a forced
-OPENBLAS_CORETYPE (a core type the CPU lacks is skipped), and the sha256 of
-each output file is compared with a digest committed here.
+picks for the CPU.  Float weights and prices make sums inexact; the scorer
+adds them without BLAS, so its report must not depend on the kernel either.
+Each command runs in a subprocess under a forced OPENBLAS_CORETYPE (a core
+type the CPU lacks is skipped), and the sha256 of each output file is
+compared with a digest committed here.
 """
 
 import hashlib
@@ -67,6 +69,23 @@ def write_dataset(root):
         encoding="utf-8")
 
 
+def write_priced_dataset(root):
+    """write_dataset's tables with float edge weights and prices, which make
+    the scorer's sums inexact, so that their order shows in the last bits
+    of the report; and an assignment of every user."""
+    write_dataset(root)
+    edges = [f"u{i},u{j},{(7 * i + 3 * j) % 61 / 13!r}\n"
+             for i in range(N_USERS) for j in range(N_USERS) if (i * j + i + j) % 3 and i != j]
+    (root / "edges.csv").write_text("".join(edges), encoding="utf-8")
+    clouds = [f"c{c}" for c in range(N_CLOUDS)]
+    (root / "pricing.csv").write_text(
+        "cloud," + ",".join(clouds) + "\n"
+        + "".join(f"{a}," + ",".join(repr(((3 * i + 5 * j) % 9 + 0.7) / 97) for j in range(N_CLOUDS)) + "\n"
+                  for i, a in enumerate(clouds)), encoding="utf-8")
+    (root / "assignment.csv").write_text(
+        "".join(f"u{i},c{(i * i + i // 5) % N_CLOUDS}\n" for i in range(N_USERS)), encoding="utf-8")
+
+
 def run_cli(root, core_type, *argv):
     env = dict(os.environ, OPENBLAS_CORETYPE=core_type, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(cloudcut.__file__).parents[1]))
@@ -93,3 +112,19 @@ def test_outputs_match_their_pinned_digests_on_each_blas_kernel(tmp_path, core_t
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in DIGESTS}
     assert got == DIGESTS
+
+
+PRICED_REPORT = "905d1a021570546606df9a13a4ab0279a76f0590fca22f9129fb45c7b9e097d6"
+
+
+@pytest.mark.parametrize("core_type", sorted(CORE_TYPES))
+def test_a_float_priced_report_matches_its_pinned_digest_on_each_blas_kernel(tmp_path, core_type):
+    # evaluate's sums do not go through BLAS: inexact terms give one report
+    # whichever kernel OpenBLAS picks
+    if not all(__cpu_features__.get(f) for f in CORE_TYPES[core_type]):
+        pytest.skip(f"the CPU cannot run OpenBLAS's {core_type} kernels")
+    write_priced_dataset(tmp_path)
+    run_cli(tmp_path, core_type, "evaluate", "assignment.csv", "--alpha", "0.3",
+            "--output-dir", "evaluate")
+    report = (tmp_path / "evaluate" / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == PRICED_REPORT, report.decode()

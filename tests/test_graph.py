@@ -440,3 +440,35 @@ def test_the_edge_table_is_freed_before_the_graph_is_built(tmp_path, monkeypatch
     monkeypatch.setattr(SocialGraph, "__init__", checked)
     load_graph(path)
     assert alive == [False]
+
+
+def bases(arr):
+    """arr and every array it is a view of."""
+    while arr is not None:
+        yield arr
+        arr = arr.base
+
+
+@pytest.mark.parametrize("loader", ["synth_graph", "load_graph"])
+def test_the_endpoint_arrays_are_freed_before_the_csr_is_built(tmp_path, monkeypatch, loader):
+    # the loaders hand src and dst over to the build, which frees them once
+    # it has made its sort words: the CSR is read from the words alone
+    sorted_words, slots = graph_module._sorted_words, graph_module._slots
+    handed, alive = [], []
+
+    def noted(ends, n):
+        handed.extend(weakref.ref(a) for end in ends for a in bases(end))
+        return sorted_words(ends, n)
+
+    def checked(*args):
+        alive.extend(ref() is not None for ref in handed)
+        return slots(*args)
+
+    monkeypatch.setattr(graph_module, "_sorted_words", noted)
+    monkeypatch.setattr(graph_module, "_slots", checked)
+    if loader == "synth_graph":
+        graph = synth_graph(50, 4.0, 2.0, rng_seed=1)
+    else:
+        graph = load_graph(edge_file(tmp_path / "edges.csv", 50))
+    assert graph.n_edges > 0
+    assert len(alive) >= 2 and not any(alive)

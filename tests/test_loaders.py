@@ -28,6 +28,7 @@ from cloudcut import (
     ValidationError,
 )
 from cloudcut import _table
+from cloudcut import cloud as cloud_module
 from cloudcut import graph as graph_module
 from cloudcut._table import ByteTable, RowTable, read_table, write_table
 from cloudcut.cloud import load_affinities, load_profiles, load_regions
@@ -178,6 +179,23 @@ def test_load_affinities_matches_the_per_row_loader(tmp_path_factory, data, line
     assert_same(outcome(load_affinities, path, g, REGIONS, ignore_unknown_users=ignore),
                 outcome(naive_load_affinities, path, g, REGIONS, ignore_unknown_users=ignore),
                 lambda table: (table.download, table.upload))
+
+
+def test_load_profiles_computes_defaults_only_for_an_unlisted_user(tmp_path, monkeypatch):
+    # the defaults take a pass over the friend CSR, which a file that lists
+    # every user does not need
+    calls = []
+    defaults = cloud_module.default_profiles
+    monkeypatch.setattr(cloud_module, "default_profiles",
+                        lambda g: calls.append(g) or defaults(g))
+    path = tmp_path / "profiles.csv"
+    path.write_text("a,1.5,0.5\nb,2,1\nc,0,0\nd,3,0.25\n", encoding="utf-8")
+    vol, blend, _ = load_profiles(path, graph(), REGIONS)
+    assert (vol.tolist(), blend.tolist(), calls) == ([1.5, 2.0, 0.0, 3.0], [0.5, 1.0, 0.0, 0.25], [])
+    path.write_text("a,1.5,0.5\nb,2,1\n", encoding="utf-8")
+    vol, blend, _ = load_profiles(path, graph(), REGIONS)
+    assert (vol.tolist(), blend.tolist(), len(calls)) == ([1.5, 2.0, 0.0, 0.5],
+                                                          [0.5, 1.0, 1.0, 1.0], 1)
 
 
 PROFILE_ROWS = st.one_of(

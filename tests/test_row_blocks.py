@@ -5,7 +5,8 @@ cross pairs each read graph.row_blocks(), so none of them holds a temporary
 as long as the CSR.  These tests patch the block size down to a few slots,
 so that small graphs take many blocks, and hold the three passes to their
 oracles; they also hold each pass's memory peak, at a benchmark size, to a
-bound the whole-CSR passes broke.
+bound the whole-CSR passes broke, and the walk's and evaluate's peaks to what
+their stages need.
 """
 
 import io
@@ -25,7 +26,7 @@ from cloudcut import (
     run_heuristic,
 )
 from cloudcut import graph as graph_module
-from cloudcut.cloud import preference_matrix
+from cloudcut.cloud import normalize_rows, preference_matrix
 from cloudcut.experiments import ExperimentConfig, build_dataset, cmd_partition
 from oracles import (
     make_instance,
@@ -163,3 +164,25 @@ def test_each_pass_over_the_friend_csr_peaks_below_twice_its_neighbour_array(
         json.dumps({name: round(peak / 2**20, 2) for name, peak in peaks.items()}),
         bound / 2**20)
     assert report.inter_cloud_edge_count > 0
+
+
+def test_the_walk_and_evaluate_peak_below_what_their_stages_need(benchmark_dataset):
+    # evaluate holds priced traffic and a cross-cloud bool per edge, and the
+    # normalized table with its raw one; the walk holds one weight per
+    # connection, fewer than two per cross pair here, while it finds its
+    # prefix's cut weight, sorts only that prefix, and makes its normalized
+    # table once the prefix is chosen
+    config, graph, model = benchmark_dataset
+    objective = config.objective_params()
+    params = HeuristicParams(objective, touched_budget=0.05)
+    psi = preference_matrix(graph, model)
+    host, walk_peak = traced_peak(lambda: run_heuristic(graph, model, params, psi=psi))
+    _, evaluate_peak = traced_peak(lambda: evaluate(host, graph, model, objective, psi=psi))
+    first = np.argmax(normalize_rows(psi), axis=1)
+    a, b, _, _ = graph.connection_arrays()
+    n_cross = int(np.count_nonzero(first[a] != first[b]))
+    assert n_cross > graph.n_connections / 2
+    walk_bound = 16 * n_cross + 2**20
+    evaluate_bound = 9 * graph.n_edges + 2 * psi.nbytes + 2**20
+    assert walk_peak < walk_bound, (walk_peak / 2**20, walk_bound / 2**20)
+    assert evaluate_peak < evaluate_bound, (evaluate_peak / 2**20, evaluate_bound / 2**20)
