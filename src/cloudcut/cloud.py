@@ -29,8 +29,10 @@ upload), unlisted pairs being 0, over distinct rows, plus the row index of each
 user.  A loaded table keeps the entries its file lists, one row per user;
 affinities derived from coordinates have one row per distinct user position,
 with an entry for each region.  The model reduces the entries to its
-best-per-cloud tables in one pass, and AffinityTable.download / .upload, the
-(users x regions) arrays, are built only on first read.
+best-per-cloud tables over the distinct rows in one pass, and
+preference_matrix reads them through each user's row.
+AffinityTable.download / .upload, the (users x regions) arrays, are built on
+each read; the pipeline never reads them.
 """
 
 from __future__ import annotations
@@ -115,11 +117,11 @@ class AffinityTable:
 
     Rows are users, columns regions; unlisted pairs are 0.  The table keeps
     entries (row, region, download, upload) over n_rows distinct rows, at
-    most one per (row, region), and user_row, the row index of each user, or
-    None when each user is its own row.  Download and upload may share one
-    values array.  The (users x regions) arrays download and upload are
-    built from the entries on first read and cached; the model reduces the
-    entries themselves.  Built once and treated as immutable.
+    most one per (row, region), and user_row, the int64 row index of each
+    user (np.arange when each user is its own row).  The (users x regions)
+    arrays download and upload are built from the entries on each read; the
+    model reduces the entries themselves.  Built once and treated as
+    immutable.
     """
 
     def __init__(self, download, upload):
@@ -127,7 +129,7 @@ class AffinityTable:
         u = np.array(upload, dtype=np.float64)
         if d.shape != u.shape or d.ndim != 2:
             raise ValidationError("affinity arrays must share one (users x regions) shape")
-        self._set_entries(*_cells(d, u), None)
+        self._set_entries(*_cells(d, u), np.arange(len(d)))
 
     @classmethod
     def _from_entries(cls, n_rows, n_regions, row, region, download, upload, user_row):
@@ -145,36 +147,29 @@ class AffinityTable:
         self.entries = (row, region, download, upload)
         self.user_row = user_row
         for arr in (*self.entries, user_row):
-            if arr is not None:
-                arr.setflags(write=False)
-        self._download = self._upload = None
+            arr.setflags(write=False)
 
     @property
     def download(self):
-        """(users x regions) download affinities, built on first read."""
-        if self._download is None:
-            self._download = self._per_user(self.entries[2])
-        return self._download
+        """(users x regions) download affinities, built on each read."""
+        return self._per_user(self.entries[2])
 
     @property
     def upload(self):
-        """(users x regions) upload affinities, built on first read."""
-        if self._upload is None:
-            _, _, download, upload = self.entries
-            self._upload = self.download if upload is download else self._per_user(upload)
-        return self._upload
+        """(users x regions) upload affinities, built on each read."""
+        return self._per_user(self.entries[3])
 
     def _per_user(self, values):
         row, region = self.entries[:2]
         rows = np.zeros((self.n_rows, self.n_regions))
         rows[row, region] = values
-        dense = rows if self.user_row is None else rows[self.user_row]
+        dense = rows[self.user_row]
         dense.setflags(write=False)
         return dense
 
     @property
     def n_users(self):
-        return self.n_rows if self.user_row is None else self.user_row.size
+        return self.user_row.size
 
     def take_regions(self, regions):
         """Table over the given distinct regions only, numbered in the given
@@ -183,10 +178,9 @@ class AffinityTable:
         new[regions] = np.arange(len(regions))
         row, region, download, upload = self.entries
         keep = np.flatnonzero(new[region] >= 0)
-        kept = download[keep]
         return AffinityTable._from_entries(
-            self.n_rows, len(regions), row[keep], new[region[keep]], kept,
-            kept if upload is download else upload[keep], self.user_row)
+            self.n_rows, len(regions), row[keep], new[region[keep]], download[keep],
+            upload[keep], self.user_row)
 
     @classmethod
     def from_coordinates(cls, user_xy, region_xy, scale):
@@ -214,12 +208,10 @@ class AffinityTable:
 
 def _cells(download, upload):
     """(n_rows, n_regions, row, region, download, upload): every cell of two
-    (rows x regions) arrays as an entry, row after row; one values array when
-    the two arrays are one."""
+    (rows x regions) arrays as an entry, row after row."""
     n_rows, n_regions = download.shape
     row, region = np.divmod(np.arange(download.size), n_regions)
-    d = download.ravel()
-    return n_rows, n_regions, row, region, d, d if upload is download else upload.ravel()
+    return n_rows, n_regions, row, region, download.ravel(), upload.ravel()
 
 
 def _distinct_rows(a):
@@ -241,9 +233,10 @@ class CloudModel:
 
     Holds cloud/region label tables, the region->cloud map, transfer pricing,
     the affinity table, and per-user profiles (upload volume, blend weight,
-    optional home region).  Precomputes, per user and cloud, the best download
-    and upload affinity over the cloud's regions, from the affinity table's
-    entries; it never reads the (users x regions) arrays.
+    optional home region).  Precomputes best_download and best_upload, per
+    distinct affinity row and cloud, the best affinity over the cloud's
+    regions, from the affinity table's entries; user u's are on row
+    affinity.user_row[u].  It never reads the (users x regions) arrays.
     """
 
     def __init__(self, cloud_labels, region_labels, region_cloud, pricing,
@@ -286,21 +279,19 @@ class CloudModel:
         row, region, download, upload = affinity.entries
         at = (row, self.region_cloud[region])
         self.best_download = self._best_per_cloud(at, download)
-        self.best_upload = (self.best_download if upload is download
-                            else self._best_per_cloud(at, upload))
+        self.best_upload = self._best_per_cloud(at, upload)
         for arr in (self.upload_volume, self.blend_weight, self.home_region,
                     self.best_download, self.best_upload):
             arr.setflags(write=False)
 
     def _best_per_cloud(self, at, values):
-        """(users x clouds) best affinity, the max over each cloud's regions
-        (0 if none): the entries' values reduced at their (row, cloud) on the
-        table's distinct rows, then gathered per user."""
+        """(rows x clouds) best affinity of each of the table's distinct rows,
+        the max over each cloud's regions (0 if none): the entries' values
+        reduced at their (row, cloud)."""
         best = np.zeros((self.affinity.n_rows, self.n_clouds))
         np.maximum.at(best, at, values)
         best += 0.0  # a max of zeros may keep -0.0; the best is then 0.0
-        user_row = self.affinity.user_row
-        return best if user_row is None else best[user_row]
+        return best
 
     @property
     def n_clouds(self):
@@ -341,10 +332,10 @@ class CloudModel:
         )
 
 
-def default_profiles(graph, blend=1.0):
+def default_profiles(graph):
     """Default per-user profile arrays: upload volume is the mean outgoing
     edge weight (a proxy for how much of u's content propagates per follower),
-    blend weight is constant.  A zero-weight edge counts towards the mean:
+    blend weight is 1.  A zero-weight edge counts towards the mean:
     the edges are the friend CSR's slots whose own direction has a record of
     any weight, summed in slot order from 0.0 a block of rows at a time."""
     n = graph.n_users
@@ -359,7 +350,7 @@ def default_profiles(graph, blend=1.0):
         total[rows] = np.bincount(src, weights=w_out[slots].take(edges), minlength=size)
         count[rows] = np.bincount(src, minlength=size)
     vol = np.divide(total, count, out=np.zeros(n), where=count > 0)
-    return vol, np.full(n, float(blend))
+    return vol, np.ones(n)
 
 
 # -- preference table ------------------------------------------------------
@@ -370,19 +361,22 @@ def preference_matrix(graph, model):
     if model.n_users != graph.n_users:
         raise ValidationError("model and graph disagree on user count")
     nbr = graph.friend_csr()[1]
+    user_row = model.affinity.user_row
     # each user's friends' best download rows, summed in neighbor order from
-    # 0.0: one bincount per cloud per block of the friend CSR's rows
+    # 0.0: one bincount per cloud per block of the friend CSR's rows, reading
+    # the friends' affinity rows, gathered once per block
     per_cloud = np.ascontiguousarray(model.best_download.T)
-    download = np.empty_like(model.best_download)
+    download = np.empty((graph.n_users, model.n_clouds))
     for rows, slots, row in graph.row_blocks():
-        friends = nbr[slots]
+        friend_rows = user_row[nbr[slots]]
         for c in range(len(per_cloud)):
-            download[rows, c] = np.bincount(row, weights=per_cloud[c][friends],
+            download[rows, c] = np.bincount(row, weights=per_cloud[c][friend_rows],
                                             minlength=rows.stop - rows.start)
     del per_cloud
     # in place, with no table-sized sum temporary; the products commute, so
     # the bits are those of download + blend * upload
-    upload = model.best_upload * model.upload_volume[:, None]
+    upload = model.best_upload[user_row]
+    upload *= model.upload_volume[:, None]
     upload *= model.blend_weight[:, None]
     download += upload
     return download
@@ -463,7 +457,7 @@ def load_affinities(path, graph, region_labels, ignore_unknown_users=False):
     rows = np.flatnonzero(known)
     rows = rows[last_of_each((user * R + region)[rows])]
     return AffinityTable._from_entries(graph.n_users, R, user[rows], region[rows],
-                                       download[rows], upload[rows], None)
+                                       download[rows], upload[rows], np.arange(graph.n_users))
 
 
 def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):

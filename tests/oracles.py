@@ -60,21 +60,23 @@ def friend_arrays(graph, u):
 
 
 def naive_download_index(u, c, graph, model):
+    download = model.affinity.download  # built anew on each read
     total = 0.0
     for v in graph.friends(u):
         best = 0.0
         for s in range(model.n_regions):
             if model.region_cloud[s] == c:
-                best = max(best, model.affinity.download[v, s])
+                best = max(best, download[v, s])
         total += best
     return total
 
 
 def naive_upload_index(u, c, model):
+    upload = model.affinity.upload  # built anew on each read
     best = 0.0
     for s in range(model.n_regions):
         if model.region_cloud[s] == c:
-            best = max(best, model.affinity.upload[u, s])
+            best = max(best, upload[u, s])
     return best * float(model.upload_volume[u])
 
 
@@ -102,9 +104,14 @@ def friend_adjacency(graph):
 
 def scipy_preference_matrix(graph, model):
     """The raw preference table with the download index as the sparse product
-    friend adjacency @ best download table."""
-    upload = model.best_upload * model.upload_volume[:, None]
-    return friend_adjacency(graph) @ model.best_download + model.blend_weight[:, None] * upload
+    friend adjacency @ best download table, both best tables per user, taken
+    by naive_best_per_cloud from the (users x regions) affinity arrays."""
+    best_download, best_upload = (
+        np.array(naive_best_per_cloud(table, model.region_cloud, model.n_clouds),
+                 dtype=np.float64).reshape(model.n_users, model.n_clouds)
+        for table in (model.affinity.download, model.affinity.upload))
+    upload = best_upload * model.upload_volume[:, None]
+    return friend_adjacency(graph) @ best_download + model.blend_weight[:, None] * upload
 
 
 def scipy_least_member(graph):

@@ -120,7 +120,7 @@ def test_preference_matrix_is_bit_identical_to_the_sparse_product_on_a_synthetic
     graph, model = build_dataset(ExperimentConfig(synth_users=3000, synth_mean_degree=2.0,
                                                   synth_regions=12, synth_clouds=4))
     assert np.any(np.diff(graph.friend_csr()[0]) == 0)
-    assert model.affinity.user_row is not None
+    assert model.affinity.n_rows < graph.n_users
     assert_same_bits(preference_matrix(graph, model), scipy_preference_matrix(graph, model))
 
 
@@ -166,9 +166,9 @@ def test_normalized_preference_is_scale_invariant():
 
 def test_default_profiles_use_mean_outgoing_weight():
     graph = load_graph([("a", "b", 2.0), ("a", "c", 4.0), ("b", "a", 1.0)])
-    vol, blend = default_profiles(graph, blend=0.5)
+    vol, blend = default_profiles(graph)
     assert vol.tolist() == pytest.approx([3.0, 1.0, 0.0])
-    assert blend.tolist() == [0.5, 0.5, 0.5]
+    assert blend.tolist() == [1.0, 1.0, 1.0]
     # a zero-weight edge is an edge: it counts towards its user's mean
     graph = load_graph([("a", "b", 0.0), ("a", "c", 2.0), ("c", "a", 1.0)])
     vol, _ = default_profiles(graph)
@@ -309,6 +309,9 @@ def test_factored_affinity_table_matches_the_dense_loop_oracle(tmp_path_factory,
                        [f"r{j}" for j in range(n_regions)], region_cloud,
                        PricingMatrix.uniform(n_clouds), table,
                        np.ones(n_users), np.ones(n_users))
+    # every table maps each user to its row; the model's best tables are per row
+    assert table.user_row.dtype == np.int64 and table.user_row.shape == (n_users,)
+    assert model.best_download.shape == model.best_upload.shape == (table.n_rows, n_clouds)
     for k in range(1, n_clouds + 1):
         small = model.restrict(k)
         keep = [s for s in range(n_regions) if region_cloud[s] < k]
@@ -317,9 +320,10 @@ def test_factored_affinity_table_matches_the_dense_loop_oracle(tmp_path_factory,
                           (small.affinity.upload, upload)):
             want = [[row[s] for s in keep] for row in want]
             assert same_bits(got, want)
-        assert same_bits(small.best_download, naive_best_per_cloud(
+        user_row = small.affinity.user_row
+        assert same_bits(small.best_download[user_row], naive_best_per_cloud(
             [[row[s] for s in keep] for row in download], kept_cloud, k))
-        assert same_bits(small.best_upload, naive_best_per_cloud(
+        assert same_bits(small.best_upload[user_row], naive_best_per_cloud(
             [[row[s] for s in keep] for row in upload], kept_cloud, k))
 
 

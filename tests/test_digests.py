@@ -86,12 +86,25 @@ def write_priced_dataset(root):
         "".join(f"u{i},c{(i * i + i // 5) % N_CLOUDS}\n" for i in range(N_USERS)), encoding="utf-8")
 
 
-def run_cli(root, core_type, *argv):
+def write_coordinate_dataset(root):
+    """write_dataset's tables with plain-decimal region coordinates, from r.
+    Run without --affinities, each user's affinities derive from the
+    position of its home region, so the model holds one affinity row per
+    region."""
+    write_dataset(root)
+    (root / "regions.csv").write_text(
+        "".join(f"r{r},c{r % N_CLOUDS},0.{(3 * r + 1) % 10}5,0.{(7 * r + 2) % 10}5\n"
+                for r in range(N_REGIONS)), encoding="utf-8")
+
+
+def run_cli(root, core_type, *argv, affinities=True):
     env = dict(os.environ, OPENBLAS_CORETYPE=core_type, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(cloudcut.__file__).parents[1]))
     env.pop("CLOUDCUT_OUTPUT_DIR", None)
     inputs = ["--edges", "edges.csv", "--regions", "regions.csv", "--pricing", "pricing.csv",
-              "--affinities", "affinities.csv", "--profiles", "profiles.csv"]
+              "--profiles", "profiles.csv"]
+    if affinities:
+        inputs += ["--affinities", "affinities.csv"]
     done = subprocess.run(
         [sys.executable, "-c", "import sys; from cloudcut.cli import main; "
                                "sys.exit(main(sys.argv[1:]))", *argv, *inputs],
@@ -112,6 +125,35 @@ def test_outputs_match_their_pinned_digests_on_each_blas_kernel(tmp_path, core_t
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in DIGESTS}
     assert got == DIGESTS
+
+
+COORDINATE_DIGESTS = {
+    "partition/assignment.csv":
+        "cf19563b9f815dfe08f0a4787dda90ba80fe5919f44a485e6ab5b40e0a2eef58",
+    "partition/report.json":
+        "fb1ab9ea65905e7a47b2c45b79a0f4ab33c529dfc0bb032b7919b8a22efaa9cf",
+    "partition/telemetry.jsonl":
+        "9bada5e4165424069ca3b618ec917d6dd8a83781d8c89eb26c28ce64e1900bf4",
+    "sweep/sweep_providers.csv":
+        "00d0e492bba8ba7aeeb81d0b39af38b831b60f1b60fd55ae583b4ef93a62d98b",
+}
+
+
+@pytest.mark.parametrize("core_type", sorted(CORE_TYPES))
+def test_coordinate_derived_outputs_match_their_pinned_digests_on_each_blas_kernel(tmp_path,
+                                                                                  core_type):
+    # a model whose users share affinity rows, whole and restricted to each
+    # cloud count
+    if not all(__cpu_features__.get(f) for f in CORE_TYPES[core_type]):
+        pytest.skip(f"the CPU cannot run OpenBLAS's {core_type} kernels")
+    write_coordinate_dataset(tmp_path)
+    run_cli(tmp_path, core_type, "partition", "--telemetry", "--touched-budget", "1",
+            "--alpha", "0.6", "--output-dir", "partition", affinities=False)
+    run_cli(tmp_path, core_type, "sweep-providers", "--alpha", "0.6", "--output-dir", "sweep",
+            affinities=False)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in COORDINATE_DIGESTS}
+    assert got == COORDINATE_DIGESTS
 
 
 PRICED_REPORT = "905d1a021570546606df9a13a4ab0279a76f0590fca22f9129fb45c7b9e097d6"

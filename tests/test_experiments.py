@@ -147,11 +147,11 @@ def test_synth_dataset_round_trips_through_files(tmp_path):
     assert np.array_equal(model1.pricing.matrix, model0.pricing.matrix)
     ids1 = graph1.user_ids(graph0.labels)
     assert ids1.min(initial=0) >= 0
+    download0, download1 = model0.affinity.download, model1.affinity.download
     for u0, u1 in enumerate(ids1):
         assert model1.home_region[u1] == model0.home_region[u0]
         assert model1.upload_volume[u1] == model0.upload_volume[u0]
-        assert np.array_equal(model1.affinity.download[u1],
-                              model0.affinity.download[u0])
+        assert np.array_equal(download1[u1], download0[u0])
 
 
 def test_synth_command_refuses_input_paths(tmp_path):
