@@ -89,7 +89,9 @@ _POW5 = np.array([5 ** k for k in range(20)], dtype=np.uint64)
 _SHIFT = np.array([8 * (8 - r) for r in range(9)], dtype=np.uint64)  # r digits to the top
 # the characters that make write_table quote a str field
 _SPECIAL = re.compile(r'[,"\r\n]')
-_BLOCK = 1 << 16  # rows write_table renders at a time, so no file's whole text is kept
+# rows write_table renders at a time: a write holds one block's row strings,
+# never the file's text
+_BLOCK = 1 << 12
 # a ByteTable whose padded buffer is shorter than this keeps its spans and row
 # starts as int32, which index every byte of it; a longer one as int64
 _INT32_SPANS = 1 << 31
@@ -383,11 +385,15 @@ class ByteTable(Table):
 
     def _texts(self, begin, length):
         """The spans as str, in one decode: they are joined by newlines,
-        which no field holds."""
-        step = length.astype(np.int64)
-        step += 1
-        start = np.cumsum(step) - step
-        joined = self._bytes[np.repeat(begin - start, step) + np.arange(int(step.sum()))]
+        which no field holds.  The byte index has the spans' dtype: the
+        joined spans and their newlines are no longer than the buffer."""
+        step = length + 1
+        start = np.cumsum(step, dtype=step.dtype)
+        start -= step
+        index = np.repeat(begin - start, step)
+        index += np.arange(index.size, dtype=index.dtype)
+        joined = self._bytes.take(index)
+        del index
         joined[start + step - 1] = ord("\n")
         return joined.tobytes().decode("utf-8").split("\n")[:-1]
 

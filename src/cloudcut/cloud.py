@@ -372,13 +372,13 @@ def preference_matrix(graph, model):
         for c in range(len(per_cloud)):
             download[rows, c] = np.bincount(row, weights=per_cloud[c][friend_rows],
                                             minlength=rows.stop - rows.start)
-    del per_cloud
-    # in place, with no table-sized sum temporary; the products commute, so
-    # the bits are those of download + blend * upload
-    upload = model.best_upload[user_row]
-    upload *= model.upload_volume[:, None]
-    upload *= model.blend_weight[:, None]
-    download += upload
+        # then the block's upload term, in place, so that no temporary is as
+        # long as the table; the products commute, so the bits are those of
+        # download + blend * upload
+        upload = model.best_upload[user_row[rows]]
+        upload *= model.upload_volume[rows, None]
+        upload *= model.blend_weight[rows, None]
+        download[rows] += upload
     return download
 
 

@@ -27,9 +27,12 @@ pick a bucket and each bucket sorts on its own, by the same code.
 
 The sort words and one bool per record, marking where slots start, are the
 only arrays the build holds that span every record: it makes the words, and
-reads them back into the CSR, a block of records at a time.  The loaders hand
-their endpoint arrays over to the build, which frees them once the words are
-made, and the label dict is built on the first user_ids call.
+reads them back into the CSR, a block of records at a time.  Slot s starts
+at record s or later, so the CSR's neighbour column is written over the words
+and the edge mask over the bools, which are then shrunk to one entry a slot.
+The loaders hand their endpoint arrays over to the build, which frees them
+once the words are made, and the label dict is built on the first user_ids
+call.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ class SocialGraph:
     module docstring for its bit budget).  Equal keys come out in record
     order, so a bincount over each block of sorted records sums each of its
     slots' duplicates in record order from 0.0, and no record is scattered
-    back: the build holds the sort words, a bool per record and its outputs,
-    and no other array longer than a block.
+    back: the build holds the sort words, a bool per record and the two
+    weight columns, and no other array longer than a block, since it writes
+    the neighbour column and the edge mask over the words and the bools.
     """
 
     def __init__(self, labels, src, dst, weight):
@@ -95,9 +99,7 @@ class SocialGraph:
 
         # one sort: every record is keyed in both directions, and the
         # distinct keys, in (row, col) order, are the friend CSR's slots
-        word, bounds, edge_bits = _sorted_words(ends, n)
-        self._friends, self._is_edge = _slots(word, bounds, edge_bits, n, weight)
-        del word
+        self._friends, self._is_edge = _slots(*_sorted_words(ends, n), n, weight)
         # checked once the build's arrays are freed, so that it does not
         # hold the set; the label dict waits for the first user_ids call
         if len(set(labels)) != n:
@@ -296,13 +298,18 @@ def _words(ends, n):
 
 def _slots(word, bounds, edge_bits, n, weight):
     """The friend CSR (off, col, w_out, w_in) and its edge mask, from the
-    output of _sorted_words.
+    output of _sorted_words, whose words become the neighbour column.
 
     One bool per word marks where a slot starts.  The words are then read in
     blocks of about _RECORDS that end where a slot starts, so that one
     bincount per block sums each of its k slots whole, in edge order from
     0.0: bin s for slot s's own direction, bin k + s for the other.  A slot
     is an edge when its least record keys its own direction.
+
+    Slot s starts at record s or later, so its neighbour is written over word s
+    and its edge flag over mark s, once its block has taken what it reads
+    from its words and marks.  The words and the marks are then shrunk in
+    place to one entry a slot, with no view of either alive.
     """
     rec_bits = edge_bits + 1
     low_bits = _WORD_BITS - rec_bits
@@ -314,23 +321,30 @@ def _slots(word, bounds, edge_bits, n, weight):
             np.not_equal(key[1:], key[:-1], out=new[i:i + key.size - 1])
     n_slots = int(np.count_nonzero(new))
     off = np.zeros(n + 1, dtype=np.int64)
-    col = np.empty(n_slots, dtype=np.int64)
+    col = word.view(np.int64)
     w_out = np.empty(n_slots)
     w_in = np.empty(n_slots)
-    is_edge = np.empty(n_slots, dtype=bool)
     s = 0
     for h, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         i = start
         while i < stop:
             j = min(i + _RECORDS, stop)
-            ahead = new[j:stop]
-            if ahead.size:
-                k = int(ahead.argmax())
-                j = j + k if ahead[k] else stop
+            if j < stop:
+                k = int(new[j:stop].argmax())
+                j = j + k if new[j + k] else stop
+            # the block takes all it reads from its words and marks before
+            # its slots, s to s + k - 1, are written over them
             part = word[i:j]
             key = part[np.flatnonzero(new[i:j])]
             k = key.size
-            is_edge[s:s + k] = (key & (1 << edge_bits)) == 0
+            bins = np.cumsum(new[i:j])
+            bins -= 1
+            other = ((part >> edge_bits) & 1).view(np.int64)
+            other *= k
+            bins += other
+            edge = (part & ((1 << edge_bits) - 1)).view(np.int64)
+            del part, other
+            new[s:s + k] = (key & (1 << edge_bits)) == 0
             key >>= rec_bits
             key |= h << low_bits
             key = key.view(np.int64)
@@ -339,20 +353,19 @@ def _slots(word, bounds, edge_bits, n, weight):
             np.subtract(key, col[s:s + k], out=col[s:s + k])
             off[row[0] + 1:row[-1] + 2] += np.bincount(row - row[0])
             del key, row
-            bins = np.cumsum(new[i:j])
-            bins -= 1
-            other = ((part >> edge_bits) & 1).view(np.int64)
-            other *= k
-            bins += other
-            edge = (part & ((1 << edge_bits) - 1)).view(np.int64)
             sums = np.bincount(bins, weights=weight.take(edge), minlength=2 * k)
             w_out[s:s + k] = sums[:k]
             w_in[s:s + k] = sums[k:]
-            del bins, other, edge, sums
+            del bins, edge, sums
             s += k
             i = j
     np.cumsum(off, out=off)
-    return (off, col, w_out, w_in), is_edge
+    # refcheck would count the caller's references too; what matters is that
+    # no view of either array is alive, and col was the last
+    del col
+    word.resize(n_slots, refcheck=False)
+    new.resize(n_slots, refcheck=False)
+    return (off, word.view(np.int64), w_out, w_in), new
 
 
 def load_graph(source):

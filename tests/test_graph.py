@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import weakref
 
@@ -398,11 +399,13 @@ def test_loading_an_edge_file_peaks_below_ten_times_its_size(tmp_path, spell):
     assert graph.n_users == 5000
 
 
-def test_the_graph_build_peaks_below_its_graph_plus_nine_bytes_a_record():
+def test_the_graph_build_peaks_below_its_graph_plus_three_bytes_a_record():
     # the benchmark's graph, 3e4 users and about 3e5 synthetic edges, drawn
-    # as synth_graph draws them; the build may hold a uint64 sort word and a
-    # slot-start bool per two-way record beside the graph it returns, and
-    # blocks of temporaries within 1 MiB
+    # as synth_graph draws them.  The build writes the CSR's neighbour column
+    # over its uint64 sort words and the edge mask over its slot-start bools,
+    # then shrinks both to one entry a slot, so its arrays stay within a few
+    # blocks of temporaries of the graph it returns; the label set of the
+    # duplicate check, made once they are freed, sets the traced peak
     n = 30_000
     rng = np.random.default_rng(101)
     src = rng.integers(0, n, size=10 * n, dtype=np.int64)
@@ -419,8 +422,44 @@ def test_the_graph_build_peaks_below_its_graph_plus_nine_bytes_a_record():
     finally:
         tracemalloc.stop()
     assert graph.n_users == n
-    bound = size + 9 * 2 * src.size + 2**20
+    bound = size + 3 * 2 * src.size + 2**20
     assert peak < bound, f"the build peaked at {peak / 2**20:.2f} MiB, over {bound / 2**20:.2f}"
+
+
+def test_a_fully_reciprocal_build_keeps_one_word_and_one_bool_a_slot():
+    # every edge in both directions, in shuffled order: each slot holds two
+    # of the two-way records, so half the sort words and half the slot-start
+    # bools are left over once the neighbour column and the mask are written
+    # over them, and the build must hand that half back
+    n = 3000
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, n, size=20_000)
+    b = (a + rng.integers(1, n, size=a.size)) % n
+    pairs = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    a, b = pairs // n, pairs % n
+    order = rng.permutation(2 * pairs.size)
+    src, dst = np.concatenate([a, b])[order], np.concatenate([b, a])[order]
+    weight = rng.zipf(2.0, size=src.size).astype(np.float64)
+    labels = [f"u{i}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        graph = SocialGraph(labels, src, dst, weight)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert graph.n_connections == pairs.size and graph.n_edges == src.size
+    assert graph.friend_csr()[1].size == src.size  # half the 2 * src.size records
+    want = naive_graph_arrays(n, src.tolist(), dst.tolist(), weight.tolist())
+    got = dict(zip(("friend_offsets", "friend_col", "friend_out", "friend_in"),
+                   graph.friend_csr()), friend_is_edge=graph.edge_mask())
+    for key, arr in got.items():
+        assert arr.tolist() == want[key], key
+    # what the build leaves allocated is the CSR, the mask and the labels,
+    # within 64 KiB of object headers: unshrunk, the words and the bools
+    # would hold 9 bytes more a slot
+    held = sum(arr.nbytes for arr in (*graph.friend_csr(), graph.edge_mask()))
+    held += sys.getsizeof(graph.labels)
+    assert held <= size < held + 2**16, f"{size - held} bytes beyond the graph's arrays"
 
 
 def test_the_edge_table_is_freed_before_the_graph_is_built(tmp_path, monkeypatch):

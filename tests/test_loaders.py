@@ -41,6 +41,7 @@ from oracles import (
     naive_load_profiles,
     naive_load_regions,
     naive_read_assignment,
+    random_model,
 )
 
 USERS = ("a", "b", "c", "d")
@@ -752,6 +753,27 @@ def test_write_table_writes_the_same_bytes_in_blocks_of_any_size(tmp_path, monke
     write_table(tmp_path / "blocks.csv", columns, header=("a", "b", "c", "d"))
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     assert read_table(tmp_path / "blocks.csv").row(4) == ["u3", "a,b", "1.0", "3"]
+
+
+def test_an_assignment_of_two_full_blocks_and_a_part_writes_what_csv_writer_writes(
+        tmp_path):
+    # 10,000 users are two whole blocks of 4096 rows and part of a third;
+    # a few labels need quoting, one of them in each block
+    n = 10_000
+    assert 2 * _table._BLOCK < n < 3 * _table._BLOCK
+    labels = [f'u"{i},x' if i % 4096 == 7 else f"u{i}" for i in range(n)]
+    rng = np.random.default_rng(3)
+    graph = SocialGraph(labels, rng.integers(0, n // 2, 50), rng.integers(n // 2, n, 50),
+                        np.ones(50))
+    model = random_model(graph, rng, n_clouds=3)
+    assignment = Assignment(rng.integers(0, 3, n))
+    path = tmp_path / "assignment.csv"
+    assignment.to_csv(path, graph, model)
+    want = io.StringIO(newline="")
+    csv.writer(want, lineterminator="\n").writerows(
+        zip(labels, (model.cloud_labels[c] for c in assignment.host.tolist())))
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
+    assert Assignment.from_csv(path, graph, model) == assignment
 
 
 def test_write_table_renders_numbers_by_repr_and_str(tmp_path):

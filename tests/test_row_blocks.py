@@ -6,7 +6,8 @@ as long as the CSR.  These tests patch the block size down to a few slots,
 so that small graphs take many blocks, and hold the three passes to their
 oracles; they also hold each pass's memory peak, at a benchmark size, to a
 bound the whole-CSR passes broke, and the walk's and evaluate's peaks to what
-their stages need.
+their stages need.  Writing the benchmark's assignment, the job's last stage,
+is held to a peak of its own.
 """
 
 import io
@@ -186,3 +187,15 @@ def test_the_walk_and_evaluate_peak_below_what_their_stages_need(benchmark_datas
     evaluate_bound = 9 * graph.n_edges + 2 * psi.nbytes + 2**20
     assert walk_peak < walk_bound, (walk_peak / 2**20, walk_bound / 2**20)
     assert evaluate_peak < evaluate_bound, (evaluate_peak / 2**20, evaluate_bound / 2**20)
+
+
+def test_writing_the_benchmark_assignment_peaks_under_one_mib(benchmark_dataset, tmp_path):
+    # write_table renders a block of rows at a time, so a write holds one
+    # block's row strings and the user-long column of cloud labels, never
+    # the file's text, which alone is about 0.3 MiB here
+    _, graph, model = benchmark_dataset
+    assignment = Assignment(np.arange(graph.n_users) % model.n_clouds)
+    path = tmp_path / "assignment.csv"
+    _, peak = traced_peak(assignment.to_csv, path, graph, model)
+    assert peak < 2**20, f"the write peaked at {peak / 2**20:.2f} MiB"
+    assert Assignment.from_csv(path, graph, model) == assignment
