@@ -37,6 +37,7 @@ call.
 
 from __future__ import annotations
 
+import math
 import warnings
 from pathlib import Path
 
@@ -52,6 +53,14 @@ _RECORDS = 1 << 13
 # friend-CSR slots per block of rows in the passes over the whole CSR (see
 # SocialGraph.row_blocks)
 _BLOCK = 1 << 14
+# uniform pairs per chunk of the synthetic weight draw (see _zipf_weights)
+_PAIRS = 1 << 13
+# how far np.power may stray from the C library's pow, relative to its
+# result; numpy's own AVX-512 pow differs from glibc's by at most 1 ulp
+# (2**-52) on a Xeon with AVX-512
+_POW_SLACK = 8 * 2.0**-52
+# (double) INT64_MAX, the largest Zipf draw numpy keeps
+_ZIPF_TOP = 2.0**63
 
 
 class SocialGraph:
@@ -456,6 +465,11 @@ def synth_graph(n_users, mean_degree, weight_exponent, rng_seed):
     each edge an integer weight from a discrete power law (Zipf) with the
     given tail exponent (> 1).  Labels are "u0".."u{n-1}".  Deterministic for
     a fixed rng_seed.
+
+    The weights are rng.zipf(weight_exponent) bit for bit, drawn a chunk of
+    uniform pairs at a time by _zipf_weights.  That leaves rng past the last
+    chunk rather than past the last pair the draw used, so a later draw from
+    rng would change every output; none is made.
     """
     if n_users < 2:
         raise ValidationError("n_users must be >= 2")
@@ -473,6 +487,74 @@ def synth_graph(n_users, mean_degree, weight_exponent, rng_seed):
     keep = src != dst
     ends = _Ends((src[keep], dst[keep]))
     del src, dst, keep
-    w = rng.zipf(weight_exponent, size=ends[0].size).astype(np.float64)
+    w = _zipf_weights(rng, weight_exponent, ends[0].size)
     labels = [f"u{i}" for i in range(n_users)]
     return SocialGraph(labels, ends, None, w)
+
+
+def _zipf_weights(rng, a, m):
+    """float64 array equal bit for bit to rng.zipf(a, size=m), for a > 1.
+
+    numpy draws each value by Devroye's rejection rule, one trial at a time
+    from two of rng's doubles, U01 and V:
+
+        am1 = a - 1, b = 2**am1, Umin = INT64_MAX**-am1
+        U = U01*Umin + (1 - U01), X = floor(U**(-1/am1))
+        reject X > INT64_MAX or X < 1; T = (1 + 1/X)**am1
+        accept X when V*X*(T - 1)/(b - 1) <= T/b
+
+    and returns ones, drawing nothing, for a >= 1025.  This replays the rule
+    on _PAIRS trials at a time from rng.random((_PAIRS, 2)), the same stream
+    of doubles, and writes each chunk's accepted X in order into the output.
+    np.power may differ from C's pow in the last bit, so wherever the floor
+    or the accept test could turn on that bit, the power is taken again with
+    math.pow, which calls the same C pow.  rng is left past the last chunk.
+    """
+    out = np.ones(m)
+    if a >= 1025:
+        return out
+    am1 = a - 1.0
+    b = math.pow(2.0, am1)
+    umin = math.pow(_ZIPF_TOP, -am1)
+    exponent = -1.0 / am1
+    done = 0
+    # U01 * Umin underflows once Umin is tiny, as it does in C
+    with np.errstate(under="ignore"):
+        while done < m:
+            u01, v = rng.random((_PAIRS, 2)).T
+            u = u01 * umin + (1.0 - u01)
+            p = np.power(u, exponent)
+            # the floor is sure where every power within the slack has the
+            # same one; past INT64_MAX every power is rejected alike
+            x = np.floor(p * (1.0 - _POW_SLACK))
+            unsure = (x != np.floor(p * (1.0 + _POW_SLACK))) & (x <= _ZIPF_TOP)
+            _repow(p, unsure, u, exponent)
+            # X takes p's buffer, and the accept test's temporaries the
+            # place of u's and the band's, for a smaller peak a chunk
+            del u, x
+            x = np.floor(p, out=p)
+            base = 1.0 + 1.0 / x
+            t = np.power(base, am1)
+            vx = v * x
+            # both sides grow with T, so the test is sure where it holds
+            # with T at the top of its slack on the left and at the bottom on
+            # the right, or fails the other way round
+            lo, hi = t * (1.0 - _POW_SLACK), t * (1.0 + _POW_SLACK)
+            unsure = vx * (hi - 1.0) / (b - 1.0) > lo / b
+            unsure &= vx * (lo - 1.0) / (b - 1.0) <= hi / b
+            del lo, hi
+            _repow(t, unsure, base, am1)
+            # X = 2**63 passes as in C, where its int64 cast is the
+            # platform's; a trial draws it far less often than 1 in 2**50
+            accept = (vx * (t - 1.0) / (b - 1.0) <= t / b) & (x <= _ZIPF_TOP) & (x >= 1.0)
+            got = x[accept][:m - done]
+            out[done:done + got.size] = got
+            done += got.size
+    return out
+
+
+def _repow(power, where, base, exponent):
+    """Take power[where] again as C's pow(base, exponent)."""
+    at = np.flatnonzero(where)
+    if at.size:
+        power[at] = [math.pow(x, exponent) for x in base[at].tolist()]

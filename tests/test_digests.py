@@ -1,9 +1,11 @@
-"""Pinned output bytes on datasets made by arithmetic.
+"""Pinned output bytes on datasets made by arithmetic and on a synthetic one.
 
 Integer edge weights and 0/1 prices make every sum the scorer and the walk
 hand to BLAS exact, so the outputs must not depend on which kernel OpenBLAS
-picks for the CPU.  Float weights and prices make sums inexact; the scorer
-adds them without BLAS, so its report must not depend on the kernel either.
+picks for the CPU.  The synthetic dataset has integer Zipf weights and 0/1
+prices too, so its files and a partition of it are pinned the same way.
+Float weights and prices make sums inexact; the scorer adds them without
+BLAS, so its report must not depend on the kernel either.
 Each command runs in a subprocess under a forced OPENBLAS_CORETYPE (a core
 type the CPU lacks is skipped), and the sha256 of each output file is
 compared with a digest committed here.
@@ -98,16 +100,20 @@ def write_coordinate_dataset(root):
 
 
 def run_cli(root, core_type, *argv, affinities=True):
-    env = dict(os.environ, OPENBLAS_CORETYPE=core_type, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(Path(cloudcut.__file__).parents[1]))
-    env.pop("CLOUDCUT_OUTPUT_DIR", None)
     inputs = ["--edges", "edges.csv", "--regions", "regions.csv", "--pricing", "pricing.csv",
               "--profiles", "profiles.csv"]
     if affinities:
         inputs += ["--affinities", "affinities.csv"]
+    run_command(root, core_type, *argv, *inputs)
+
+
+def run_command(root, core_type, *argv):
+    env = dict(os.environ, OPENBLAS_CORETYPE=core_type, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(cloudcut.__file__).parents[1]))
+    env.pop("CLOUDCUT_OUTPUT_DIR", None)
     done = subprocess.run(
         [sys.executable, "-c", "import sys; from cloudcut.cli import main; "
-                               "sys.exit(main(sys.argv[1:]))", *argv, *inputs],
+                               "sys.exit(main(sys.argv[1:]))", *argv],
         cwd=root, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
@@ -170,3 +176,32 @@ def test_a_float_priced_report_matches_its_pinned_digest_on_each_blas_kernel(tmp
             "--output-dir", "evaluate")
     report = (tmp_path / "evaluate" / "report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == PRICED_REPORT, report.decode()
+
+
+SYNTH_DIGESTS = {
+    "synth/edges.csv":
+        "dcdf8ea1bc52defebc11a5ff1885cce17bfd1adaa5613d635bd99b634206969c",
+    "synth/profiles.csv":
+        "82bf325dc6f82c88981fae5a575a0c661336996433c2f6b862e1cb965b5a193f",
+    "partition/assignment.csv":
+        "3155ecad6c6673845ee5f3c14d8d0043d4a32f288e78e6f65915e77747aae956",
+    "partition/report.json":
+        "1b1a02d879536d6fcd77c0bcb98399a7f82e34037ed72ec970aceaaa077e7f93",
+    "partition/telemetry.jsonl":
+        "9c59fe96a3d56be801bc33047fbbe5b7045cd67ef6c8d6cda93ca1f04f8747d9",
+}
+
+
+@pytest.mark.parametrize("core_type", sorted(CORE_TYPES))
+def test_synthetic_outputs_match_their_pinned_digests_on_each_blas_kernel(tmp_path, core_type):
+    # the synthetic graph's endpoints and Zipf weights, the profiles whose
+    # upload volumes are each user's mean out-weight, and a partition of the
+    # dataset, all from the seed alone
+    if not all(__cpu_features__.get(f) for f in CORE_TYPES[core_type]):
+        pytest.skip(f"the CPU cannot run OpenBLAS's {core_type} kernels")
+    for command, *flags in (("synth",), ("partition", "--telemetry")):
+        run_command(tmp_path, core_type, command, *flags, "--users", "2000", "--seed", "7",
+                    "--output-dir", command)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in SYNTH_DIGESTS}
+    assert got == SYNTH_DIGESTS

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 import weakref
@@ -374,6 +375,33 @@ def test_synth_deterministic_and_minimum_size():
             synth_graph(10, degree, 2.0, rng_seed=0)
 
 
+ZIPF_CHUNK = graph_module._PAIRS
+
+
+@pytest.mark.parametrize("a", [1.0000001, 1.05, 1.5, 2.0, 3.0, 10.0, 1024.9, 1025.0, math.inf])
+@pytest.mark.parametrize("m", [0, 1, ZIPF_CHUNK - 1, ZIPF_CHUNK + 1, 100_000])
+def test_the_chunked_zipf_draw_is_generator_zipf_bit_for_bit(a, m):
+    # the draw replays numpy's rejection rule a chunk of uniform pairs at a
+    # time; near a = 1 the powers run past 2**52, where every bit of them
+    # shows in the floor, and np.power may differ from C's pow in the last
+    # bit, so the draw must take those powers again as C does
+    for seed in (0, 7, 101):
+        want = np.random.default_rng(seed).zipf(a, size=m).astype(np.float64)
+        got = graph_module._zipf_weights(np.random.default_rng(seed), a, m)
+        assert got.dtype == np.float64 and got.shape == (m,)
+        assert got.tobytes() == want.tobytes(), (seed, np.flatnonzero(got != want)[:5])
+
+
+def test_the_zipf_draw_peaks_at_its_output_plus_one_chunk():
+    # one float64 output and one chunk's temporaries: Generator.zipf's int64
+    # array and its float64 copy would hold 16 bytes a draw
+    m = 300_000
+    w, peak = traced_peak(graph_module._zipf_weights, np.random.default_rng(101), 2.0, m)
+    assert w.size == m
+    bound = 8 * m + 2**20
+    assert peak < bound, f"the draw peaked at {peak / 2**20:.2f} MiB, over {bound / 2**20:.2f}"
+
+
 def edge_file(path, n_users, seed=5, spell=repr):
     """A generated edge file shaped like a benchmark one: ten edges per user,
     labels u0.., heavy-tailed weights written with spell, repr by default."""
@@ -412,7 +440,7 @@ def test_the_graph_build_peaks_below_its_graph_plus_three_bytes_a_record():
     dst = rng.integers(0, n, size=10 * n, dtype=np.int64)
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    weight = rng.zipf(2.0, size=src.size).astype(np.float64)
+    weight = graph_module._zipf_weights(rng, 2.0, src.size)
     labels = [f"u{i}" for i in range(n)]
     tracemalloc.start()
     try:
@@ -439,7 +467,7 @@ def test_a_fully_reciprocal_build_keeps_one_word_and_one_bool_a_slot():
     a, b = pairs // n, pairs % n
     order = rng.permutation(2 * pairs.size)
     src, dst = np.concatenate([a, b])[order], np.concatenate([b, a])[order]
-    weight = rng.zipf(2.0, size=src.size).astype(np.float64)
+    weight = graph_module._zipf_weights(rng, 2.0, src.size)
     labels = [f"u{i}" for i in range(n)]
     tracemalloc.start()
     try:
