@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -36,24 +37,27 @@ SWEEP_HEADER = ("alpha", "n_clouds", "algorithm", "objective",
 ORACLE_HEADER = ("n_edges", "instance", "heuristic_objective",
                  "optimal_objective", "ratio")
 ALGORITHMS = ("heuristic", "random", "min_propagation", "max_preference")
-_GRID_KINDS = {"alpha_grid": "float", "cloud_grid": "int", "oracle_edge_grid": "int"}
-# the least value each field (each entry, for a grid) may take; inf and NaN
-# are refused too
-_LOWER_BOUNDS = {"synth_clouds": 1, "oracle_users": 1, "oracle_clouds": 1,
-                 "oracle_weight_scale": 0.0, "oracle_instances": 1, "sample_seeds": 1,
-                 "rng_seed": 0, "cloud_grid": 1, "oracle_edge_grid": 0}
 # the most each size field may ask for: the graph build keys each user pair
 # as src * n_users + dst, which must fit in int64
 MAX_SIZE = math.isqrt(2**63 - 1)
-_SIZES = ("synth_users", "synth_regions", "synth_clouds", "sample_users", "sample_seeds",
-          "oracle_users")
+# each bounded field's least and most value (each entry's, for a grid); inf
+# and NaN are refused too, and every least value is checked before any most
+_RANGES = {"synth_users": (-math.inf, MAX_SIZE), "synth_regions": (-math.inf, MAX_SIZE),
+           "synth_clouds": (1, MAX_SIZE), "sample_users": (-math.inf, MAX_SIZE),
+           "oracle_users": (1, MAX_SIZE), "oracle_clouds": (1, math.inf),
+           "oracle_weight_scale": (0.0, math.inf), "oracle_instances": (1, math.inf),
+           "sample_seeds": (1, MAX_SIZE), "rng_seed": (0, math.inf),
+           "cloud_grid": (1, math.inf), "oracle_edge_grid": (0, math.inf)}
+# per annotated kind: the types it takes (numpy's number scalars are numbers,
+# and a path may be any os.PathLike), and how a message names one and a list
+_KINDS = {"int": ((int, np.integer), "an integer", "integers"),
+          "float": ((int, float, np.integer, np.floating), "a number", "numbers"),
+          "str": ((str, os.PathLike), "a string", "strings"), "bool": ((bool,), "true or false")}
 
 
-def _is_number(value, kind):
-    """True for an int (kind "int") or an int or float (kind "float"); bools
-    are neither."""
-    allowed = (int,) if kind == "int" else (int, float)
-    return isinstance(value, allowed) and not isinstance(value, bool)
+def _is_kind(value, kind):
+    """True if value is of the annotated kind; a bool is of kind "bool" only."""
+    return isinstance(value, _KINDS[kind][0]) and isinstance(value, bool) == (kind == "bool")
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,8 @@ class ExperimentConfig:
 
     File inputs are optional; whatever is missing is synthesized from the
     seed (a random graph, regions on the unit square mapped round-robin-free
-    onto clouds, distance-decayed affinities, flat 0/1 pricing).
+    onto clouds, distance-decayed affinities, flat 0/1 pricing).  However
+    it is made, each field is checked against its annotation and its range.
     """
 
     # dataset files (all optional; synthetic fallback otherwise)
@@ -85,19 +90,19 @@ class ExperimentConfig:
     sample_seeds: int = 10
     # solver selection and trade-off parameters
     algorithm: str = "heuristic"
-    algorithms: tuple = ALGORITHMS
+    algorithms: tuple[str, ...] = ALGORITHMS
     alpha: float = 0.5
     cost_weight: float = 1.0
     use_normalized: bool = True
     min_gain: float = 0.0
     touched_budget: float = 0.2
     # sweep grids
-    alpha_grid: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
-    cloud_grid: tuple | None = None
+    alpha_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
+    cloud_grid: tuple[int, ...] | None = None
     # oracle comparison instances
     oracle_users: int = 10
     oracle_clouds: int = 3
-    oracle_edge_grid: tuple = (10, 15, 20, 25, 30)
+    oracle_edge_grid: tuple[int, ...] = (10, 15, 20, 25, 30)
     oracle_instances: int = 10
     oracle_weight_scale: float = 0.5
     brute_force_cap: int = 10_000_000
@@ -107,20 +112,39 @@ class ExperimentConfig:
     telemetry: bool = False
 
     def __post_init__(self):
+        # each field's kind, from its annotation: int, float, str, bool or a
+        # tuple of one ("| None" where None is allowed); a list is a tuple
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):
+                value = tuple(value)
+                object.__setattr__(self, f.name, value)
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional == "None":
+                continue
+            if kind.startswith("tuple["):
+                item = kind.removeprefix("tuple[").partition(",")[0]
+                if not (isinstance(value, tuple) and all(_is_kind(x, item) for x in value)):
+                    raise ValidationError(f"{f.name} must be a list of {_KINDS[item][2]}, "
+                                          f"got {value!r}")
+            elif not _is_kind(value, kind):
+                raise ValidationError(f"{f.name} must be {_KINDS[kind][1]}, got {value!r}")
         # an empty list would run nothing and write a header-only file
-        for name in ("algorithms", *_GRID_KINDS):
-            value = getattr(self, name)
-            if value is not None and len(value) == 0:
+        for name, value in vars(self).items():
+            if isinstance(value, tuple) and not value:
                 raise ValidationError(f"{name} must not be empty")
-        for name, low in _LOWER_BOUNDS.items():
+
+        def entries(name):
             value = getattr(self, name)
-            for x in (value or ()) if name in _GRID_KINDS else (value,):
+            return value if isinstance(value, tuple) else () if value is None else (value,)
+        for name, (low, _) in _RANGES.items():
+            for x in entries(name):
                 if not low <= x < math.inf:
                     raise ValidationError(f"{name} must be finite and >= {low}, got {x!r}")
-        for name in _SIZES:
-            value = getattr(self, name)
-            if value is not None and value > MAX_SIZE:
-                raise ValidationError(f"{name} must be at most {MAX_SIZE}, got {value!r}")
+        for name, (_, high) in _RANGES.items():
+            for x in entries(name):
+                if x > high:
+                    raise ValidationError(f"{name} must be at most {high}, got {x!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(f"algorithm must be one of {ALGORITHMS}")
         for a in self.algorithms:
@@ -138,32 +162,9 @@ class ExperimentConfig:
     def from_dict(cls, doc):
         if not isinstance(doc, dict):
             raise ValidationError("config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-        for f in fields(cls):
-            if f.name not in doc:
-                continue
-            value = doc[f.name]
-            kind, _, optional = f.type.partition(" | ")
-            if value is None and optional == "None":
-                continue
-            if kind in ("int", "float") and not _is_number(value, kind):
-                what = "an integer" if kind == "int" else "a number"
-                raise ValidationError(f"{f.name} must be {what}, got {value!r}")
-            if kind == "str" and not isinstance(value, str):
-                raise ValidationError(f"{f.name} must be a string, got {value!r}")
-            if kind == "bool" and not isinstance(value, bool):
-                raise ValidationError(f"{f.name} must be true or false, got {value!r}")
-            if f.name == "algorithms" and not (
-                    isinstance(value, tuple) and all(isinstance(x, str) for x in value)):
-                raise ValidationError(f"{f.name} must be a list of strings, got {value!r}")
-            grid = _GRID_KINDS.get(f.name)
-            if grid and not (isinstance(value, tuple) and all(_is_number(x, grid) for x in value)):
-                what = "integers" if grid == "int" else "numbers"
-                raise ValidationError(f"{f.name} must be a list of {what}, got {value!r}")
         return cls(**doc)
 
     @classmethod

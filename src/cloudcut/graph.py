@@ -104,17 +104,16 @@ class SocialGraph:
                 raise ValidationError("self-loops are not allowed")
             if not np.all(np.isfinite(weight)) or np.any(weight < 0):
                 raise ValidationError("edge weights must be finite and non-negative")
+        # checked before the sort words: the set is never held beside them
+        if len(set(labels)) != n:
+            raise ValidationError("user labels must be unique")
         del src, dst
 
         # one sort: every record is keyed in both directions, and the
         # distinct keys, in (row, col) order, are the friend CSR's slots
         self._friends, self._is_edge = _slots(*_sorted_words(ends, n), n, weight)
-        # checked once the build's arrays are freed, so that it does not
-        # hold the set; the label dict waits for the first user_ids call
-        if len(set(labels)) != n:
-            raise ValidationError("user labels must be unique")
         self._labels = labels
-        self._ids = None
+        self._ids = None  # the label dict, made on the first user_ids call
         for arr in (*self._friends, self._is_edge):
             arr.setflags(write=False)
 
@@ -406,8 +405,8 @@ def load_graph(source):
     del table, bad_weight, blank, codes, src, dst
     graph = SocialGraph(labels, ends, None, weight)
     # the side tables and assignments of a loaded graph name its users by
-    # label: its label dict is made now, where the build's duplicate check
-    # has just freed its set, and not on top of the first side table's ingest
+    # label: its label dict is made now, when the build's arrays are freed,
+    # and not on top of the first side table's ingest
     graph.user_ids(())
     return graph
 

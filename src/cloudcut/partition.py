@@ -151,10 +151,7 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     given, is the raw preference table (see initial_hosting).
     """
     psi = preference_matrix(graph, model) if psi is None else psi
-    table = normalize_rows if params.objective.use_normalized else np.asarray
-    # the kernel's table is made again once the prefix is chosen, so that
-    # the choice does not hold it
-    host = np.argmax(table(psi), axis=1)
+    host = initial_hosting(graph, model, psi=psi).host
     P = model.pricing.matrix
     alpha = params.objective.alpha
     cost_scale = (1.0 - alpha) * params.objective.cost_weight
@@ -167,7 +164,9 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     # both directions' weights of its pairs
     n_cross, cross = _walk_prefix(graph, host, math.ceil(params.touched_budget * total_connections))
     end = cross.size
-    psi = table(psi)
+    # the kernel's table, made once the prefix is chosen, so that the choice
+    # does not hold it
+    psi = normalize_rows(psi) if params.objective.use_normalized else psi
 
     def score(a, b, e_ab, e_ba):
         """[(move_u, move_v, move_both, third cloud)] per pair (a[i], b[i])."""

@@ -2,9 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import re
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -60,6 +61,41 @@ def test_config_rejects_unknown_algorithms():
         ExperimentConfig(algorithm="bogus", algorithms=("nope",))
     with pytest.raises(ValidationError, match="unknown algorithm 'nope'"):
         ExperimentConfig(algorithms=("heuristic", "nope"))
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("alpha", "0.5", "alpha must be a number, got '0.5'"),
+    ("synth_users", 2.5, "synth_users must be an integer, got 2.5"),
+    ("telemetry", "no", "telemetry must be true or false, got 'no'"),
+    ("cloud_grid", (1.5,), "cloud_grid must be a list of integers, got (1.5,)"),
+])
+def test_a_config_built_in_python_is_checked_as_a_document_is(name, value, message):
+    doc = json.loads(json.dumps({name: value}))  # a tuple is a JSON list
+    for build in (lambda: ExperimentConfig.from_dict(doc),
+                  lambda: ExperimentConfig(**{name: value}),
+                  lambda: ExperimentConfig().with_overrides(**{name: value}),
+                  lambda: replace(ExperimentConfig(), **{name: value})):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_a_list_grid_is_the_tuple_grid():
+    as_tuple = ExperimentConfig(cloud_grid=(1, 2), alpha_grid=(0.5,), algorithms=("random",))
+    assert as_tuple.cloud_grid == (1, 2)
+    assert ExperimentConfig.from_dict(
+        {"cloud_grid": [1, 2], "alpha_grid": [0.5], "algorithms": ["random"]}) == as_tuple
+    assert ExperimentConfig(cloud_grid=[1, 2], alpha_grid=[0.5], algorithms=["random"]) == as_tuple
+
+
+def test_a_config_takes_paths_and_numpy_scalars(tmp_path):
+    plain = tiny_config(tmp_path, alpha=0.25, alpha_grid=(0.5, 1), cloud_grid=(2,))
+    numpy = tiny_config(tmp_path, synth_users=np.int64(60), synth_mean_degree=np.float32(4.0),
+                        rng_seed=np.uint8(5), alpha=np.float64(0.25),
+                        alpha_grid=(np.float64(0.5), np.int16(1)), cloud_grid=(np.int32(2),))
+    assert numpy == plain
+    paths = replace(plain, output_dir=tmp_path / "out")
+    assert ExperimentConfig(edges_path=tmp_path / "edges.csv").edges_path == tmp_path / "edges.csv"
+    assert cmd_partition(numpy) == cmd_partition(paths) == cmd_partition(plain)
 
 
 # any JSON value: nested lists and objects, integers beyond 64 bits, NaN and

@@ -427,13 +427,13 @@ def test_loading_an_edge_file_peaks_below_ten_times_its_size(tmp_path, spell):
     assert graph.n_users == 5000
 
 
-def test_the_graph_build_peaks_below_its_graph_plus_three_bytes_a_record():
+def test_the_graph_build_peaks_below_its_graph_plus_one_byte_a_record():
     # the benchmark's graph, 3e4 users and about 3e5 synthetic edges, drawn
     # as synth_graph draws them.  The build writes the CSR's neighbour column
     # over its uint64 sort words and the edge mask over its slot-start bools,
     # then shrinks both to one entry a slot, so its arrays stay within a few
     # blocks of temporaries of the graph it returns; the label set of the
-    # duplicate check, made once they are freed, sets the traced peak
+    # duplicate check is made and freed before the sort words
     n = 30_000
     rng = np.random.default_rng(101)
     src = rng.integers(0, n, size=10 * n, dtype=np.int64)
@@ -450,7 +450,30 @@ def test_the_graph_build_peaks_below_its_graph_plus_three_bytes_a_record():
     finally:
         tracemalloc.stop()
     assert graph.n_users == n
-    bound = size + 3 * 2 * src.size + 2**20
+    bound = size + 1 * 2 * src.size + 2**20
+    assert peak < bound, f"the build peaked at {peak / 2**20:.2f} MiB, over {bound / 2**20:.2f}"
+
+
+def test_synth_graphs_build_peaks_below_what_it_leaves_plus_one_byte_a_record(monkeypatch):
+    # the same bound inside synth_graph, traced from the build's call: what
+    # the build leaves is the graph and the weights and labels synth_graph
+    # still holds; the endpoints it was handed are freed by then
+    build, seen = SocialGraph.__init__, {}
+
+    def traced_build(self, labels, src, dst, weight):
+        tracemalloc.reset_peak()  # the draws before the build are not its peak
+        build(self, labels, src, dst, weight)
+        seen["size"], seen["peak"] = tracemalloc.get_traced_memory()
+        seen["records"] = weight.size
+
+    monkeypatch.setattr(SocialGraph, "__init__", traced_build)
+    tracemalloc.start()
+    try:
+        graph = synth_graph(30_000, 10.0, 2.0, rng_seed=101)
+    finally:
+        tracemalloc.stop()
+    assert graph.n_users == 30_000
+    peak, bound = seen["peak"], seen["size"] + 1 * 2 * seen["records"] + 2**20
     assert peak < bound, f"the build peaked at {peak / 2**20:.2f} MiB, over {bound / 2**20:.2f}"
 
 

@@ -210,6 +210,23 @@ def test_heuristic_at_alpha_one_keeps_initial_hosting():
         assert result == initial_hosting(graph, model)
 
 
+def test_the_walk_starts_from_initial_hosting_on_a_near_tie_row():
+    # a's raw row rises by one ulp a cloud, so its largest entry is c2's;
+    # divided by the row's sum, c1 and c2 round to the same value, and an
+    # argmax of that normalized row would host a on c1
+    graph = SocialGraph(["a", "b"], [0], [1], [1.0])
+    upload = [[1.9610683927153292, 1.9610683927153294, 1.9610683927153296], [0.0, 0.0, 0.0]]
+    model = CloudModel(["c0", "c1", "c2"], ["r0", "r1", "r2"], [0, 1, 2],
+                       PricingMatrix.uniform(3), AffinityTable(np.zeros((2, 3)), upload),
+                       np.ones(2), np.ones(2))
+    psi = preference_matrix(graph, model)
+    assert np.argmax(psi[0]) == 2 and np.argmax(normalize_rows(psi)[0]) == 1
+    # a budget of 0 touches no pair: the walk leaves phase one's hosting
+    result = run_heuristic(graph, model, params_for(0.5, touched_budget=0.0))
+    assert result == initial_hosting(graph, model) == baseline_max_preference(graph, model)
+    assert result.host.tolist() == [2, 0]
+
+
 def test_heuristic_never_lowers_the_score_in_exact_mode():
     for seed, pricing in itertools.product(range(6), ("random", "random_intra")):
         graph, model = make_instance(seed, n_users=25, n_clouds=4, n_edges=80,
