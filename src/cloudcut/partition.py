@@ -38,8 +38,10 @@ scores all of its cross pairs from there on.  A pair scored in a round is
 rescored if a later move dirties it, and a pair that turns cross-cloud later
 has a mover as an endpoint, so no pair is decided on stale gains.  The
 kernel gives every element the same operations in the same order whatever
-the batch, so the walk makes the same choices, with bit-identical gains, as
-one that scores each pair just before it decides.
+the batch: each endpoint's flows are one bincount in neighbor order, and
+einsum reduces each endpoint's row alone in numpy's own loops, never in
+BLAS.  So the walk makes the same choices, with bit-identical gains, as one
+that scores each pair just before it decides.
 """
 
 from __future__ import annotations
@@ -78,14 +80,26 @@ class HeuristicParams:
             raise ValidationError("min_gain must be finite")
 
 
-def _batch_gains(us, vs, e_uv, e_vu, host, psi, friends, P, alpha, cost_scale):
-    """Gains of B candidate pairs (us[i], vs[i]) under the hosting host.
+def _pair_table(P):
+    """A[c*C + d, f] = P[f, d] + P[c, f] - P[f, f] - P[c, d]: per unit weight
+    of an edge from cloud c to d whose two users both move onto f, the price
+    change their score rows count, less the true change P[f, f] - P[c, d]."""
+    C = P.shape[0]
+    return (P.T + P[:, None] - P.diagonal() - P[:, :, None]).reshape(C * C, C)
 
-    Returns (move_u, move_v, move_both): two length-B vectors and a B x C
-    matrix whose entry f is the gain of moving both users onto cloud f (-inf
-    where f is either user's current cloud).  e_uv / e_vu are the weights of
-    the directed edges u->v and v->u.  friends is the graph's friend CSR.
-    cost_scale folds (1 - alpha) * cost_weight into one factor.
+
+def _batch_gains(us, vs, e_uv, e_vu, host, psi, friends, P, A, alpha, cost_scale):
+    """[(move_u, move_v, move_both, f)] of B candidate pairs (us[i], vs[i])
+    under the hosting host, f the best third cloud.
+
+    Each endpoint gets one score row: its preference for each cloud x minus
+    the priced traffic on its edges if it sat on x, its friends where they
+    are.  A single move's gain is the mover's score on the partner's cloud
+    minus its score at home.  Moving both onto f adds both rows' gains on f
+    and corrects the mutual edges' price by the pair table A; f is never
+    either user's cloud (-inf there, so move_both is -inf when C = 2).
+    e_uv / e_vu weigh the directed edges u->v and v->u, friends is the
+    graph's friend CSR, and cost_scale is (1 - alpha) * cost_weight.
 
     Every element is computed with the same operations in the same order as
     when the pair is scored on its own, so a gain does not depend on which
@@ -98,8 +112,6 @@ def _batch_gains(us, vs, e_uv, e_vu, host, psi, friends, P, alpha, cost_scale):
     r = np.arange(2 * B)
     own = host[users]
     other = np.concatenate([own[B:], own[:B]])
-    e_out = np.concatenate([e_uv, e_vu])[:, None]  # user -> partner
-    e_in = np.concatenate([e_vu, e_uv])[:, None]   # partner -> user
 
     # gather all 2B friend lists in order; bincount sums each user's flows in
     # neighbor order, like one bincount per user
@@ -108,27 +120,19 @@ def _batch_gains(us, vs, e_uv, e_vu, host, psi, friends, P, alpha, cost_scale):
     slot = np.repeat(r, lens)
     pos = np.arange(slot.size) + (starts - (np.cumsum(lens) - lens))[slot]
     key = slot * C + host[nbr[pos]]
-    a_out = np.bincount(key, weights=wout[pos], minlength=2 * B * C).reshape(2 * B, C, 1)
-    a_in = np.bincount(key, weights=win[pos], minlength=2 * B * C).reshape(2 * B, C, 1)
-    # seat[i, x]: priced traffic on the user's edges if it sat on x; the
-    # stacked products run one gemv per user, as for a single pair
-    seat = (np.matmul(P, a_out) + np.matmul(P.T, a_in))[:, :, 0]
-    delta = seat[r, other] - seat[r, own]
-    # score both single moves with the mutual edge removed, then re-add it
-    solo = seat - (P.T[other] * e_out + P[other] * e_in)
-    rel = solo - solo[r, own][:, None]
+    a_out = np.bincount(key, weights=wout[pos], minlength=2 * B * C).reshape(2 * B, C)
+    a_in = np.bincount(key, weights=win[pos], minlength=2 * B * C).reshape(2 * B, C)
+    # numpy's own einsum loops reduce each row alone, without BLAS
+    seat = np.einsum("ic,xc->ix", a_out, P) + np.einsum("ic,cx->ix", a_in, P)
+    score = alpha * psi[users] - cost_scale * seat
+    rel = score - score[r, own][:, None]
     c, d = own[:B], other[:B]
-    pair_delta = (P.diagonal() * (e_uv + e_vu)[:, None]
-                  - (P[c, d] * e_uv + P[d, c] * e_vu)[:, None])
-    delta_joint = rel[:B] + rel[B:] + pair_delta
-
-    pref = psi[users]
-    pref_own = pref[r, own]
-    gain = alpha * (pref[r, other] - pref_own) - cost_scale * delta
-    joint = (alpha * (pref[:B] + pref[B:] - pref_own[:B, None] - pref_own[B:, None])
-             - cost_scale * delta_joint)
+    joint = rel[:B] + rel[B:] + cost_scale * (e_uv[:, None] * A[c * C + d]
+                                              + e_vu[:, None] * A[d * C + c])
     joint[r % B, own] = -np.inf
-    return gain[:B], gain[B:], joint
+    f = np.argmax(joint, axis=1)
+    move = rel[r, other].tolist()
+    return list(zip(move[:B], move[B:], joint[r[:B], f].tolist(), f.tolist()))
 
 
 def initial_hosting(graph, model, *, psi=None):
@@ -151,8 +155,9 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     given, is the raw preference table (see initial_hosting).
     """
     psi = preference_matrix(graph, model) if psi is None else psi
-    host = initial_hosting(graph, model, psi=psi).host
+    host = np.argmax(psi, axis=1)  # initial_hosting's, without its copy
     P = model.pricing.matrix
+    A = _pair_table(P)
     alpha = params.objective.alpha
     cost_scale = (1.0 - alpha) * params.objective.cost_weight
 
@@ -167,14 +172,6 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
     # the kernel's table, made once the prefix is chosen, so that the choice
     # does not hold it
     psi = normalize_rows(psi) if params.objective.use_normalized else psi
-
-    def score(a, b, e_ab, e_ba):
-        """[(move_u, move_v, move_both, third cloud)] per pair (a[i], b[i])."""
-        gain_u, gain_v, joint = _batch_gains(a, b, e_ab, e_ba, host,
-                                             psi, friends, P, alpha, cost_scale)
-        f = np.argmax(joint, axis=1)
-        both = joint[np.arange(f.size), f]
-        return list(zip(gain_u.tolist(), gain_v.tolist(), both.tolist(), f.tolist()))
 
     row_start = memoryview(off)  # scalar reads
     hosts = host.tolist()  # scalar reads; host stays the array the kernel reads
@@ -206,8 +203,9 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
                 ra, rb = wa[i:], wb[i:]
                 stale = np.flatnonzero((mark[ra] | mark[rb]) & (host[ra] != host[rb])) + i
                 mark[ra] = mark[rb] = False
-                gains.update(zip(stale.tolist(), score(wa[stale], wb[stale],
-                                                       we_ab[stale], we_ba[stale])))
+                gains.update(zip(stale.tolist(), _batch_gains(
+                    wa[stale], wb[stale], we_ab[stale], we_ba[stale],
+                    host, psi, friends, P, A, alpha, cost_scale)))
             gain_u, gain_v, gain_both, f = gains[i]
             # strict > from keep = 0.0: ties keep users put
             case, gain, target, movers = "keep", 0.0, None, ()
@@ -240,6 +238,7 @@ def run_heuristic(graph, model, params, telemetry=None, *, psi=None):
             "moves": moves, "stop_reason": stop_reason,
             "total_connections": int(total_connections),
         }) + "\n")
+    del hosts  # the copy below takes the list's place on the heap
     return Assignment(host)
 
 

@@ -206,16 +206,34 @@ def naive_move_cost_delta(move, host, graph, model):
 
 def kernel_pair_gains(u, v, host, graph, model, alpha, cost_weight=1.0, normalized=True):
     """(move_u, move_v, move_both row over clouds) of one pair: not an oracle,
-    but the walk's own kernel, partition._batch_gains, with a batch of one."""
+    but the walk's own kernel, partition._batch_gains, with a batch of one.
+
+    The kernel gives only the best third cloud's gain, so the row's entry f
+    comes from a call in which every other third cloud g is priced 1e12
+    lower, in psi[:, g] and the pair table's column g: the entries that f's
+    gain reads are untouched, so it has the same bits."""
     psi = preference_matrix(graph, model)
     if normalized:
         psi = normalize_rows(psi)
-    gain_u, gain_v, joint = partition._batch_gains(
-        np.array([u]), np.array([v]),
-        np.array([edge_weight(graph, u, v)]), np.array([edge_weight(graph, v, u)]),
-        np.asarray(host), psi, graph.friend_csr(), model.pricing.matrix,
-        alpha, (1.0 - alpha) * cost_weight)
-    return float(gain_u[0]), float(gain_v[0]), joint[0]
+    P = model.pricing.matrix
+    A = partition._pair_table(P)
+    host = np.asarray(host)
+    c, d = host[u], host[v]
+
+    def kernel(psi, A):
+        return partition._batch_gains(
+            np.array([u]), np.array([v]),
+            np.array([edge_weight(graph, u, v)]), np.array([edge_weight(graph, v, u)]),
+            host, psi, graph.friend_csr(), P, A, alpha, (1.0 - alpha) * cost_weight)[0]
+
+    gain_u, gain_v, _, _ = kernel(psi, A)
+    joint = np.full(model.n_clouds, -np.inf)
+    for f in range(model.n_clouds):
+        if f not in (c, d):
+            down = 1e12 * ~np.isin(np.arange(model.n_clouds), (c, d, f))
+            _, _, joint[f], best = kernel(psi - down, A - down)
+            assert best == f
+    return gain_u, gain_v, joint
 
 
 # -- instance builders -------------------------------------------------------
@@ -285,31 +303,30 @@ def random_model(graph, rng, n_clouds=3, pricing="uniform", regions_per_cloud=1)
 
 def naive_pair_gains(u, v, host, psi, graph, P, alpha, cost_scale):
     """(move_u, move_v, move_both, third cloud) gains of one cross-cloud pair,
-    from per-user flow vectors built on the spot."""
+    from per-user score rows built on the spot: a user's preference for each
+    cloud minus the priced traffic on its edges were it hosted there."""
     C = P.shape[0]
     c, d = int(host[u]), int(host[v])
-    seats = []
-    for x in (u, v):
+    rel = []
+    for x, own in ((u, c), (v, d)):
         nbrs, wout, win = friend_arrays(graph, x)
         cn = host[nbrs]
-        a_out = np.bincount(cn, weights=wout, minlength=C)
-        a_in = np.bincount(cn, weights=win, minlength=C)
-        seats.append(P @ a_out + P.T @ a_in)
-    seat_u, seat_v = seats
-    delta_u = seat_u[d] - seat_u[c]
-    delta_v = seat_v[c] - seat_v[d]
-    e_uv = edge_weight(graph, u, v)
-    e_vu = edge_weight(graph, v, u)
-    seat_u_solo = seat_u - (P[:, d] * e_uv + P[d, :] * e_vu)
-    seat_v_solo = seat_v - (P[:, c] * e_vu + P[c, :] * e_uv)
-    pair_delta = np.diag(P) * (e_uv + e_vu) - (P[c, d] * e_uv + P[d, c] * e_vu)
-    delta_joint = (seat_u_solo - seat_u_solo[c]) + (seat_v_solo - seat_v_solo[d]) + pair_delta
-
-    gain_u = alpha * (psi[u, d] - psi[u, c]) - cost_scale * delta_u
-    gain_v = alpha * (psi[v, c] - psi[v, d]) - cost_scale * delta_v
+        a_out = np.bincount(cn, weights=wout, minlength=C)[None, :]
+        a_in = np.bincount(cn, weights=win, minlength=C)[None, :]
+        seat = (np.einsum("ic,xc->ix", a_out, P) + np.einsum("ic,cx->ix", a_in, P))[0]
+        score = alpha * psi[x] - cost_scale * seat
+        rel.append(score - score[own])
+    rel_u, rel_v = rel
     if C > 2:
-        pref_joint = psi[u, :] + psi[v, :] - psi[u, c] - psi[v, d]
-        joint = alpha * pref_joint - cost_scale * delta_joint
+        # both rows price each mutual edge with the partner still at home;
+        # over_* is what they overcount of its price change when both users
+        # move to a third cloud, which takes it from P[c, d] to P[to, to]
+        e_uv = edge_weight(graph, u, v)
+        e_vu = edge_weight(graph, v, u)
+        to = np.arange(C)
+        over_uv = P[to, d] + P[c, to] - np.diag(P) - P[c, d]
+        over_vu = P[to, c] + P[d, to] - np.diag(P) - P[d, c]
+        joint = rel_u + rel_v + cost_scale * (e_uv * over_uv + e_vu * over_vu)
         joint[c] = -np.inf
         joint[d] = -np.inf
         f = int(np.argmax(joint))
@@ -317,7 +334,7 @@ def naive_pair_gains(u, v, host, psi, graph, P, alpha, cost_scale):
     else:
         f = None
         gain_joint = -np.inf
-    return float(gain_u), float(gain_v), gain_joint, f
+    return float(rel_u[d]), float(rel_v[c]), gain_joint, f
 
 
 def naive_walk(graph, model, params, telemetry=None):

@@ -1,11 +1,12 @@
 """Pinned output bytes on datasets made by arithmetic and on a synthetic one.
 
 Integer edge weights and 0/1 prices make every sum the scorer and the walk
-hand to BLAS exact, so the outputs must not depend on which kernel OpenBLAS
-picks for the CPU.  The synthetic dataset has integer Zipf weights and 0/1
-prices too, so its files and a partition of it are pinned the same way.
-Float weights and prices make sums inexact; the scorer adds them without
-BLAS, so its report must not depend on the kernel either.
+make exact, so the outputs must not depend on which kernel OpenBLAS picks
+for the CPU.  The synthetic dataset has integer Zipf weights and 0/1 prices
+too, so its files and a partition of it are pinned the same way.  Float
+weights and prices make sums inexact; the scorer and the walk's kernel add
+them without BLAS, so a report and a walk's telemetry must not depend on
+the kernel either.
 Each command runs in a subprocess under a forced OPENBLAS_CORETYPE (a core
 type the CPU lacks is skipped), and the sha256 of each output file is
 compared with a digest committed here.
@@ -39,7 +40,7 @@ DIGESTS = {
     "partition/report.json":
         "a695cfddd6e8dc93ed95593d0ee242d12661c7a669e78660230159e38797d703",
     "partition/telemetry.jsonl":
-        "69362b4bc5b9937ecbf1c2a3051c46af16d306440d1f90387fa4445730468751",
+        "9722bb56bed83f2982bee048707033bcb0a3203acc6d140cbf63059462d734f6",
     "evaluate/report.json":
         "68169d9ad48f50f2dc70383480f7811a6de70552b48b585bca3c36d81ca3ce30",
     "sweep/sweep_alpha.csv":
@@ -73,8 +74,9 @@ def write_dataset(root):
 
 def write_priced_dataset(root):
     """write_dataset's tables with float edge weights and prices, which make
-    the scorer's sums inexact, so that their order shows in the last bits
-    of the report; and an assignment of every user."""
+    the scorer's and the walk's sums inexact, so that their order shows in
+    the last bits of the report and the telemetry's gains; and an assignment
+    of every user."""
     write_dataset(root)
     edges = [f"u{i},u{j},{(7 * i + 3 * j) % 61 / 13!r}\n"
              for i in range(N_USERS) for j in range(N_USERS) if (i * j + i + j) % 3 and i != j]
@@ -139,7 +141,7 @@ COORDINATE_DIGESTS = {
     "partition/report.json":
         "fb1ab9ea65905e7a47b2c45b79a0f4ab33c529dfc0bb032b7919b8a22efaa9cf",
     "partition/telemetry.jsonl":
-        "9bada5e4165424069ca3b618ec917d6dd8a83781d8c89eb26c28ce64e1900bf4",
+        "e242838553928e2c507b3eb3c45c12c9f9d1ca93ccf36c719cab46a8c2b19e8f",
     "sweep/sweep_providers.csv":
         "00d0e492bba8ba7aeeb81d0b39af38b831b60f1b60fd55ae583b4ef93a62d98b",
 }
@@ -178,6 +180,23 @@ def test_a_float_priced_report_matches_its_pinned_digest_on_each_blas_kernel(tmp
     assert hashlib.sha256(report).hexdigest() == PRICED_REPORT, report.decode()
 
 
+PRICED_TELEMETRY = "07102c714081868e567df59a05ac5cb38b14dde33bfb8e00ab9024331a71e4d9"
+
+
+@pytest.mark.parametrize("core_type", sorted(CORE_TYPES))
+def test_a_float_priced_walk_matches_its_pinned_telemetry_on_each_blas_kernel(tmp_path,
+                                                                             core_type):
+    # the walk's kernel does not multiply through BLAS: inexact gains get the
+    # same last bits whichever kernel OpenBLAS picks
+    if not all(__cpu_features__.get(f) for f in CORE_TYPES[core_type]):
+        pytest.skip(f"the CPU cannot run OpenBLAS's {core_type} kernels")
+    write_priced_dataset(tmp_path)
+    run_cli(tmp_path, core_type, "partition", "--telemetry", "--touched-budget", "1",
+            "--alpha", "0.6", "--output-dir", "partition")
+    telemetry = (tmp_path / "partition" / "telemetry.jsonl").read_bytes()
+    assert hashlib.sha256(telemetry).hexdigest() == PRICED_TELEMETRY, telemetry.decode()
+
+
 SYNTH_DIGESTS = {
     "synth/edges.csv":
         "dcdf8ea1bc52defebc11a5ff1885cce17bfd1adaa5613d635bd99b634206969c",
@@ -188,7 +207,7 @@ SYNTH_DIGESTS = {
     "partition/report.json":
         "1b1a02d879536d6fcd77c0bcb98399a7f82e34037ed72ec970aceaaa077e7f93",
     "partition/telemetry.jsonl":
-        "9c59fe96a3d56be801bc33047fbbe5b7045cd67ef6c8d6cda93ca1f04f8747d9",
+        "d28f8ae51b02e4ed00ff256a40601e3068272aba3d58973e534ddae41f83bc86",
 }
 
 

@@ -46,6 +46,30 @@ def summary(telemetry):
     return json.loads(telemetry.splitlines()[-1])
 
 
+@pytest.mark.parametrize("n_clouds", [1, 2, 3, 5, 8])
+def test_a_pair_scores_the_same_bits_in_any_batch(n_clouds):
+    # the windowed walk scores a pair in whatever round dirtied it, next to
+    # whichever pairs that round holds; its gains must not depend on them
+    graph, model = make_instance(n_clouds, n_users=120, n_clouds=n_clouds, n_edges=900,
+                                 pricing="random_intra", weight_scale=2.0)
+    rng = np.random.default_rng(n_clouds)
+    host = rng.integers(0, n_clouds, size=graph.n_users)
+    ca, cb, e_ab, e_ba = graph.connection_arrays()
+    psi = normalize_rows(preference_matrix(graph, model))
+    P = model.pricing.matrix
+
+    def score(pairs):
+        return partition._batch_gains(ca[pairs], cb[pairs], e_ab[pairs], e_ba[pairs], host,
+                                      psi, graph.friend_csr(), P, partition._pair_table(P),
+                                      0.37, 0.63 * 1.3)
+
+    alone = [score(np.array([i]))[0] for i in range(ca.size)]
+    assert ca.size > 300
+    for size in range(1, 301):
+        pairs = rng.choice(ca.size, size=size)
+        assert score(pairs) == [alone[i] for i in pairs]
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**16),
        n_users=st.integers(2, 14),
