@@ -8,7 +8,10 @@ stripped label among fields ks of those rows a code, in order of first
 appearance row after row, so that Python code runs once per distinct label
 rather than once per row.  Both tables intern the fields as they are;
 str.strip then runs once per distinct field, and fields that strip to one
-label share its code.
+label share its code.  ids(k, rows, index) gives the id of each stripped
+field k of those rows in a LabelIndex, the one lookup structure of labels
+known in advance (a graph's users, regions, clouds): an open-addressing
+table of the labels' 64-bit keys, sized to the labels, not to the fields.
 
 read_table reads a file's bytes once, into a buffer with room for a
 ByteTable's padding, so that they are never held twice.  When the only
@@ -22,17 +25,21 @@ index every byte of it, and int64 otherwise; sums over spans are int64.  It
 interns fields by a 64-bit key, gathered in one read per field: a field of
 up to 8 bytes is its own key, and a longer one is keyed by a hash of its
 bytes and checked byte for byte against the first field with its key; the
-few that differ (hash collisions) are interned through a dict.  It parses numbers
-a chunk of fields at a time.  A plain decimal (an optional sign, then 1 to
-19 digits and at most one dot) takes the word path: its bytes are gathered
-as three little-endian words, checked and converted eight digits per word
-with byte-parallel masks and multiplies, and its integer m over 10^f rounded
-exactly, by one float64 division when m <= 2^53 (Clinger's fast path) and
-otherwise by integer long division of m by 5^f, which gives float()'s value
-bit for bit.  The chunk's other fields are decoded in one str and read by
-float() itself, as a RowTable's fields are; when float() rejects one of
-them, only that chunk's other fields are read once more, one at a time, to
-mark it.
+few that differ (hash collisions) are interned through a dict.  It looks up
+a column's raw fields in a LabelIndex by those keys and their lengths,
+probing the table a round at a time, and checks a hit on a hashed key word
+by word; only the fields the index does not match, those with surrounding
+space and those of no label, are interned and stripped, and looked up by
+their str.  It parses numbers a chunk of fields at a time.  A plain decimal
+(an optional sign, then 1 to 19 digits and at most one dot) takes the word
+path: its bytes are gathered as three little-endian words, checked and
+converted eight digits per word with byte-parallel masks and multiplies, and
+its integer m over 10^f rounded exactly, by one float64 division when
+m <= 2^53 (Clinger's fast path) and otherwise by integer long division of m
+by 5^f, which gives float()'s value bit for bit.  The chunk's other fields
+are decoded in one str and read by float() itself, as a RowTable's fields
+are; when float() rejects one of them, only that chunk's other fields are
+read once more, one at a time, to mark it.
 A file with a quote, CR or NUL, and every in-memory record sequence
 (load_graph of records), goes through csv.reader instead, into a RowTable
 that keeps the fields as Python objects in one flat list.  Both read text
@@ -96,6 +103,10 @@ _BLOCK = 1 << 12
 # starts as int32, which index every byte of it; a longer one as int64
 _INT32_SPANS = 1 << 31
 _SPLIT = 1 << 20  # bytes ByteTable splits at a time, so that no mask is as long as the file
+_LABELS = 1 << 16  # labels a LabelIndex keys and places at a time
+# the bytes at a label's end that may be space to str.strip: ASCII space, and
+# any byte of a wider character
+_LOOSE = np.array([chr(b).isspace() or b >= 0x80 for b in range(256)])
 
 
 class Table:
@@ -119,11 +130,11 @@ class Table:
         start = int(self._row_first[i])
         return [self._field(f) for f in range(start, start + int(self.widths[i]))]
 
-    def ids(self, k, rows, lookup):
-        """lookup(labels) -> int64 ids, applied to the distinct stripped
-        labels of field k of rows and spread back over those rows."""
+    def ids(self, k, rows, index):
+        """int64 id in index, a LabelIndex, of field k of each of rows,
+        stripped; -1 for a label that index lacks."""
         codes, labels = self.intern((k,), rows)
-        return lookup(labels)[codes]
+        return index.ids(labels)[codes]
 
     def intern(self, ks, rows):
         """(int64 code of each of fields ks of rows, row after row; the
@@ -212,7 +223,7 @@ class ByteTable(Table):
         data += bytes(_PADDING)
         self._data = data
         self._bytes = np.frombuffer(data, dtype=np.uint8)
-        self._words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+        self._words = _word_view(data)
         dtype = np.int32 if len(data) < _INT32_SPANS else np.int64
         # the last block may reach into the padding, which holds no separator
         blocks = [(start, self._bytes[start:start + _SPLIT]) for start in range(0, size, _SPLIT)]
@@ -254,12 +265,17 @@ class ByteTable(Table):
     def _field(self, f):
         return self._data[self._begin[f]:self._end[f]].decode("utf-8")
 
-    def _word(self, begin, length, j):
-        """Bytes 8 j .. 8 j + 7 of spans longer than 8 j bytes, as
-        little-endian words, zero past each span's end."""
-        word = self._words[begin + 8 * j]
-        word &= _MASK[np.minimum(length - 8 * j, 8)]
-        return word
+    def ids(self, k, rows, index):
+        """int64 id in index, a LabelIndex, of field k of each of rows,
+        stripped; -1 for a label that index lacks.  Fields are found by their
+        raw bytes; only the rest, those with surrounding space and those of no
+        label, are interned, stripped and looked up by their str."""
+        found = index._find(self._words, *self._spans(self._index((k,), rows)))
+        miss = np.flatnonzero(found < 0)
+        if miss.size:
+            found[miss] = super().ids(k, miss if isinstance(rows, (int, np.integer)) else
+                                      rows[miss], index)
+        return found
 
     def _spans(self, index):
         """(begin, length) of the fields at flat indices."""
@@ -352,13 +368,9 @@ class ByteTable(Table):
         distinct fields in order of first appearance)."""
         begin, length = self._spans(self._index(ks, rows))
         n = begin.size
-        # a label of up to 8 bytes is its own key, since it holds no NUL; a
-        # longer one is keyed by its hash and checked byte for byte below
-        key = self._word(begin, length, 0)
-        long = np.flatnonzero(length > 8)
-        if long.size:
-            key[long] = _hash(length, ((sub, self._word(begin[sub], length[sub], j))
-                                       for j, sub in _by_word(length, long)))[long]
+        # a field holds no NUL, so one of up to 8 bytes is its own key; a
+        # longer one's key is a hash, checked byte for byte below
+        key = _keys(self._words, begin, length)
         # each span's representative: the first span with its key
         order, start = sorted_runs(key)
         del key
@@ -403,11 +415,170 @@ class ByteTable(Table):
         unlike = length != length[rep]
         check = np.flatnonzero(~unlike & (length > 8))
         check = check[rep[check] != check]
-        for j, sub in _by_word(length, check):
-            other = rep[sub]
-            unlike[sub] |= (self._word(begin[sub], length[sub], j)
-                            != self._word(begin[other], length[other], j))
+        unlike |= _differ(length, check, self._words, begin, rep, self._words, begin)
         return np.flatnonzero(unlike)
+
+
+class LabelIndex:
+    """The id of each of a sequence of distinct str labels, its position,
+    found by the label's UTF-8 bytes.
+
+    The bytes are held in one buffer, at an explicit span per label, so a
+    label may hold any character.  Each label is keyed as a ByteTable
+    interns a field, and stored in an open-addressing table, a power of two
+    in size and at most half full, at the first free slot from its key's
+    Fibonacci hash on (linear probing).  A lookup probes a round at a time:
+    a slot's label is found when its key and its length match and, for a
+    key that is a hash, its words too; an empty slot ends the probe.  Of
+    equal labels the last is found, as in a dict.  A label that str.strip
+    changes is left out, since every lookup is of a stripped field.
+    """
+
+    def __init__(self, labels):
+        labels, data, self._begin, length = _encoded(labels)
+        self._words = _word_view(data)
+        n = length.size
+        # the entries past the labels' stand for an empty slot, -1: no span
+        # has length -1
+        self._length = np.full(n + 1, -1, dtype=length.dtype)
+        self._length[:n] = length
+        self._key = np.zeros(n + 1, dtype=np.uint64)
+        # whether a hit may be on a hash key, whose bytes must be checked
+        self._long = bool((length > 8).any())
+        del length
+        bits = max(1, (2 * n - 1).bit_length())
+        self._shift = np.uint64(64 - bits)
+        self._mask = (1 << bits) - 1
+        self._label = np.full(1 << bits, -1, dtype=np.int64)  # each slot's label
+        # a block of labels at a time, the last block first, so that no
+        # temporary spans them all, and of equal labels the last is placed
+        # nearest its home
+        for stop in range(n, 0, -_LABELS):
+            start = max(stop - _LABELS, 0)
+            begin, length = self._begin[start:stop], self._length[start:stop]
+            key = self._key[start:stop] = _keys(self._words, begin, length)
+            # a label ends in a byte that may be space only where it is
+            # ASCII space or part of a wider character, and str.strip
+            # settles those; an empty label's ends are the NULs around it
+            keep = np.ones(stop - start, dtype=bool)
+            loose = _LOOSE[data[begin]] | _LOOSE[data[begin + length - 1]]
+            for i in np.flatnonzero(loose).tolist():
+                keep[i] = labels[start + i] == labels[start + i].strip()
+            # a round places each pending label at its slot if that is free,
+            # one of those that share it; the others probe the next slot.
+            # Equal labels probe in step, and the last wins each slot
+            pending = np.flatnonzero(keep)
+            slot = self._home(key[pending])
+            pending += start
+            while pending.size:
+                free = self._label[slot] < 0
+                self._label[slot[free]] = pending[free]
+                lost = self._label[slot] != pending
+                pending, slot = pending[lost], (slot[lost] + 1) & self._mask
+
+    def ids(self, labels):
+        """int64 id of each of a sequence of labels, -1 for one that is not
+        held or not a str."""
+        _, data, begin, length = _encoded(labels)
+        return self._find(_word_view(data), begin, length)
+
+    def _home(self, key):
+        """Each key's slot: the top bits of its product with _MIX."""
+        home = key * _MIX
+        home >>= self._shift
+        return home.view(np.int64)
+
+    def _find(self, words, begin, length):
+        """int64 id of the label with the bytes of each span (begin, length)
+        of the little-endian words of a buffer, -1 where no label has them."""
+        key = _keys(words, begin, length)
+        slot = self._home(key)
+        at = None  # the fields that probe on, from the second round
+        while True:
+            label = self._label[slot]
+            held = self._length[label]
+            hit = held == length
+            hit &= self._key[label] == key
+            if self._long:  # a hash key that matches while the bytes differ probes on
+                check = np.flatnonzero(hit & (length > 8))
+                if check.size:
+                    hit &= ~_differ(length, check, words, begin, label, self._words, self._begin)
+            # a field that probes on is written again in a later round
+            if at is None:
+                found = np.where(hit, label, -1)
+            else:
+                found[at] = np.where(hit, label, -1)
+            on = np.flatnonzero(~hit & (held >= 0))
+            if not on.size:
+                return found
+            at = on if at is None else at[on]
+            slot, key = (slot[on] + 1) & self._mask, key[on]
+            begin, length = begin[on], length[on]
+
+
+def _encoded(labels):
+    """(the labels, each that is not a str as " ", which no LabelIndex holds;
+    a uint8 array of their UTF-8 bytes, each followed by a NUL and padded as
+    a ByteTable's; begin and length of each one's bytes, int32 when the array
+    is under 2 GiB).  A lone surrogate is encoded as surrogatepass does, as
+    bytes no UTF-8 text holds."""
+    n = len(labels)
+    try:
+        text = "\0".join(labels)
+    except TypeError:  # a label that is not a str
+        labels = [x if isinstance(x, str) else " " for x in labels]
+        text = "\0".join(labels)
+    data = (text + "\0" * (1 + _PADDING)).encode("utf-8", "surrogatepass")
+    del text
+    end = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0)
+    if end.size != n + _PADDING:  # a label holds a NUL
+        parts = [label.encode("utf-8", "surrogatepass") + b"\0" for label in labels]
+        data = b"".join(parts) + bytes(_PADDING)
+        end = np.cumsum(np.fromiter(map(len, parts), dtype=np.int64, count=n)) - 1
+    end = end[:n].astype(np.int32 if len(data) < _INT32_SPANS else np.int64)
+    begin = np.empty_like(end)
+    begin[:1] = 0
+    np.add(end[:-1], 1, out=begin[1:])
+    end -= begin
+    return labels, np.frombuffer(data, dtype=np.uint8), begin, end
+
+
+def _word_view(data):
+    """The little-endian word at each byte of a buffer but its last 7."""
+    return np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+
+
+def _word(words, begin, length, j):
+    """Bytes 8 j .. 8 j + 7 of spans longer than 8 j bytes, as little-endian
+    words, zero past each span's end."""
+    if j:
+        begin, length = begin + 8 * j, length - 8 * j
+    word = words[begin]
+    word &= _MASK[np.minimum(length, 8)]
+    return word
+
+
+def _keys(words, begin, length):
+    """The 64-bit key of each span: its bytes when it has at most 8, and
+    otherwise their hash.  Spans of one key and one length hold equal bytes
+    when they are short: their words are zero past their ends."""
+    key = _word(words, begin, length, 0)
+    long = np.flatnonzero(length > 8)
+    if long.size:
+        key[long] = _hash(length, ((sub, _word(words, begin[sub], length[sub], j))
+                                   for j, sub in _by_word(length, long)))[long]
+    return key
+
+
+def _differ(length, check, words, begin, twin, twin_words, twin_begin):
+    """Mask of the spans (begin, length) of words at indices check whose
+    bytes differ from those of span twin[i] of twin_words, at twin_begin,
+    of the same length."""
+    differ = np.zeros(length.size, dtype=bool)
+    for j, sub in _by_word(length, check):
+        differ[sub] |= (_word(words, begin[sub], length[sub], j)
+                        != _word(twin_words, twin_begin[twin[sub]], length[sub], j))
+    return differ
 
 
 def _parsed(column):
@@ -606,11 +777,6 @@ def stripped(column):
         return list(map(str.strip, column))
     except TypeError:
         return [x.strip() if isinstance(x, str) else None for x in column]
-
-
-def ids_of(ids, labels):
-    """int64 array of ids[label] per label, -1 where ids has no entry."""
-    return np.fromiter(map(ids.get, labels, repeat(-1)), dtype=np.int64, count=len(labels))
 
 
 def last_of_each(keys):

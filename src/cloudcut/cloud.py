@@ -37,11 +37,9 @@ each read; the pipeline never reads them.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
-from ._table import ids_of, last_of_each, read_table, refuse, repeats, write_table
+from ._table import LabelIndex, last_of_each, read_table, refuse, repeats, write_table
 from .errors import ParseError, ValidationError
 
 
@@ -103,7 +101,7 @@ class PricingMatrix:
         messages.append(lambda row: "prices must be finite and non-negative")
         refuse(table, k, list(zip(broken, messages)),
                lambda row: f"expected {n + 1} fields, got {len(row)}")
-        order = table.ids(0, rows, partial(ids_of, dict(zip(header, range(n)))))
+        order = table.ids(0, rows, LabelIndex(header))
         if not np.array_equal(order, np.arange(n)):
             raise ParseError("pricing row labels must match header order", table.n_rows)
         return tuple(header), cls(prices.T.copy())
@@ -438,11 +436,10 @@ def load_affinities(path, graph, region_labels, ignore_unknown_users=False):
     unchecked, which a sampled graph needs when the file covers its parent;
     an unknown region in any other row is still refused.
     """
-    region_ids = {lab: i for i, lab in enumerate(region_labels)}
     table = read_table(path)
     n = table.prefix(4)
-    user = table.ids(0, n, graph.user_ids)
-    region = table.ids(1, n, partial(ids_of, region_ids))
+    user = table.ids(0, n, graph.label_index)
+    region = table.ids(1, n, LabelIndex(region_labels))
     (download, upload), (bad_download, bad_upload) = table.floats((2, 3), n)
     known = user >= 0
     refuse(table, n, _user_rules(known, [
@@ -471,14 +468,13 @@ def load_profiles(path, graph, region_labels=None, ignore_unknown_users=False):
     unchecked; an unknown region in any other row is still refused.
     """
     home = np.full(graph.n_users, -1, dtype=np.int64)
-    region_ids = {lab: i for i, lab in enumerate(region_labels or ())}
     table = read_table(path)
     n = table.prefix(3, 4)
-    user = table.ids(0, n, graph.user_ids)
+    user = table.ids(0, n, graph.label_index)
     (volume, weight), (bad_volume, bad_weight) = table.floats((1, 2), n)
     with_region = np.flatnonzero(table.widths[:n] == 4)
     region = np.zeros(n, dtype=np.int64)
-    region[with_region] = table.ids(3, with_region, partial(ids_of, region_ids))
+    region[with_region] = table.ids(3, with_region, LabelIndex(region_labels or ()))
     known = user >= 0
     refuse(table, n, _user_rules(known, [
         (bad_volume | bad_weight, lambda row: "bad profile value"),

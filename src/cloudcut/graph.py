@@ -31,8 +31,10 @@ reads them back into the CSR, a block of records at a time.  Slot s starts
 at record s or later, so the CSR's neighbour column is written over the words
 and the edge mask over the bools, which are then shrunk to one entry a slot.
 The loaders hand their endpoint arrays over to the build, which frees them
-once the words are made, and the label dict is built on the first user_ids
-call.
+once the words are made.  The label index (a LabelIndex, which user_ids and
+the side-table loaders look labels up in) is built on first use: load_graph
+builds it once the build's arrays are freed, and a synthetic graph, which no
+file names by label, never does.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import RowTable, ids_of, read_table, refuse, write_table
+from ._table import LabelIndex, RowTable, read_table, refuse, write_table
 from .errors import ValidationError
 
 # the width in bits of the graph build's packed sort word (see _sorted_words)
@@ -113,7 +115,7 @@ class SocialGraph:
         # distinct keys, in (row, col) order, are the friend CSR's slots
         self._friends, self._is_edge = _slots(*_sorted_words(ends, n), n, weight)
         self._labels = labels
-        self._ids = None  # the label dict, made on the first user_ids call
+        self._index = None  # the LabelIndex of the labels, made on first use
         for arr in (*self._friends, self._is_edge):
             arr.setflags(write=False)
 
@@ -131,12 +133,17 @@ class SocialGraph:
     def labels(self):
         return self._labels
 
+    @property
+    def label_index(self):
+        """The LabelIndex of the users' labels, built on first use."""
+        if self._index is None:
+            self._index = LabelIndex(self._labels)
+        return self._index
+
     def user_ids(self, labels):
         """int64 array of the ids of a sequence of labels, -1 for a label
         not in the graph."""
-        if self._ids is None:
-            self._ids = dict(zip(self._labels, range(self.n_users)))
-        return ids_of(self._ids, labels)
+        return self.label_index.ids(labels)
 
     def label_of(self, user):
         return self._labels[user]
@@ -405,7 +412,7 @@ def load_graph(source):
     del table, bad_weight, blank, codes, src, dst
     graph = SocialGraph(labels, ends, None, weight)
     # the side tables and assignments of a loaded graph name its users by
-    # label: its label dict is made now, when the build's arrays are freed,
+    # label: its label index is made now, when the build's arrays are freed,
     # and not on top of the first side table's ingest
     graph.user_ids(())
     return graph

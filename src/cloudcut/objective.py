@@ -27,11 +27,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
-from ._table import ids_of, read_table, refuse, repeats, write_table
+from ._table import LabelIndex, read_table, refuse, repeats, write_table
 from .cloud import normalize_rows, preference_matrix
 from .errors import ValidationError
 
@@ -83,9 +82,8 @@ class Assignment:
         """Inverse of to_csv: every user exactly once, labels stripped."""
         table = read_table(path)
         n = table.prefix(2)
-        user = table.ids(0, n, graph.user_ids)
-        cloud_index = {lab: c for c, lab in enumerate(model.cloud_labels)}
-        cloud = table.ids(1, n, partial(ids_of, cloud_index))
+        user = table.ids(0, n, graph.label_index)
+        cloud = table.ids(1, n, LabelIndex(model.cloud_labels))
         refuse(table, n, [
             (user < 0, lambda row: f"unknown user label {row[0].strip()!r}"),
             (repeats(user), lambda row: f"duplicate user {row[0]!r}"),

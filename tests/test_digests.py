@@ -8,8 +8,10 @@ weights and prices make sums inexact; the scorer and the walk's kernel add
 them without BLAS, so a report and a walk's telemetry must not depend on
 the kernel either.
 Each command runs in a subprocess under a forced OPENBLAS_CORETYPE (a core
-type the CPU lacks is skipped), and the sha256 of each output file is
-compared with a digest committed here.
+type the CPU lacks is skipped), and the float-priced ones also with numpy's
+own SIMD dispatch held below X86_V4 and below X86_V3 (NPY_DISABLE_CPU_FEATURES;
+a level the CPU or numpy lacks is skipped).  The sha256 of each output file
+is compared with a digest committed here.
 """
 
 import hashlib
@@ -23,9 +25,9 @@ import pytest
 import cloudcut
 
 try:
-    from numpy._core._multiarray_umath import __cpu_features__
+    from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_features__
 except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__
+    from numpy.core._multiarray_umath import __cpu_baseline__, __cpu_features__
 
 N_USERS = 40
 N_REGIONS = 6
@@ -33,6 +35,10 @@ N_CLOUDS = 3
 
 # the CPU features each forced OpenBLAS core type needs
 CORE_TYPES = {"Prescott": ("SSE3",), "Haswell": ("AVX2", "FMA3")}
+# numpy's own SIMD dispatch levels below the CPU's: each is named by the
+# level it drops below, and turns off the features of that level and up
+SIMD_LEVELS = {"X86_V4": "X86_V4 AVX512_ICL AVX512_SPR",
+               "X86_V3": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"}
 
 DIGESTS = {
     "partition/assignment.csv":
@@ -101,18 +107,23 @@ def write_coordinate_dataset(root):
                 for r in range(N_REGIONS)), encoding="utf-8")
 
 
-def run_cli(root, core_type, *argv, affinities=True):
+def run_cli(root, core_type, *argv, affinities=True, simd_off=None):
     inputs = ["--edges", "edges.csv", "--regions", "regions.csv", "--pricing", "pricing.csv",
               "--profiles", "profiles.csv"]
     if affinities:
         inputs += ["--affinities", "affinities.csv"]
-    run_command(root, core_type, *argv, *inputs)
+    run_command(root, core_type, *argv, *inputs, simd_off=simd_off)
 
 
-def run_command(root, core_type, *argv):
+def run_command(root, core_type, *argv, simd_off=None):
+    """Run the CLI under a forced OpenBLAS core type and, if simd_off names
+    any, with those numpy SIMD features turned off."""
     env = dict(os.environ, OPENBLAS_CORETYPE=core_type, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(cloudcut.__file__).parents[1]))
     env.pop("CLOUDCUT_OUTPUT_DIR", None)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if simd_off:
+        env["NPY_DISABLE_CPU_FEATURES"] = simd_off
     done = subprocess.run(
         [sys.executable, "-c", "import sys; from cloudcut.cli import main; "
                                "sys.exit(main(sys.argv[1:]))", *argv],
@@ -180,6 +191,27 @@ def test_a_float_priced_report_matches_its_pinned_digest_on_each_blas_kernel(tmp
     assert hashlib.sha256(report).hexdigest() == PRICED_REPORT, report.decode()
 
 
+def skip_unless_simd_level(level):
+    """Skip a level the CPU does not reach, or one numpy does not dispatch
+    to: a feature it does not know, or one of its baseline."""
+    features = SIMD_LEVELS[level].split()
+    if not __cpu_features__.get(level):
+        pytest.skip(f"the CPU lacks {level}")
+    if not set(features) <= set(__cpu_features__) or set(features) & set(__cpu_baseline__):
+        pytest.skip(f"numpy does not dispatch to {level}")
+
+
+@pytest.mark.parametrize("level", sorted(SIMD_LEVELS))
+def test_a_float_priced_report_matches_its_pinned_digest_below_each_simd_level(tmp_path, level):
+    # evaluate's sums must not depend on the vector width numpy picks either
+    skip_unless_simd_level(level)
+    write_priced_dataset(tmp_path)
+    run_cli(tmp_path, "Prescott", "evaluate", "assignment.csv", "--alpha", "0.3",
+            "--output-dir", "evaluate", simd_off=SIMD_LEVELS[level])
+    report = (tmp_path / "evaluate" / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == PRICED_REPORT, report.decode()
+
+
 PRICED_TELEMETRY = "07102c714081868e567df59a05ac5cb38b14dde33bfb8e00ab9024331a71e4d9"
 
 
@@ -193,6 +225,17 @@ def test_a_float_priced_walk_matches_its_pinned_telemetry_on_each_blas_kernel(tm
     write_priced_dataset(tmp_path)
     run_cli(tmp_path, core_type, "partition", "--telemetry", "--touched-budget", "1",
             "--alpha", "0.6", "--output-dir", "partition")
+    telemetry = (tmp_path / "partition" / "telemetry.jsonl").read_bytes()
+    assert hashlib.sha256(telemetry).hexdigest() == PRICED_TELEMETRY, telemetry.decode()
+
+
+@pytest.mark.parametrize("level", sorted(SIMD_LEVELS))
+def test_a_float_priced_walk_matches_its_pinned_telemetry_below_each_simd_level(tmp_path,
+                                                                               level):
+    skip_unless_simd_level(level)
+    write_priced_dataset(tmp_path)
+    run_cli(tmp_path, "Prescott", "partition", "--telemetry", "--touched-budget", "1",
+            "--alpha", "0.6", "--output-dir", "partition", simd_off=SIMD_LEVELS[level])
     telemetry = (tmp_path / "partition" / "telemetry.jsonl").read_bytes()
     assert hashlib.sha256(telemetry).hexdigest() == PRICED_TELEMETRY, telemetry.decode()
 

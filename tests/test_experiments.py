@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cloudcut import AffinityTable, ExperimentConfig, ValidationError, build_dataset
 from cloudcut import cloud as cloudmod
 from cloudcut import objective, partition
+from cloudcut._table import LabelIndex
 from cloudcut.cli import main
 from cloudcut.experiments import (
     ALGORITHMS,
@@ -343,6 +344,47 @@ def test_each_command_builds_one_preference_table_per_cloud_count(tmp_path, caps
     argv = [command, *extra, *SMALL, "--output-dir", str(tmp_path / "o")]
     assert run_cli(argv, capsys)[0] == 0
     assert sorted(calls) == list(range(4 - tables, 4))
+
+
+def counted_label_indexes(monkeypatch):
+    """The labels of each LabelIndex built from now on."""
+    built = []
+    init = LabelIndex.__init__
+
+    def counted(self, labels):
+        built.append(tuple(labels))
+        init(self, labels)
+
+    monkeypatch.setattr(LabelIndex, "__init__", counted)
+    return built
+
+
+def test_a_synthetic_partition_builds_no_label_index(tmp_path, capsys, monkeypatch):
+    # partition_synth_3e5's job: a synthetic graph, and only a regions file
+    assert run_cli(["synth", *SMALL, "--output-dir", str(tmp_path / "s")], capsys)[0] == 0
+    built = counted_label_indexes(monkeypatch)
+    argv = ["partition", "--users", "50", "--mean-degree", "3", "--seed", "1",
+            "--regions", str(tmp_path / "s" / "regions.csv"), "--output-dir", str(tmp_path / "p")]
+    assert run_cli(argv, capsys)[0] == 0
+    assert built == []
+
+
+def test_evaluate_over_six_files_builds_the_user_index_once(tmp_path, capsys, monkeypatch):
+    s = tmp_path / "s"
+    assert run_cli(["synth", *SMALL, "--output-dir", str(s)], capsys)[0] == 0
+    users = [row[0] for row in csv.reader(io.StringIO((s / "profiles.csv").read_text()))]
+    regions = [row[0] for row in csv.reader(io.StringIO((s / "regions.csv").read_text()))]
+    (s / "affinities.csv").write_text("".join(
+        f"{u},{regions[i % len(regions)]},0.5,0.25\n" for i, u in enumerate(users)))
+    files = [f"--{flag}={s / name}.csv" for flag, name in (
+        ("edges", "edges"), ("regions", "regions"), ("pricing", "pricing"),
+        ("profiles", "profiles"), ("affinities", "affinities"))]
+    assert run_cli(["partition", *files, "--output-dir", str(tmp_path / "p")], capsys)[0] == 0
+    built = counted_label_indexes(monkeypatch)
+    argv = ["evaluate", str(tmp_path / "p" / "assignment.csv"), *files,
+            "--output-dir", str(tmp_path / "e")]
+    assert run_cli(argv, capsys)[0] == 0
+    assert [len(labels) for labels in built if set(labels) == set(users)] == [len(users)]
 
 
 def test_cli_reads_config_document(tmp_path, capsys):

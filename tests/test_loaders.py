@@ -92,6 +92,30 @@ def graph():
     return load_graph([("a", "b", 1.0), ("b", "c", 2.0), ("d", "a", 0.5)])
 
 
+# a second graph, loaded from records, with labels longer than a word and
+# exactly a word long, not ASCII, holding a comma, a quote or a newline, and
+# two that differ only by a NUL.  A file without the labels that need quotes
+# or hold a NUL takes the byte path, where labels past a word are found by
+# a hash and checked word by word
+PLAIN_ODD_USERS = ("long-label-user-1", "long-label-user-2", "8 bytes!", "ünïcødé", "用户",
+                   "a")
+ODD_USERS = PLAIN_ODD_USERS + ("a,b", 'q"t', "n\nl", "a\x00")
+PLAIN_ODD_BAD_USERS = ("", "long-label-user-3", "8 bytes?", "ü", "x" * 100_000)
+
+
+def odd_users():
+    """(good labels; (good labels, some with stray whitespace; bad labels))
+    of the second graph's users: a file draws either only labels that leave
+    it on the byte path, or any of them."""
+    return st.sampled_from([
+        (PLAIN_ODD_USERS, labels(PLAIN_ODD_USERS, PLAIN_ODD_BAD_USERS)),
+        (ODD_USERS, labels(ODD_USERS, PLAIN_ODD_BAD_USERS + ("a\x00\x00", "c,d")))])
+
+
+def odd_graph():
+    return load_graph([(u, v, 1.0) for u, v in zip(ODD_USERS, ODD_USERS[1:] + ODD_USERS[:1])])
+
+
 def model():
     return CloudModel(CLOUDS, REGIONS, [0, 1, 1], PricingMatrix.uniform(2),
                       AffinityTable(np.zeros((4, 3)), np.zeros((4, 3))),
@@ -174,9 +198,21 @@ def test_load_graph_matches_the_per_row_loader(tmp_path_factory, data, lines, as
                            (NUMBER, BAD_NUMBER)), max_size=12),
        ignore=st.booleans())
 def test_load_affinities_matches_the_per_row_loader(tmp_path_factory, data, lines, ignore):
+    check_load_affinities(tmp_path_factory, data, lines, ignore, graph())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), users=odd_users(), ignore=st.booleans())
+def test_load_affinities_matches_the_per_row_loader_on_unusual_labels(tmp_path_factory, data,
+                                                                      users, ignore):
+    lines = data.draw(st.lists(rows(users[1], (REGION, BAD_REGION), (NUMBER, BAD_NUMBER),
+                                    (NUMBER, BAD_NUMBER)), max_size=12))
+    check_load_affinities(tmp_path_factory, data, lines, ignore, odd_graph())
+
+
+def check_load_affinities(tmp_path_factory, data, lines, ignore, g):
     path = tmp_path_factory.mktemp("aff") / "affinities.csv"
     path.write_text(data.draw(csv_text(lines)), encoding="utf-8", newline="")
-    g = graph()
     assert_same(outcome(load_affinities, path, g, REGIONS, ignore_unknown_users=ignore),
                 outcome(naive_load_affinities, path, g, REGIONS, ignore_unknown_users=ignore),
                 lambda table: (table.download, table.upload))
@@ -199,9 +235,13 @@ def test_load_profiles_computes_defaults_only_for_an_unlisted_user(tmp_path, mon
                                                           [0.5, 1.0, 1.0, 1.0], 1)
 
 
-PROFILE_ROWS = st.one_of(
-    rows((USER, BAD_USER), (NUMBER, BAD_NUMBER), (NUMBER, BAD_NUMBER)),
-    rows((USER, BAD_USER), (NUMBER, BAD_NUMBER), (NUMBER, BAD_NUMBER), (REGION, BAD_REGION)))
+def profile_rows(users):
+    return st.one_of(
+        rows(users, (NUMBER, BAD_NUMBER), (NUMBER, BAD_NUMBER)),
+        rows(users, (NUMBER, BAD_NUMBER), (NUMBER, BAD_NUMBER), (REGION, BAD_REGION)))
+
+
+PROFILE_ROWS = profile_rows((USER, BAD_USER))
 
 
 @settings(max_examples=150, deadline=None)
@@ -209,9 +249,21 @@ PROFILE_ROWS = st.one_of(
        ignore=st.booleans(), regions=st.sampled_from([REGIONS, None]))
 def test_load_profiles_matches_the_per_row_loader(tmp_path_factory, data, lines, ignore,
                                                   regions):
+    check_load_profiles(tmp_path_factory, data, lines, ignore, regions, graph())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), users=odd_users(), ignore=st.booleans(),
+       regions=st.sampled_from([REGIONS, None]))
+def test_load_profiles_matches_the_per_row_loader_on_unusual_labels(tmp_path_factory, data,
+                                                                    users, ignore, regions):
+    lines = data.draw(st.lists(profile_rows(users[1]), max_size=12))
+    check_load_profiles(tmp_path_factory, data, lines, ignore, regions, odd_graph())
+
+
+def check_load_profiles(tmp_path_factory, data, lines, ignore, regions, g):
     path = tmp_path_factory.mktemp("prof") / "profiles.csv"
     path.write_text(data.draw(csv_text(lines)), encoding="utf-8", newline="")
-    g = graph()
     assert_same(outcome(load_profiles, path, g, regions, ignore_unknown_users=ignore),
                 outcome(naive_load_profiles, path, g, regions, ignore_unknown_users=ignore),
                 lambda arrays: arrays)
@@ -222,13 +274,29 @@ def test_load_profiles_matches_the_per_row_loader(tmp_path_factory, data, lines,
        extra=st.lists(st.tuples(st.integers(0, 4),
                                 rows((USER, BAD_USER), (CLOUD, BAD_CLOUD))), max_size=3))
 def test_read_assignment_matches_the_per_row_loader(tmp_path_factory, data, order, extra):
+    check_read_assignment(tmp_path_factory, data, order, extra, graph())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), users=odd_users())
+def test_read_assignment_matches_the_per_row_loader_on_unusual_labels(tmp_path_factory, data,
+                                                                      users):
+    # rows for only the labels that keep the file on the byte path leave
+    # users out, and the loader names the first of them
+    order = data.draw(st.permutations(users[0]))
+    extra = data.draw(st.lists(st.tuples(st.integers(0, len(order)),
+                                         rows(users[1], (CLOUD, BAD_CLOUD))), max_size=3))
+    check_read_assignment(tmp_path_factory, data, order, extra, odd_graph())
+
+
+def check_read_assignment(tmp_path_factory, data, order, extra, g):
     # a valid assignment, then a few rows put in anywhere
     lines = [[u, data.draw(CLOUD)] for u in order]
     for at, row in extra:
         lines.insert(at, row)
     path = tmp_path_factory.mktemp("asg") / "assignment.csv"
     path.write_text(data.draw(csv_text(lines)), encoding="utf-8", newline="")
-    g, m = graph(), model()
+    m = model()
     assert_same(outcome(Assignment.from_csv, path, g, m),
                 outcome(naive_read_assignment, path, g, m),
                 lambda a: (a.host,))
@@ -671,6 +739,70 @@ def test_interning_stays_exact_when_every_hash_collides(monkeypatch):
         want_codes, want_distinct = want.intern(ks, rows)
         assert same_arrays(codes, want_codes)
         assert distinct == want_distinct
+
+
+# labels past a word (two of one length), exactly a word long, short,
+# empty, not ASCII, holding a comma or a newline, a lone surrogate, and two
+# that differ only by a NUL; and lookups of them, of near misses and of
+# labels with surrounding space
+INDEXED = ["long-label-1", "long-label-2", "x" * 100, "abcdefgh", "abcdefghi", "", "a", "a\x00",
+           "ünïcødé", "a,b", "n\nl", "\udc80",
+           *(f"label-{i % 7}{'-' * (i % 5)}" for i in range(35))]
+LOOKUPS = INDEXED + ["long-label-3", " long-label-1 ", "abcdefgi", "b", "a\x00\x00", "\u3000a",
+                     "ü", "x" * 99]
+
+
+def dict_ids(labels, lookups):
+    """The dict oracle: the id of each lookup, the last of equal labels."""
+    ids = {label: i for i, label in enumerate(labels)}
+    return [ids.get(x, -1) for x in lookups]
+
+
+@pytest.mark.parametrize("collide", ["hash", "slot"])
+def test_label_lookups_stay_exact_when_every_key_or_every_home_slot_collides(monkeypatch,
+                                                                            collide):
+    if collide == "hash":
+        monkeypatch.setattr(_table, "_hash",
+                            lambda length, words: np.zeros(length.size, np.uint64))
+    else:
+        monkeypatch.setattr(_table.LabelIndex, "_home",
+                            lambda self, key: np.zeros(key.size, dtype=np.int64))
+    index = _table.LabelIndex(INDEXED)
+    assert index.ids(LOOKUPS).tolist() == dict_ids(INDEXED, LOOKUPS)
+    # a column of fields, found by their bytes, or stripped and found by
+    # their str, on both table paths
+    fields = [x for x in LOOKUPS if x.isprintable() and not set(x) & set(',"')]
+    text = "".join(f"{x},0\n" for x in fields)
+    want = dict_ids(INDEXED, [x.strip() for x in fields])
+    for table in (ByteTable(text.encode()), RowTable(csv.reader(io.StringIO(text)))):
+        assert table.ids(0, len(fields), index).tolist() == want
+        rows = np.arange(len(fields))[::-2]
+        assert table.ids(0, rows, index).tolist() == [want[i] for i in rows]
+
+
+@pytest.mark.parametrize("block", [2, 1 << 16])
+def test_of_equal_labels_the_last_is_found_as_in_a_dict(monkeypatch, block):
+    # placed a block of labels at a time, equal labels in different blocks too
+    monkeypatch.setattr(_table, "_LABELS", block)
+    labels = ["a", "b", "a", "long-label-1", "x", "long-label-1", "a"]
+    lookups = ["a", "b", "long-label-1", "x", "c", None, 3]
+    assert _table.LabelIndex(labels).ids(lookups).tolist() == dict_ids(labels, lookups)
+    # a label that is not a str is held as none, and found by no lookup
+    index = _table.LabelIndex([0, "a", None, "b"])
+    assert index.ids(["0", "a", "None", "b", " "]).tolist() == [-1, 1, -1, 3, -1]
+
+
+def test_a_label_that_strip_changes_is_never_found(tmp_path):
+    # every lookup is of a stripped field, which no such label equals
+    regions = (" r0", "r1\u3000", "r2", "\x85")
+    assert _table.LabelIndex(regions).ids([*regions, "r0", "r1"]).tolist() == [-1, -1, 2, -1,
+                                                                               -1, -1]
+    path = tmp_path / "affinities.csv"
+    for text in ("b,r2,1,1\na, r0,1,1\n", "a,r1\u3000,1,1\n"):
+        path.write_text(text, encoding="utf-8")
+        assert_same(outcome(load_affinities, path, graph(), regions),
+                    outcome(naive_load_affinities, path, graph(), regions),
+                    lambda table: (table.download, table.upload))
 
 
 def test_region_loader_names_the_line_of_a_duplicate_in_the_last_row(tmp_path):
