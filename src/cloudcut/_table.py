@@ -21,16 +21,19 @@ each block's separators, so that the second writes every field's end into
 one array, and no mask is longer than a block.  It keeps each field as a
 (begin, end) span into the buffer, with no Python object per field.  Spans
 and row starts are int32 when the padded buffer is under 2 GiB, so that they
-index every byte of it, and int64 otherwise; sums over spans are int64.  It
-interns fields by a 64-bit key, gathered in one read per field: a field of
+index every byte of it, and int64 otherwise; sums over spans are int64.
+Fields are keyed by a 64-bit key, gathered in one read per field: a field of
 up to 8 bytes is its own key, and a longer one is keyed by a hash of its
-bytes and checked byte for byte against the first field with its key; the
-few that differ (hash collisions) are interned through a dict.  It looks up
-a column's raw fields in a LabelIndex by those keys and their lengths,
-probing the table a round at a time, and checks a hit on a hashed key word
-by word; only the fields the index does not match, those with surrounding
-space and those of no label, are interned and stripped, and looked up by
-their str.  It parses numbers a chunk of fields at a time.  A plain decimal
+bytes.  It looks up a column's raw fields in a LabelIndex by those keys and
+their lengths, probing the table a round at a time, and checks a hit on a
+hashed key word by word, so that colliding fields probe on; only the fields
+the index does not match, those with surrounding space and those of no
+label, are interned and stripped, and looked up by their str.  It interns a
+column the same way, a block of fields at a time, into a LabelTable that
+starts empty: the fields of a block that it lacks become its next labels, in
+order of first appearance, and it keeps a copy of their bytes.  So only the
+codes span the column; the table scales with the distinct labels, the rest
+with a block.  It parses numbers a chunk of fields at a time.  A plain decimal
 (an optional sign, then 1 to 19 digits and at most one dot) takes the word
 path: its bytes are gathered as three little-endian words, checked and
 converted eight digits per word with byte-parallel masks and multiplies, and
@@ -103,7 +106,10 @@ _BLOCK = 1 << 12
 # starts as int32, which index every byte of it; a longer one as int64
 _INT32_SPANS = 1 << 31
 _SPLIT = 1 << 20  # bytes ByteTable splits at a time, so that no mask is as long as the file
-_LABELS = 1 << 16  # labels a LabelIndex keys and places at a time
+_LABELS = 1 << 14  # labels a LabelIndex keys and places, or fields a ByteTable interns, at a time
+# a LabelIndex slot: a label's key, id and length, read together by a probe
+_SLOT = np.dtype([("key", "<u8"), ("label", "<i4"), ("length", "<i4")])
+_ROOM = 1 << 10  # labels a LabelTable has room for, and bytes of them, before it first grows
 # the bytes at a label's end that may be space to str.strip: ASCII space, and
 # any byte of a wider character
 _LOOSE = np.array([chr(b).isspace() or b >= 0x80 for b in range(256)])
@@ -159,9 +165,13 @@ class Table:
         if isinstance(rows, (int, np.integer)):
             rows = slice(rows)
         first = self._row_first[rows]
-        index = first[None, :] + np.asarray(ks, dtype=first.dtype)[:, None]
-        values, bad = self._floats(index.ravel())
-        return values.reshape(index.shape), bad.reshape(index.shape)
+        values = np.zeros((len(ks), first.size))
+        bad = np.zeros((len(ks), first.size), dtype=bool)
+        for j, k in enumerate(ks):
+            for at in range(0, first.size, _FLOAT_CHUNK):
+                part = slice(at, at + _FLOAT_CHUNK)
+                values[j, part], bad[j, part] = self._floats(first[part] + k)
+        return values, bad
 
     def _index(self, ks, rows):
         """Flat indices of fields ks of the first `rows` rows, or of the rows
@@ -288,16 +298,13 @@ class ByteTable(Table):
         """(float() of the fields at flat indices, mask of those float()
         rejects, which read 0.0)."""
         begin, length = self._spans(index)
-        values = np.zeros(begin.size)
-        bad = np.zeros(begin.size, dtype=bool)
-        for at in range(0, begin.size, _FLOAT_CHUNK):
-            part = slice(at, at + _FLOAT_CHUNK)
-            read, value = self._decimals(begin[part], length[part])
-            values[part][read] = value
-            rest = np.flatnonzero(~read)
-            if rest.size:
-                rest += at
-                values[rest], bad[rest] = _parsed(self._texts(begin[rest], length[rest]))
+        values = np.zeros(index.size)
+        bad = np.zeros(index.size, dtype=bool)
+        read, value = self._decimals(begin, length)
+        values[read] = value
+        rest = np.flatnonzero(~read)
+        if rest.size:
+            values[rest], bad[rest] = _parsed(self._texts(begin[rest], length[rest]))
         return values, bad
 
     def _decimals(self, begin, length):
@@ -365,58 +372,24 @@ class ByteTable(Table):
 
     def _distinct(self, ks, rows):
         """(int64 code of each of fields ks of rows, row after row; the
-        distinct fields in order of first appearance)."""
-        begin, length = self._spans(self._index(ks, rows))
-        n = begin.size
-        # a field holds no NUL, so one of up to 8 bytes is its own key; a
-        # longer one's key is a hash, checked byte for byte below
-        key = _keys(self._words, begin, length)
-        # each span's representative: the first span with its key
-        order, start = sorted_runs(key)
-        del key
-        rep = np.empty(n, dtype=np.int64)
-        if n:
-            rep[order] = np.repeat(np.minimum.reduceat(order, start), np.diff(start, append=n))
-        del order
-        # each span's first equal span: its representative, or for the
-        # spans whose bytes differ from it, the first span with those bytes
-        first_of = rep
-        unlike = self._unlike(begin, length, rep)
-        if unlike.size:
-            seen = {}
-            for i in unlike.tolist():
-                span = bytes(self._data[begin[i]:begin[i] + length[i]])
-                first_of[i] = seen.setdefault(span, i)
-        is_first = np.zeros(n, dtype=bool)
-        is_first[first_of] = True
-        texts = self._texts(begin[is_first], length[is_first])
-        del begin, length
-        codes = np.cumsum(is_first)
-        codes -= 1
-        return codes[first_of], texts
+        distinct fields in order of first appearance, an Interned)."""
+        whole = isinstance(rows, (int, np.integer))
+        n_rows = int(rows) if whole else len(rows)
+        step = max(_LABELS // len(ks), 1)
+        codes = np.empty(n_rows * len(ks), dtype=np.int64)
+        index = LabelTable()
+        # a block of rows at a time, so that only the codes span every field
+        for at in range(0, n_rows, step):
+            part = slice(at, min(at + step, n_rows)) if whole else rows[at:at + step]
+            codes[at * len(ks):(at + step) * len(ks)] = index.add(
+                self._bytes, *self._spans(self._index(ks, part)))
+        return codes, index.interned()
 
     def _texts(self, begin, length):
         """The spans as str, in one decode: they are joined by newlines,
-        which no field holds.  The byte index has the spans' dtype: the
-        joined spans and their newlines are no longer than the buffer."""
-        step = length + 1
-        start = np.cumsum(step, dtype=step.dtype)
-        start -= step
-        index = np.repeat(begin - start, step)
-        index += np.arange(index.size, dtype=index.dtype)
-        joined = self._bytes.take(index)
-        del index
-        joined[start + step - 1] = ord("\n")
+        which no field holds."""
+        joined, _ = _joined(self._bytes, begin, length, _NEWLINE)
         return joined.tobytes().decode("utf-8").split("\n")[:-1]
-
-    def _unlike(self, begin, length, rep):
-        """Indices of the spans whose bytes differ from those of span rep,
-        where spans of up to 8 bytes with one key are known to be equal."""
-        unlike = length != length[rep]
-        check = np.flatnonzero(~unlike & (length > 8))
-        check = check[rep[check] != check]
-        unlike |= _differ(length, check, self._words, begin, rep, self._words, begin)
-        return np.flatnonzero(unlike)
 
 
 class LabelIndex:
@@ -427,54 +400,65 @@ class LabelIndex:
     label may hold any character.  Each label is keyed as a ByteTable
     interns a field, and stored in an open-addressing table, a power of two
     in size and at most half full, at the first free slot from its key's
-    Fibonacci hash on (linear probing).  A lookup probes a round at a time:
-    a slot's label is found when its key and its length match and, for a
-    key that is a hash, its words too; an empty slot ends the probe.  Of
-    equal labels the last is found, as in a dict.  A label that str.strip
-    changes is left out, since every lookup is of a stripped field.
+    Fibonacci hash on (linear probing).  A slot holds the label's key, id
+    and length, so that a probe reads one record.  A lookup probes a round
+    at a time: a slot's label is found when its key and its length match
+    and, for a key that is a hash, its words too; an empty slot ends the
+    probe.  Of equal labels the last is found, as in a dict.  A label that
+    str.strip changes is left out, since every lookup is of a stripped
+    field.  Ids and lengths are int32: no table holds 2**31 labels, nor a
+    label of 2 GiB.
     """
 
     def __init__(self, labels):
         labels, data, self._begin, length = _encoded(labels)
         self._words = _word_view(data)
         n = length.size
-        # the entries past the labels' stand for an empty slot, -1: no span
-        # has length -1
-        self._length = np.full(n + 1, -1, dtype=length.dtype)
-        self._length[:n] = length
-        self._key = np.zeros(n + 1, dtype=np.uint64)
         # whether a hit may be on a hash key, whose bytes must be checked
         self._long = bool((length > 8).any())
-        del length
-        bits = max(1, (2 * n - 1).bit_length())
-        self._shift = np.uint64(64 - bits)
-        self._mask = (1 << bits) - 1
-        self._label = np.full(1 << bits, -1, dtype=np.int64)  # each slot's label
+        self._size(n)
         # a block of labels at a time, the last block first, so that no
         # temporary spans them all, and of equal labels the last is placed
         # nearest its home
         for stop in range(n, 0, -_LABELS):
             start = max(stop - _LABELS, 0)
-            begin, length = self._begin[start:stop], self._length[start:stop]
-            key = self._key[start:stop] = _keys(self._words, begin, length)
+            begin = self._begin[start:stop]
             # a label ends in a byte that may be space only where it is
             # ASCII space or part of a wider character, and str.strip
             # settles those; an empty label's ends are the NULs around it
             keep = np.ones(stop - start, dtype=bool)
-            loose = _LOOSE[data[begin]] | _LOOSE[data[begin + length - 1]]
+            loose = _LOOSE[data[begin]] | _LOOSE[data[begin + length[start:stop] - 1]]
             for i in np.flatnonzero(loose).tolist():
                 keep[i] = labels[start + i] == labels[start + i].strip()
-            # a round places each pending label at its slot if that is free,
-            # one of those that share it; the others probe the next slot.
-            # Equal labels probe in step, and the last wins each slot
-            pending = np.flatnonzero(keep)
-            slot = self._home(key[pending])
-            pending += start
-            while pending.size:
-                free = self._label[slot] < 0
-                self._label[slot[free]] = pending[free]
-                lost = self._label[slot] != pending
-                pending, slot = pending[lost], (slot[lost] + 1) & self._mask
+            keep = np.flatnonzero(keep)
+            keep += start
+            self._place(_records(_keys(self._words, self._begin[keep], length[keep]), keep,
+                                 length[keep]))
+
+    def _size(self, n):
+        """Empty slots for n labels: a power of two of them, at least 2 n."""
+        bits = max(1, (2 * n - 1).bit_length())
+        self._shift = np.uint64(64 - bits)
+        self._mask = (1 << bits) - 1
+        # an empty slot's label and length are -1, which no span has
+        self._slots = np.zeros(1 << bits, dtype=_SLOT)
+        self._slots["label"] = -1
+        self._slots["length"] = -1
+
+    def _place(self, held):
+        """Store records, each at the first free slot from its key's home on.
+
+        A round places each pending record at its slot if that is free, one
+        of those that share it; the others probe the next slot.  Equal labels
+        probe in step, and the last wins each slot.
+        """
+        pending, slot = np.arange(held.size), self._home(held["key"])
+        label = self._slots["label"]
+        while pending.size:
+            free = label[slot] < 0
+            self._slots[slot[free]] = held[pending[free]]
+            lost = label[slot] != held["label"][pending]
+            pending, slot = pending[lost], (slot[lost] + 1) & self._mask
 
     def ids(self, labels):
         """int64 id of each of a sequence of labels, -1 for one that is not
@@ -483,10 +467,7 @@ class LabelIndex:
         return self._find(_word_view(data), begin, length)
 
     def _home(self, key):
-        """Each key's slot: the top bits of its product with _MIX."""
-        home = key * _MIX
-        home >>= self._shift
-        return home.view(np.int64)
+        return _fibonacci(key, self._shift)
 
     def _find(self, words, begin, length):
         """int64 id of the label with the bytes of each span (begin, length)
@@ -495,10 +476,10 @@ class LabelIndex:
         slot = self._home(key)
         at = None  # the fields that probe on, from the second round
         while True:
-            label = self._label[slot]
-            held = self._length[label]
-            hit = held == length
-            hit &= self._key[label] == key
+            held = self._slots.take(slot)
+            label = held["label"]
+            hit = held["length"] == length
+            hit &= held["key"] == key
             if self._long:  # a hash key that matches while the bytes differ probes on
                 check = np.flatnonzero(hit & (length > 8))
                 if check.size:
@@ -508,12 +489,94 @@ class LabelIndex:
                 found = np.where(hit, label, -1)
             else:
                 found[at] = np.where(hit, label, -1)
-            on = np.flatnonzero(~hit & (held >= 0))
+            on = np.flatnonzero(~hit & (label >= 0))
             if not on.size:
-                return found
+                return found.astype(np.int64)
             at = on if at is None else at[on]
             slot, key = (slot[on] + 1) & self._mask, key[on]
             begin, length = begin[on], length[on]
+
+
+class LabelTable(LabelIndex):
+    """A LabelIndex that grows as a ByteTable interns a column, a block of
+    fields at a time: a field whose bytes it does not hold becomes its next
+    label, so that its ids follow first appearance.
+
+    It holds a copy of each label's bytes, followed by a NUL as in
+    _encoded's buffer, and never a view of the table's.  It holds its labels
+    as they are, with any surrounding space, where a LabelIndex leaves out
+    those that str.strip changes.  Its slots grow to the next power of two
+    that keeps them at most half full, and their records are placed again;
+    its label starts have room for as many labels as half its slots, and its
+    bytes double as they fill.  So what it holds scales with its labels, not
+    with the fields it interned.
+    """
+
+    def __init__(self):
+        self._n = 0  # labels held
+        self._used = 0  # bytes of them held, with their NULs
+        self._data = np.zeros(_ROOM + _PADDING, dtype=np.uint8)
+        self._words = _word_view(self._data)
+        self._begin = np.zeros(0, dtype=np.int64)
+        self._long = False
+        self._size(0)
+        self._grow(_ROOM)
+
+    def add(self, data, begin, length):
+        """int64 id of each span (begin, length) of data, a uint8 array
+        padded as a ByteTable's: the id of the label with its bytes, which a
+        span the table lacks becomes, the next id in order of first
+        appearance among the spans."""
+        words = _word_view(data)
+        ids = self._find(words, begin, length)
+        new = np.flatnonzero(ids < 0)
+        if not new.size:
+            return ids
+        begin, length = begin[new], length[new]
+        key = _keys(words, begin, length)
+        first = _firsts(words, begin, length, key)
+        won = np.flatnonzero(first == np.arange(new.size))
+        n = self._n
+        code = np.empty(new.size, dtype=np.int64)
+        code[won] = np.arange(n, n + won.size)
+        ids[new] = code[first]
+        if 2 * (n + won.size) > self._mask + 1:
+            self._grow(n + won.size)
+        # the new labels' bytes, each followed by a NUL, after the held ones
+        joined, start = _joined(data, begin[won], length[won], 0)
+        stop = self._used + joined.size
+        if stop + _PADDING > self._data.size:
+            data = np.zeros(max(stop, 2 * self._used) + _PADDING, dtype=np.uint8)
+            data[:self._used] = self._data[:self._used]
+            self._data, self._words = data, _word_view(data)
+        self._data[self._used:stop] = joined
+        self._begin[n:n + won.size] = start + self._used
+        self._long |= bool((length[won] > 8).any())
+        self._n, self._used = n + won.size, stop
+        self._place(_records(key[won], code[won], length[won]))
+        return ids
+
+    def interned(self):
+        """The labels, in order of their ids, as an Interned."""
+        labels = Interned(self._data[:self._used].tobytes().decode("utf-8").split("\0")[:-1])
+        labels.index = self
+        return labels
+
+    def _grow(self, n):
+        """Slots for n labels, and room for as many label starts; the held
+        records are placed again, a block at a time."""
+        held = self._slots[self._slots["label"] >= 0]
+        self._size(n)
+        room = (self._mask + 1) // 2
+        self._begin = np.concatenate((self._begin[:self._n],
+                                      np.zeros(room - self._n, dtype=np.int64)))
+        for start in range(0, held.size, _LABELS):
+            self._place(held[start:start + _LABELS])
+
+
+class Interned(list):
+    """The distinct labels a ByteTable interned, in order of their codes,
+    with index, the LabelTable that holds them."""
 
 
 def _encoded(labels):
@@ -541,6 +604,66 @@ def _encoded(labels):
     np.add(end[:-1], 1, out=begin[1:])
     end -= begin
     return labels, np.frombuffer(data, dtype=np.uint8), begin, end
+
+
+def _records(key, label, length):
+    """Slot records of labels with these keys, ids and lengths."""
+    held = np.empty(key.size, dtype=_SLOT)
+    held["key"], held["label"], held["length"] = key, label, length
+    return held
+
+
+def _fibonacci(key, shift):
+    """Each key's slot: the top 64 - shift bits of its product with _MIX."""
+    home = key * _MIX
+    home >>= shift
+    return home.view(np.int64)
+
+
+def _firsts(words, begin, length, key):
+    """Index of the first span with the bytes of each span (begin, length)
+    of words, whose keys are key.
+
+    The spans are placed in a table of their own, as a LabelIndex places
+    its labels, but a span at a held slot with the bytes of the span there
+    stops, and only a span that has not found its bytes probes on.  At a
+    free slot the first of the spans there takes it (the last write to a
+    slot wins, and they are written last first).  Equal spans probe in step,
+    so the first of each bytes takes a slot, and the others find it there.
+    """
+    bits = max(1, (2 * key.size - 1).bit_length())
+    shift, mask = np.uint64(64 - bits), (1 << bits) - 1
+    held = np.full(1 << bits, -1, dtype=np.int64)  # each slot's span
+    first = np.empty(key.size, dtype=np.int64)
+    pending, slot = np.arange(key.size), _fibonacci(key, shift)
+    while pending.size:
+        free = np.flatnonzero(held[slot] < 0)[::-1]
+        held[slot[free]] = pending[free]
+        there = held[slot]
+        first[pending] = there
+        same = (key[there] == key[pending]) & (length[there] == length[pending])
+        check = np.flatnonzero(same & (length[pending] > 8) & (there != pending))
+        if check.size:
+            same[check] = ~_differ(length, pending[check], words, begin, first, words,
+                                   begin)[pending[check]]
+        pending, slot = pending[~same], (slot[~same] + 1) & mask
+    return first
+
+
+def _joined(data, begin, length, sep):
+    """(the bytes of the spans (begin, length) of data, a uint8 array, each
+    followed by the byte sep, in one uint8 array; each span's start in it).
+    The byte index has the spans' dtype: distinct fields of a table, each
+    with its separator, are no longer than its buffer."""
+    step = length + 1
+    start = np.cumsum(step, dtype=step.dtype)
+    start -= step
+    index = np.repeat(begin - start, step)
+    index += np.arange(index.size, dtype=index.dtype)
+    joined = data.take(index)
+    del index
+    joined[start + length] = sep
+    return joined, start
 
 
 def _word_view(data):

@@ -275,7 +275,7 @@ class CloudModel:
             raise ValidationError("home_region must hold region ids or -1")
 
         row, region, download, upload = affinity.entries
-        at = (row, self.region_cloud[region])
+        at = row * self.n_clouds + self.region_cloud[region]
         self.best_download = self._best_per_cloud(at, download)
         self.best_upload = self._best_per_cloud(at, upload)
         for arr in (self.upload_volume, self.blend_weight, self.home_region,
@@ -285,9 +285,10 @@ class CloudModel:
     def _best_per_cloud(self, at, values):
         """(rows x clouds) best affinity of each of the table's distinct rows,
         the max over each cloud's regions (0 if none): the entries' values
-        reduced at their (row, cloud)."""
+        reduced at at, their flat (row, cloud) index."""
         best = np.zeros((self.affinity.n_rows, self.n_clouds))
-        np.maximum.at(best, at, values)
+        # a flat index takes np.maximum.at's fast path, a tuple its slow one
+        np.maximum.at(best.reshape(-1), at, values)
         best += 0.0  # a max of zeros may keep -0.0; the best is then 0.0
         return best
 

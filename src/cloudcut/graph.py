@@ -32,9 +32,12 @@ at record s or later, so the CSR's neighbour column is written over the words
 and the edge mask over the bools, which are then shrunk to one entry a slot.
 The loaders hand their endpoint arrays over to the build, which frees them
 once the words are made.  The label index (a LabelIndex, which user_ids and
-the side-table loaders look labels up in) is built on first use: load_graph
-builds it once the build's arrays are freed, and a synthetic graph, which no
-file names by label, never does.
+the side-table loaders look labels up in) of a graph that load_graph reads
+from a file is the table the labels were interned in, when no label needed
+stripping: the edge table grows it as it interns the labels and hands it over
+with them.  Any other graph builds its index on first use: load_graph builds
+it once the build's arrays are freed, and a synthetic graph, which no file
+names by label, never does.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import LabelIndex, RowTable, read_table, refuse, write_table
+from ._table import Interned, LabelIndex, RowTable, read_table, refuse, write_table
 from .errors import ValidationError
 
 # the width in bits of the graph build's packed sort word (see _sorted_words)
@@ -84,8 +87,12 @@ class SocialGraph:
     """
 
     def __init__(self, labels, src, dst, weight):
+        # load_graph hands its labels over as the Interned that a ByteTable
+        # gave, with their index, once it has refused a blank one: they are
+        # distinct and strip-clean, and are not checked again
+        index = labels.index if isinstance(labels, Interned) else None
         labels = tuple(labels)
-        if not _loadable(labels):
+        if index is None and not _loadable(labels):
             raise ValidationError("user labels must be non-empty strings with no "
                                   "surrounding whitespace")
         n = len(labels)
@@ -107,7 +114,7 @@ class SocialGraph:
             if not np.all(np.isfinite(weight)) or np.any(weight < 0):
                 raise ValidationError("edge weights must be finite and non-negative")
         # checked before the sort words: the set is never held beside them
-        if len(set(labels)) != n:
+        if index is None and len(set(labels)) != n:
             raise ValidationError("user labels must be unique")
         del src, dst
 
@@ -115,7 +122,7 @@ class SocialGraph:
         # distinct keys, in (row, col) order, are the friend CSR's slots
         self._friends, self._is_edge = _slots(*_sorted_words(ends, n), n, weight)
         self._labels = labels
-        self._index = None  # the LabelIndex of the labels, made on first use
+        self._index = index  # the LabelIndex of the labels, made on first use if None
         for arr in (*self._friends, self._is_edge):
             arr.setflags(write=False)
 
@@ -412,8 +419,9 @@ def load_graph(source):
     del table, bad_weight, blank, codes, src, dst
     graph = SocialGraph(labels, ends, None, weight)
     # the side tables and assignments of a loaded graph name its users by
-    # label: its label index is made now, when the build's arrays are freed,
-    # and not on top of the first side table's ingest
+    # label: a label index the edge table did not hand over is made now,
+    # when the build's arrays are freed, and not on top of the first side
+    # table's ingest
     graph.user_ids(())
     return graph
 

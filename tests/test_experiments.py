@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cloudcut import AffinityTable, ExperimentConfig, ValidationError, build_dataset
 from cloudcut import cloud as cloudmod
 from cloudcut import objective, partition
-from cloudcut._table import LabelIndex
+from cloudcut._table import LabelIndex, LabelTable
 from cloudcut.cli import main
 from cloudcut.experiments import (
     ALGORITHMS,
@@ -369,6 +369,20 @@ def test_a_synthetic_partition_builds_no_label_index(tmp_path, capsys, monkeypat
     assert built == []
 
 
+def grown_label_tables(monkeypatch):
+    """Each LabelTable, the index a ByteTable grows as it interns, made from
+    now on."""
+    made = []
+    init = LabelTable.__init__
+
+    def counted(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(LabelTable, "__init__", counted)
+    return made
+
+
 def test_evaluate_over_six_files_builds_the_user_index_once(tmp_path, capsys, monkeypatch):
     s = tmp_path / "s"
     assert run_cli(["synth", *SMALL, "--output-dir", str(s)], capsys)[0] == 0
@@ -381,9 +395,12 @@ def test_evaluate_over_six_files_builds_the_user_index_once(tmp_path, capsys, mo
         ("profiles", "profiles"), ("affinities", "affinities"))]
     assert run_cli(["partition", *files, "--output-dir", str(tmp_path / "p")], capsys)[0] == 0
     built = counted_label_indexes(monkeypatch)
+    grown = grown_label_tables(monkeypatch)
     argv = ["evaluate", str(tmp_path / "p" / "assignment.csv"), *files,
             "--output-dir", str(tmp_path / "e")]
     assert run_cli(argv, capsys)[0] == 0
+    # the edge table's interner grows the index, and the graph keeps it
+    built += [table.interned() for table in grown]
     assert [len(labels) for labels in built if set(labels) == set(users)] == [len(users)]
 
 

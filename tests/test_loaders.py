@@ -9,6 +9,7 @@ reader to its csv.reader path on the same text, feed every file loader
 arbitrary bytes, and read back what the table writer writes.
 """
 
+import contextlib
 import csv
 import io
 import sys
@@ -42,6 +43,7 @@ from oracles import (
     naive_load_regions,
     naive_read_assignment,
     random_model,
+    traced_peak,
 )
 
 USERS = ("a", "b", "c", "d")
@@ -552,11 +554,33 @@ def same_columns(got, want, k):
         assert same_arrays(a, b)
 
 
+# (fields a ByteTable interns at a time, labels a LabelTable has room for at
+# first): the defaults, and sizes of 1 to 3, so that labels are first seen in
+# later blocks and the table grows mid-column
+INTERN_SIZES = [None, (1, 1), (2, 3), (3, 2)]
+
+
+@contextlib.contextmanager
+def interned_in(sizes):
+    """Intern with the block and first room of sizes, or the defaults for None."""
+    with pytest.MonkeyPatch.context() as patch:
+        if sizes:
+            patch.setattr(_table, "_LABELS", sizes[0])
+            patch.setattr(_table, "_ROOM", sizes[1])
+        yield
+
+
+@pytest.mark.parametrize("sizes", INTERN_SIZES)
 @settings(max_examples=300, deadline=None)
 @given(text=PLAIN_TEXT)
-def test_the_byte_path_reads_text_as_csv_reader_does(tmp_path_factory, text):
+def test_the_byte_path_reads_text_as_csv_reader_does(tmp_path_factory, text, sizes):
     path = tmp_path_factory.mktemp("plain") / "table.csv"
     path.write_bytes(text.encode())
+    with interned_in(sizes):
+        check_the_byte_path(path, text)
+
+
+def check_the_byte_path(path, text):
     got = read_table(path)
     want = RowTable(csv.reader(io.StringIO(text, newline="")))
     assert isinstance(got, ByteTable)
@@ -595,9 +619,15 @@ def test_a_table_split_in_blocks_of_any_size_reads_as_csv_reader_does(text):
             same_columns(got, want, k)
 
 
+@pytest.mark.parametrize("sizes", INTERN_SIZES)
 @settings(max_examples=150, deadline=None)
 @given(text=PLAIN_TEXT)
-def test_int32_and_int64_spans_read_a_table_alike(text):
+def test_int32_and_int64_spans_read_a_table_alike(text, sizes):
+    with interned_in(sizes):
+        check_int32_and_int64_spans(text)
+
+
+def check_int32_and_int64_spans(text):
     # a table takes int64 spans only past 2 GiB; a lowered limit sends this
     # one down that path
     narrow = ByteTable(text.encode())
@@ -726,19 +756,49 @@ def test_only_text_with_a_quote_cr_or_nul_goes_through_csv_reader(tmp_path, text
         assert isinstance(read_table(path), RowTable)
 
 
-def test_interning_stays_exact_when_every_hash_collides(monkeypatch):
+@pytest.mark.parametrize("sizes", INTERN_SIZES)
+@pytest.mark.parametrize("collide", ["hash", "slot"])
+def test_interning_stays_exact_when_every_hash_collides(monkeypatch, collide, sizes):
+    # every long label keyed alike, or every key sent to one home slot
     labels = [f"label-{i % 7}{'-' * (i % 3)}" for i in range(40)] + [
         "", "a", "abcdefgh", "abcdefghi", "long-label-1", " long-label-1 ", "x" * 100]
     text = "".join(f"{a},{b}\n" for a, b in zip(labels, reversed(labels)))
     want = RowTable(csv.reader(io.StringIO(text, newline="")))
-    monkeypatch.setattr(_table, "_hash", lambda length, words: np.zeros(length.size, np.uint64))
+    if collide == "hash":
+        monkeypatch.setattr(_table, "_hash",
+                            lambda length, words: np.zeros(length.size, np.uint64))
+    else:
+        monkeypatch.setattr(_table, "_fibonacci",
+                            lambda key, shift: np.zeros(key.size, dtype=np.int64))
     got = ByteTable(text.encode())
     rows = len(labels)
-    for ks in ((0,), (1,), (0, 1)):
-        codes, distinct = got.intern(ks, rows)
-        want_codes, want_distinct = want.intern(ks, rows)
-        assert same_arrays(codes, want_codes)
-        assert distinct == want_distinct
+    with interned_in(sizes):
+        for ks in ((0,), (1,), (0, 1)):
+            for picked in (rows, np.arange(rows)[::-3]):
+                codes, distinct = got.intern(ks, picked)
+                want_codes, want_distinct = want.intern(ks, picked)
+                assert same_arrays(codes, want_codes)
+                assert distinct == want_distinct
+        # the table that interned a column finds each of its labels
+        codes, distinct = got._distinct((0, 1), rows)
+        assert distinct.index.ids(distinct).tolist() == list(range(len(distinct)))
+
+
+def test_interning_holds_a_block_and_the_labels_not_the_fields():
+    # 2e5 fields of 100 labels, past a word long so that they are hashed: the
+    # column's codes, and then a block's probe temporaries, about 170 bytes a
+    # field of a 16384-field block, however long the column is.  Interning
+    # by a sort of every field's key would hold several arrays as long as
+    # the codes, about 14 MiB here
+    n = 200_000
+    text = "".join(f"user-label-{i * 37 % 100}\n" for i in range(n)).encode()
+    table = ByteTable(text)
+    (codes, labels), peak = traced_peak(table.intern, (0,), n)
+    assert labels == [f"user-label-{i * 37 % 100}" for i in range(100)]
+    assert same_arrays(codes, np.arange(n) % 100)
+    bound = 4 << 20
+    assert peak - codes.nbytes < bound, (f"interning peaked {(peak - codes.nbytes) / 2**20:.2f} "
+                                         f"MiB over its codes, not under {bound / 2**20:.2f}")
 
 
 # labels past a word (two of one length), exactly a word long, short,
